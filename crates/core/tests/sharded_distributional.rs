@@ -90,6 +90,7 @@ struct Ensemble {
     one_club: Vec<f64>,
     infected_and_gifted: Vec<f64>,
     departures: Vec<f64>,
+    events: Vec<f64>,
 }
 
 impl Ensemble {
@@ -102,10 +103,11 @@ impl Ensemble {
         self.infected_and_gifted
             .push((last.groups.infected + last.groups.gifted) as f64);
         self.departures.push(result.sojourns.departures as f64);
+        self.events.push(result.events as f64);
     }
 
     /// Every observable with its name, for teeth-hunting.
-    fn observables(&self) -> [(&'static str, &[f64]); 6] {
+    fn observables(&self) -> [(&'static str, &[f64]); 7] {
         [
             ("mean-sojourn", &self.sojourn_mean),
             ("final-population", &self.final_population),
@@ -113,6 +115,7 @@ impl Ensemble {
             ("one-club", &self.one_club),
             ("infected+gifted", &self.infected_and_gifted),
             ("departures", &self.departures),
+            ("events", &self.events),
         ]
     }
 }

@@ -13,9 +13,10 @@
 //! multi-seed starts, and a plain stable swarm) this test runs `N`
 //! replications per kernel and demands overlap of generous confidence
 //! intervals on: mean sojourn time, final population, final watch-piece
-//! copies, and the final Fig.-2 group counts. Tolerances are 5 combined
-//! standard errors plus a small absolute floor — loose enough for a
-//! deterministic, non-flaky pass (all seeds fixed), tight enough that a
+//! copies, the final Fig.-2 group counts, departures, and the event count
+//! (both kernels tick the shared driver's event clock). Tolerances are 5
+//! combined standard errors plus a small absolute floor — loose enough for
+//! a deterministic, non-flaky pass (all seeds fixed), tight enough that a
 //! mis-weighted sampler fails immediately (checked by construction during
 //! development: biasing the alias table or the boosted-pool coin makes
 //! several scenarios fail).
@@ -79,6 +80,7 @@ struct Ensemble {
     one_club: Vec<f64>,
     infected_and_gifted: Vec<f64>,
     departures: Vec<f64>,
+    events: Vec<f64>,
 }
 
 impl Ensemble {
@@ -91,6 +93,7 @@ impl Ensemble {
         self.infected_and_gifted
             .push((last.groups.infected + last.groups.gifted) as f64);
         self.departures.push(result.sojourns.departures as f64);
+        self.events.push(result.events as f64);
     }
 }
 
@@ -249,6 +252,7 @@ fn turbo_matches_event_kernel_distributionally() {
             &event.departures,
             &turbo.departures,
         );
+        assert_compatible("events", scenario.name, &event.events, &turbo.events);
     }
 }
 

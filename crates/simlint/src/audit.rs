@@ -31,7 +31,7 @@ pub struct EnumAudit<'a> {
 /// The workspace's shipped audits.
 ///
 /// * **X001** — every `KernelKind` variant is wired through scenario-JSON
-///   parsing, the `run_experiments --kernel` CLI, and `bench_report`.
+///   parsing and the `run_experiments --kernel` CLI.
 /// * **X002** — every telemetry `Counter` is exercised by the
 ///   counter-partition test, so no counter can silently rot.
 pub const AUDITS: &[EnumAudit<'static>] = &[
@@ -45,7 +45,6 @@ pub const AUDITS: &[EnumAudit<'static>] = &[
                 "scenario-JSON parsing (the `\"kernel\"` field)",
             ),
             ("src/bin/run_experiments.rs", "the `--kernel` CLI parser"),
-            ("src/bin/bench_report.rs", "the tracked bench report"),
         ],
     },
     EnumAudit {

@@ -56,8 +56,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "X001",
-        summary: "every KernelKind variant must appear in scenario-JSON parsing, the \
-                  run_experiments --kernel CLI, and bench_report",
+        summary: "every KernelKind variant must appear in scenario-JSON parsing and the \
+                  run_experiments --kernel CLI",
         severity: Severity::Error,
     },
     RuleInfo {

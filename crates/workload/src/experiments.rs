@@ -2,9 +2,10 @@
 //! `EXPERIMENTS.md`).
 //!
 //! Every function returns an [`ExperimentReport`] containing plain-text
-//! tables; the bench targets in `crates/bench` print them, and the
-//! integration tests assert their qualitative content (who wins, where the
-//! crossover falls) against the paper's predictions.
+//! tables; `run_experiments` prints them, the `paper-full` workload of the
+//! repository benchmark (`perfbench`) times them, and the integration tests
+//! assert their qualitative content (who wins, where the crossover falls)
+//! against the paper's predictions.
 
 use crate::report::{fmt_num, ExperimentReport, Table};
 use crate::scenario;

@@ -106,11 +106,18 @@ impl Json {
     }
 }
 
+/// How deeply arrays and objects may nest. Scenario files and NDJSON frames
+/// nest about five levels; the cap keeps the recursive descent from running
+/// off the end of the stack on a hostile document.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document (exactly one top-level value).
 pub(crate) fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -122,8 +129,11 @@ pub(crate) fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -161,8 +171,21 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!(
+                        "arrays and objects exceed the nesting limit of {MAX_DEPTH} levels"
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -266,12 +289,16 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = core::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // step. Both are ASCII, so the run ends on a character
+                    // boundary, and each byte of the string is read once.
+                    let rest = self
+                        .input
+                        .get(self.pos..)
+                        .ok_or_else(|| self.error("invalid UTF-8"))?;
+                    let len = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..len]);
+                    self.pos += len;
                 }
             }
         }
@@ -336,6 +363,17 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_limit() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let error = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(error.contains("nesting limit of 128"), "{error}");
+        // Objects count toward the same limit as arrays.
+        let mixed = format!("{}{}", r#"{"a":["#.repeat(65), "]}".repeat(65));
+        assert!(parse(&mixed).unwrap_err().contains("nesting limit"));
     }
 
     #[test]

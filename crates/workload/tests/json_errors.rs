@@ -3,6 +3,7 @@
 //! name the offending field — never as panics — from both the parser
 //! (`ScenarioSpec::from_json`) and the compiler (`ScenarioSpec::compile`).
 
+use workload::ndjson;
 use workload::registry::{Registry, ScenarioSpec};
 use workload::SpecError;
 
@@ -172,4 +173,32 @@ fn builtin_coded_scenarios_are_wellformed() {
         let scenario = spec.compile(1).expect("compiles");
         scenario.build_sim().expect("valid simulator");
     }
+}
+
+#[test]
+fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+    // 200,000 open brackets overflow any recursive descent without a cap.
+    let deep = "[".repeat(200_000);
+    parse_err(&deep, "nesting limit");
+    // The metrics validator parses every NDJSON line with the same reader.
+    match ndjson::validate(&format!("{deep}\n{{\"type\":\"end\"}}\n")) {
+        Err(SpecError::Parse(message)) => {
+            assert!(message.contains("line 1"), "{message}");
+            assert!(message.contains("nesting limit"), "{message}");
+        }
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+}
+
+#[test]
+fn megabyte_strings_parse_in_linear_time() {
+    // String decoding must be linear in the input, or a 1 MB field takes
+    // minutes. Multi-byte characters and escapes check the decoded text.
+    let (encoded, decoded) = (r#"peer ∅ \\ swarm \"q\" "#, "peer ∅ \\ swarm \"q\" ");
+    let copies = (1 << 20) / encoded.len();
+    let name = encoded.repeat(copies);
+    let doc = |fields: &str| format!(r#"{{"name":"{name}"{fields},"arrivals":[]}}"#);
+    let spec = ScenarioSpec::from_json(&doc(r#","num_pieces":2"#)).expect("parses");
+    assert_eq!(spec.name, decoded.repeat(copies));
+    parse_err(&doc(""), "num_pieces");
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Profile-guided release build of the experiment binaries.
+# Profile-guided release build of the `run_experiments` binary.
 #
 # Three-phase PGO when a usable `llvm-profdata` is available:
 #
@@ -32,7 +32,7 @@ if [ "${1:-}" = "--profile-dir" ]; then
 fi
 
 NATIVE_FLAGS="-Ctarget-cpu=native"
-BINS=(--bin run_experiments --bin bench_report)
+BINS=(--bin run_experiments)
 
 rustc_llvm_major() {
     rustc -vV | sed -n 's/^LLVM version: \([0-9]*\).*/\1/p'
