@@ -1,13 +1,16 @@
-//! Integration tests of the replication engine's three contract-level
-//! properties: scheduling-independent determinism, √n confidence-interval
-//! shrinkage, and agreement with the Theorem 1 classifier.
+//! Integration tests of the replication engine's contract-level
+//! properties: scheduling-independent determinism, results that hold
+//! across commits, √n confidence-interval shrinkage, and agreement with the
+//! Theorem 1 classifier.
 
 use engine::{
-    artifact, Axis, EngineConfig, GridSpec, PhaseDiagram, Scenario, ScenarioOutcome, Session,
-    Workload,
+    artifact, Axis, EngineConfig, GridSpec, PhaseDiagram, ReplicationRecord, ReplicationSink,
+    Scenario, ScenarioOutcome, Session, Workload,
 };
 use markov::PathClass;
+use swarm::sim::KernelKind;
 use swarm::{stability, StabilityVerdict, SwarmParams};
+use workload::{Registry, ScenarioRunOptions};
 
 /// Runs a CTMC batch through the unified Session API.
 fn run_batch(scenarios: &[Scenario], config: &EngineConfig) -> Vec<ScenarioOutcome> {
@@ -110,6 +113,85 @@ fn artifacts_are_byte_identical_across_jobs() {
     let grid_8 = run_grid(&spec, make, &config(8));
     assert_eq!(artifact::phase_csv(&grid_1), artifact::phase_csv(&grid_8));
     assert_eq!(artifact::phase_json(&grid_1), artifact::phase_json(&grid_8));
+}
+
+/// Keeps every delivered record, in stream order.
+#[derive(Default)]
+struct Records(Vec<ReplicationRecord>);
+
+impl ReplicationSink for Records {
+    fn record(&mut self, record: &ReplicationRecord) {
+        self.0.push(*record);
+    }
+}
+
+/// `(events, transfers, class)` of each replication of the built-in
+/// `flash-crowd` scenario, run as `run_experiments --scenario flash-crowd
+/// --seed 7 --horizon 250 --replications 4 --kernel KERNEL` runs it.
+fn flash_crowd_replications(kernel: KernelKind) -> Vec<(u64, u64, PathClass)> {
+    let spec = Registry::builtin()
+        .get("flash-crowd")
+        .expect("a built-in scenario")
+        .clone();
+    let options = ScenarioRunOptions {
+        replications: 4,
+        jobs: 2,
+        seed: 7,
+        horizon_override: Some(250.0),
+        kernel_override: Some(kernel),
+        ..ScenarioRunOptions::default()
+    };
+    let mut records = Records::default();
+    workload::registry::run_with_sink(&spec, &options, &mut records).expect("a valid scenario");
+    records
+        .0
+        .iter()
+        .map(|r| (r.events, r.transfers, r.class))
+        .collect()
+}
+
+#[test]
+fn golden_master_holds_across_commits() {
+    // Every other determinism check compares two runs of one build; these
+    // values were recorded from an earlier commit, so a change that moves
+    // any random stream fails here. Integers and classes only: a last-ulp
+    // libm difference cannot flip them.
+    use PathClass::{Growing, Indeterminate, Stable};
+    let event = flash_crowd_replications(KernelKind::EventDriven);
+    let turbo = flash_crowd_replications(KernelKind::Turbo);
+    let mut ctmc = Records::default();
+    Session::builder()
+        .config(config(2))
+        .workload(Workload::ctmc(boundary_scenarios()))
+        .build()
+        .expect("valid batch")
+        .stream(&mut ctmc);
+    let ctmc: Vec<_> = ctmc.0.iter().map(|r| r.class).collect();
+    assert_eq!(
+        event,
+        [
+            (6040, 1851, Indeterminate),
+            (15398, 1597, Growing),
+            (19011, 1498, Growing),
+            (6936, 1833, Indeterminate),
+        ],
+        "event kernel"
+    );
+    assert_eq!(
+        turbo,
+        [
+            (6614, 1769, Indeterminate),
+            (12099, 1672, Indeterminate),
+            (13686, 1591, Indeterminate),
+            (7227, 1730, Indeterminate),
+        ],
+        "turbo kernel"
+    );
+    assert_eq!(
+        ctmc,
+        [[Stable; 6], [Stable; 6], [Growing; 6]].concat(),
+        "CTMC classes (stable, near-boundary, transient)"
+    );
 }
 
 #[test]
