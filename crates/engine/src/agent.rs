@@ -25,7 +25,7 @@
 
 use crate::config::EngineConfig;
 use crate::metrics::ReplicationTelemetry;
-use crate::replicate::ClassVotes;
+use crate::replicate::{ClassVotes, ReplicationOutcome};
 use crate::rng::replication_rng;
 use crate::stats::Estimate;
 use markov::{PathClass, PathClassifier};
@@ -34,6 +34,7 @@ use serde::{Deserialize, Serialize};
 use swarm::coded::{theorem15_classify, CodedGifts};
 use swarm::sim::{AgentConfig, AgentSwarm, FlashCrowd, ShardPlan, SimScratch};
 use swarm::{policy, stability, StabilityVerdict, SwarmError, SwarmParams};
+use telemetry::{CounterRecorder, CounterSet, NullRecorder, Recorder, Span};
 
 /// One agent-simulator scenario to replicate: model parameters plus the
 /// peer-level features the CTMC cannot express.
@@ -198,6 +199,22 @@ pub struct AgentReplication {
     pub truncated: bool,
 }
 
+/// A CTMC replication in the shape every session record takes: the
+/// type-count simulator counts no events or transfers and never truncates.
+impl From<ReplicationOutcome> for AgentReplication {
+    fn from(outcome: ReplicationOutcome) -> Self {
+        AgentReplication {
+            replication: outcome.replication,
+            class: outcome.class,
+            tail_slope: outcome.tail_slope,
+            tail_average: outcome.tail_average,
+            events: 0,
+            transfers: 0,
+            truncated: false,
+        }
+    }
+}
+
 /// Aggregated outcome of one agent scenario's replication batch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AgentOutcome {
@@ -229,172 +246,93 @@ pub struct AgentOutcome {
     pub failed_replications: u32,
 }
 
-/// Runs a single replication of `scenario` on its derived random stream.
+/// Runs replication `replication` of `scenario` on its derived random
+/// stream: the agent unit of work, and the way to re-run any replication of
+/// any batch in isolation.
+///
+/// `scratch` lends the run its buffers and gets the snapshot buffer back,
+/// so a warm scratch allocates nothing per replication. A scenario with
+/// more than one effective shard runs through the sharded turbo driver on
+/// `shard_jobs` worker threads. With [`EngineConfig::metrics`] set, the
+/// run is metered through one [`CounterRecorder`] per shard (folded in
+/// shard order) and timed; otherwise it runs through the no-op
+/// [`NullRecorder`] and the telemetry is `None`. Neither the scratch,
+/// `shard_jobs` nor metering ever changes the [`AgentReplication`].
 ///
 /// # Errors
 ///
 /// Returns [`SwarmError::InvalidParameter`] if the scenario's policy or
-/// configuration is invalid, or its flash schedule fails validation.
+/// configuration is invalid, its flash schedule fails validation, or its
+/// sharding settings are incompatible with the kernel.
 pub fn run_agent_replication(
     scenario: &AgentScenario,
     config: &EngineConfig,
     replication: u32,
-) -> Result<AgentReplication, SwarmError> {
-    run_agent_replication_with_scratch(scenario, config, replication, &mut SimScratch::new())
-}
-
-/// Runs a single replication like [`run_agent_replication`], reusing the
-/// buffers of `scratch` (and returning the run's snapshot buffer to it), so
-/// a replication loop allocates nothing per task once the scratch is warm.
-/// The scratch never changes the numbers.
-///
-/// # Errors
-///
-/// Returns [`SwarmError::InvalidParameter`] if the scenario's policy or
-/// configuration is invalid, or its flash schedule fails validation.
-pub fn run_agent_replication_with_scratch(
-    scenario: &AgentScenario,
-    config: &EngineConfig,
-    replication: u32,
-    scratch: &mut SimScratch,
-) -> Result<AgentReplication, SwarmError> {
-    run_agent_replication_opts(scenario, config, replication, scratch, 1)
-}
-
-/// Runs a single replication like [`run_agent_replication_with_scratch`],
-/// additionally honouring the scenario's effective shard plan: when the
-/// scenario (or `config`) asks for more than one shard, the swarm runs
-/// through the sharded turbo driver with its shard segments spread over
-/// `shard_jobs` worker threads. `shard_jobs` affects wall clock only — for
-/// a fixed `(master_seed, shards, sync_window)` the result is bit-identical
-/// at any value. Unsharded scenarios ignore `shard_jobs` and take the
-/// ordinary scratch-reusing path.
-///
-/// # Errors
-///
-/// Returns [`SwarmError::InvalidParameter`] if the scenario's policy or
-/// configuration is invalid, its flash schedule fails validation, or its
-/// sharding settings are incompatible with the kernel.
-pub fn run_agent_replication_opts(
-    scenario: &AgentScenario,
-    config: &EngineConfig,
-    replication: u32,
     scratch: &mut SimScratch,
     shard_jobs: usize,
-) -> Result<AgentReplication, SwarmError> {
-    let sim = scenario.build_sim()?;
-    let initial = scenario.initial_population();
-    let mut rng = replication_rng(config.master_seed, scenario.id, u64::from(replication));
-    if let Some(plan) = scenario.shard_plan(config, shard_jobs) {
-        let result = sim.run_sharded(&initial, &scenario.flash, config.horizon, &plan, &mut rng)?;
-        return Ok(classify_result(
-            scenario,
-            replication,
-            &result,
-            initial.len(),
-        ));
+) -> Result<(AgentReplication, Option<ReplicationTelemetry>), SwarmError> {
+    let plan = scenario.shard_plan(config, shard_jobs);
+    if !config.metrics {
+        return run_recorded(scenario, config, replication, scratch, plan, NullRecorder)
+            .map(|(outcome, _, _)| (outcome, None));
     }
-    let result =
-        sim.run_with_scratch(&initial, &scenario.flash, config.horizon, &mut rng, scratch)?;
-    let outcome = classify_result(scenario, replication, &result, initial.len());
-    scratch.recycle(result);
-    Ok(outcome)
+    let (outcome, recorders, wall_seconds) = run_recorded(
+        scenario,
+        config,
+        replication,
+        scratch,
+        plan,
+        CounterRecorder::new(),
+    )?;
+    let mut counters = CounterSet::new();
+    for recorder in &recorders {
+        counters.merge(&recorder.counters);
+    }
+    let telemetry = ReplicationTelemetry {
+        counters,
+        wall_seconds,
+    };
+    Ok((outcome, Some(telemetry)))
 }
 
-/// Runs a single replication like [`run_agent_replication_with_scratch`],
-/// additionally metering the simulator through a
-/// [`telemetry::CounterRecorder`] and timing the run with a wall clock.
-///
-/// The recorder consumes no randomness, so the returned
-/// [`AgentReplication`] is bit-identical to the unmetered helper's on the
-/// same inputs; only the side-channel [`ReplicationTelemetry`] is extra.
-///
-/// # Errors
-///
-/// Returns [`SwarmError::InvalidParameter`] if the scenario's policy or
-/// configuration is invalid, or its flash schedule fails validation.
-pub fn run_agent_replication_metered(
+/// [`run_agent_replication`] through one `recorder` per shard, returning
+/// the recorders and, when `T` is enabled, the simulator's wall time.
+fn run_recorded<T: Recorder + Clone + Send>(
     scenario: &AgentScenario,
     config: &EngineConfig,
     replication: u32,
     scratch: &mut SimScratch,
-) -> Result<(AgentReplication, ReplicationTelemetry), SwarmError> {
-    run_agent_replication_metered_opts(scenario, config, replication, scratch, 1)
-}
-
-/// Runs a single metered replication like [`run_agent_replication_metered`],
-/// additionally honouring the scenario's effective shard plan (see
-/// [`run_agent_replication_opts`]). A sharded run meters each shard with
-/// its own [`telemetry::CounterRecorder`] — each satisfying the partition
-/// identities on its own — and folds them in ascending shard order into the
-/// returned [`ReplicationTelemetry`].
-///
-/// # Errors
-///
-/// Returns [`SwarmError::InvalidParameter`] if the scenario's policy or
-/// configuration is invalid, its flash schedule fails validation, or its
-/// sharding settings are incompatible with the kernel.
-pub fn run_agent_replication_metered_opts(
-    scenario: &AgentScenario,
-    config: &EngineConfig,
-    replication: u32,
-    scratch: &mut SimScratch,
-    shard_jobs: usize,
-) -> Result<(AgentReplication, ReplicationTelemetry), SwarmError> {
+    plan: Option<ShardPlan>,
+    recorder: T,
+) -> Result<(AgentReplication, Vec<T>, f64), SwarmError> {
     let sim = scenario.build_sim()?;
-    let initial = scenario.initial_population();
+    let (initial, flash) = (scenario.initial_population(), &scenario.flash);
     let mut rng = replication_rng(config.master_seed, scenario.id, u64::from(replication));
-    if let Some(plan) = scenario.shard_plan(config, shard_jobs) {
-        let mut recorders =
-            vec![telemetry::CounterRecorder::new(); usize::try_from(plan.shards).unwrap_or(1)];
-        let span = telemetry::Span::start();
-        let result = sim.run_sharded_metered(
+    let shards = plan.as_ref().map_or(1, |plan| plan.shards as usize);
+    let mut recorders = vec![recorder; shards];
+    let span = T::ENABLED.then(Span::start);
+    let result = match &plan {
+        Some(plan) => sim.run_sharded_metered(
             &initial,
-            &scenario.flash,
+            flash,
             config.horizon,
-            &plan,
+            plan,
             &mut rng,
             &mut recorders,
-        )?;
-        let wall_seconds = span.seconds();
-        let outcome = classify_result(scenario, replication, &result, initial.len());
-        let mut counters = telemetry::CounterSet::new();
-        for recorder in &recorders {
-            counters.merge(&recorder.counters);
+        )?,
+        None => {
+            let recorder = &mut recorders[0];
+            sim.run_metered(&initial, flash, config.horizon, &mut rng, scratch, recorder)?
         }
-        return Ok((
-            outcome,
-            ReplicationTelemetry {
-                counters,
-                wall_seconds,
-            },
-        ));
-    }
-    let mut recorder = telemetry::CounterRecorder::new();
-    let span = telemetry::Span::start();
-    let result = sim.run_metered(
-        &initial,
-        &scenario.flash,
-        config.horizon,
-        &mut rng,
-        scratch,
-        &mut recorder,
-    )?;
-    let wall_seconds = span.seconds();
+    };
+    let wall_seconds = span.map_or(0.0, |span| span.seconds());
     let outcome = classify_result(scenario, replication, &result, initial.len());
     scratch.recycle(result);
-    Ok((
-        outcome,
-        ReplicationTelemetry {
-            counters: recorder.counters,
-            wall_seconds,
-        },
-    ))
+    Ok((outcome, recorders, wall_seconds))
 }
 
 /// Classifies a finished simulator run into the replication outcome — the
-/// one place the path classifier is configured, shared by the metered and
-/// unmetered helpers so they cannot drift.
+/// one place the agent path classifier is configured.
 fn classify_result(
     scenario: &AgentScenario,
     replication: u32,
@@ -525,13 +463,15 @@ mod tests {
         )
         .unwrap();
         assert_eq!(seq, par);
-        // And a scratch-free replication matches the batch's scratch path.
-        let lone = run_agent_replication(&scenarios[0], &quick_config(), 0).unwrap();
-        let mut scratch = swarm::sim::SimScratch::new();
-        let warm =
-            run_agent_replication_with_scratch(&scenarios[0], &quick_config(), 0, &mut scratch)
-                .unwrap();
-        assert_eq!(lone, warm);
+        // And a replication on a fresh scratch matches one on a scratch
+        // warmed by another replication.
+        let run = |scratch: &mut SimScratch| {
+            run_agent_replication(&scenarios[0], &quick_config(), 0, scratch, 1).unwrap()
+        };
+        let lone = run(&mut SimScratch::new());
+        let mut scratch = SimScratch::new();
+        run_agent_replication(&scenarios[1], &quick_config(), 2, &mut scratch, 1).unwrap();
+        assert_eq!(lone, run(&mut scratch));
     }
 
     #[test]
@@ -602,7 +542,10 @@ mod tests {
             pieces: PieceSet::empty(),
         }];
         assert_eq!(scenario.initial_population().len(), 50);
-        let outcome = run_agent_replication(&scenario, &quick_config(), 0).unwrap();
+        let (outcome, telemetry) =
+            run_agent_replication(&scenario, &quick_config(), 0, &mut SimScratch::new(), 1)
+                .unwrap();
+        assert_eq!(telemetry, None, "metrics are off");
         // 50 initial + crowd of 100 minus departures: the tail average must
         // reflect a populated system.
         assert!(outcome.tail_average > 10.0);

@@ -26,8 +26,9 @@
 //! `save`), deliberately hand-rolled like every other artifact in this
 //! workspace.
 
+use crate::agent::AgentReplication;
 use crate::error::Error;
-use crate::replicate::ClassVotes;
+use crate::replicate::{verdict_agrees, ClassVotes};
 use crate::session::ReplicationFailure;
 use crate::stats::Welford;
 use std::io::Write;
@@ -67,24 +68,55 @@ impl CheckpointSpec {
     }
 }
 
-/// Snapshot of one scenario's incremental aggregation state. One struct
-/// covers both workload kinds; fields the kind does not use are zero.
+/// One scenario's incremental (O(1)-memory) aggregation state: what the
+/// session folds each replication into, in replication order, and what a
+/// checkpoint stores bit-exactly. One struct covers both workload kinds;
+/// each outcome reads only the fields it reports, so a checkpoint holding
+/// zeros in the others (as older builds wrote) resumes to the same result.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct AggSnapshot {
     pub(crate) theory: StabilityVerdict,
     pub(crate) votes: ClassVotes,
     pub(crate) slope: Welford,
     pub(crate) average: Welford,
-    /// Events-per-replication accumulator (agent scenarios only).
+    /// Events-per-replication accumulator (zero for CTMC replications).
     pub(crate) events: Welford,
-    /// Replications agreeing with theory (CTMC scenarios only).
+    /// Replications agreeing with theory.
     pub(crate) agreeing: u32,
-    /// Replications clipped by `max_events` (agent scenarios only).
+    /// Replications clipped by `max_events`.
     pub(crate) truncated: u32,
     /// Successful replications pushed.
     pub(crate) count: u32,
     /// Failed (quarantined) replications.
     pub(crate) failed: u32,
+}
+
+impl AggSnapshot {
+    /// The empty aggregate of a scenario whose theory verdict is `theory`.
+    pub(crate) fn new(theory: StabilityVerdict) -> Self {
+        AggSnapshot {
+            theory,
+            votes: ClassVotes::default(),
+            slope: Welford::new(),
+            average: Welford::new(),
+            events: Welford::new(),
+            agreeing: 0,
+            truncated: 0,
+            count: 0,
+            failed: 0,
+        }
+    }
+
+    /// Folds in one successful replication.
+    pub(crate) fn push(&mut self, replication: &AgentReplication) {
+        self.votes.push(replication.class);
+        self.slope.push(replication.tail_slope);
+        self.average.push(replication.tail_average);
+        self.events.push(replication.events as f64);
+        self.agreeing += u32::from(verdict_agrees(self.theory, replication.class));
+        self.truncated += u32::from(replication.truncated);
+        self.count += 1;
+    }
 }
 
 /// Everything a checkpoint file round-trips.

@@ -307,5 +307,8 @@ mod tests {
         assert_eq!(diagram.skipped, 1);
         assert_eq!(diagram.len(), 1);
         assert_eq!(diagram.cells[0].outcome.scenario_id, 1);
+        // The skipped cell renders as a blank in its column.
+        let rendered = diagram.render();
+        assert!(rendered.contains("2.000 |   "), "{rendered}");
     }
 }

@@ -89,10 +89,7 @@ pub mod rng;
 pub mod session;
 pub mod stats;
 
-pub use agent::{
-    run_agent_replication, run_agent_replication_metered, run_agent_replication_with_scratch,
-    AgentOutcome, AgentReplication, AgentScenario,
-};
+pub use agent::{run_agent_replication, AgentOutcome, AgentReplication, AgentScenario};
 pub use checkpoint::CheckpointSpec;
 pub use coded::{CodedGridSpec, CodedPhaseCell, CodedPhaseDiagram};
 pub use config::{EngineConfig, FailurePolicy};

@@ -290,6 +290,35 @@ mod tests {
     }
 
     #[test]
+    fn borderline_points_always_count_as_agreeing() {
+        use StabilityVerdict::{Borderline, PositiveRecurrent, Transient};
+        assert!(verdict_agrees(Borderline, PathClass::Growing));
+        assert!(verdict_agrees(Borderline, PathClass::Stable));
+        assert!(!verdict_agrees(PositiveRecurrent, PathClass::Growing));
+        assert!(!verdict_agrees(Transient, PathClass::Stable));
+        assert!(verdict_agrees(Transient, PathClass::Growing));
+    }
+
+    #[test]
+    fn one_club_initial_condition_is_used() {
+        use pieceset::{PieceId, PieceSet};
+        // Example 3 at λ = (1, 1, 1), µ = 1, γ = 2 (stable).
+        let mut builder = SwarmParams::builder(3).seed_departure_rate(2.0);
+        for piece in 0..3 {
+            builder = builder.arrival(PieceSet::singleton(PieceId::new(piece)), 1.0);
+        }
+        let scenario = Scenario::new(0, "club", builder.build().unwrap());
+        let config = EngineConfig::default()
+            .with_horizon(300.0)
+            .with_master_seed(1);
+        let empty = run_replication(&scenario, &config, 0);
+        let club = run_replication(&scenario, &config.with_initial_one_club(50), 0);
+        // 50 one-club peers at t = 0 move the path drawn from the same stream.
+        assert!(club.tail_average > 0.0);
+        assert_ne!(club.tail_average, empty.tail_average);
+    }
+
+    #[test]
     fn duplicate_scenario_ids_are_rejected() {
         let scenarios = vec![
             Scenario::new(7, "a", example1(0.5)),

@@ -71,9 +71,7 @@
 //! # Ok::<(), swarm::SwarmError>(())
 //! ```
 
-use crate::agent::{
-    run_agent_replication_metered_opts, run_agent_replication_opts, AgentOutcome, AgentScenario,
-};
+use crate::agent::{run_agent_replication, AgentOutcome, AgentReplication, AgentScenario};
 use crate::checkpoint::{self, AggSnapshot, CheckpointData, CheckpointSpec};
 use crate::coded::{CodedGridSpec, CodedPhaseCell, CodedPhaseDiagram};
 use crate::config::{EngineConfig, FailurePolicy};
@@ -82,10 +80,7 @@ use crate::faults::FaultPlan;
 use crate::grid::{GridSpec, PhaseCell, PhaseDiagram};
 use crate::metrics::ReplicationTelemetry;
 use crate::progress::ProgressSink;
-use crate::replicate::{
-    run_replication_on, verdict_agrees, ClassVotes, ReplicationOutcome, Scenario, ScenarioOutcome,
-};
-use crate::stats::Welford;
+use crate::replicate::{run_replication_on, verdict_agrees, Scenario, ScenarioOutcome};
 use markov::PathClass;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -138,8 +133,10 @@ pub struct ReplicationRecord {
 ///
 /// The `(scenario_id, replication)` pair is the failed replication's
 /// stream key: it is enough to re-run exactly that replication in
-/// isolation (e.g. with `run_replication` / `run_agent_replication`) under
-/// a debugger, on any machine, at any worker count.
+/// isolation under a debugger, on any machine, at any worker count —
+/// with [`crate::run_replication`] for a CTMC scenario, or with
+/// [`crate::run_agent_replication`] on a fresh [`SimScratch`] for an agent
+/// scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicationFailure {
     /// Index of the scenario within the workload (input order).
@@ -848,21 +845,84 @@ impl Session {
         sink: &mut S,
         resume: Option<CheckpointData>,
     ) -> Vec<ScenarioOutcome> {
-        let config = &self.config;
-        let start = resume.as_ref().map_or(0, |d| d.frontier as usize);
-        let carried = resume.as_ref().map_or(0, |d| d.failures.len());
-        let mut framing = StreamFraming::begin(config, scenarios.len(), start, carried, sink);
-        let (total, window, reps) = (framing.total, framing.window, framing.reps);
-
         // One model per scenario, shared (read-only) by its replications —
         // the `2^K` type space is built once, not per replication.
         let models: Vec<SwarmModel> = scenarios
             .iter()
             .map(|s| SwarmModel::new(s.params.clone()))
             .collect();
+        self.stream_replications(
+            scenarios,
+            sink,
+            resume,
+            || (),
+            |s, r, ()| {
+                let outcome = run_replication_on(&models[s], &scenarios[s], &self.config, r);
+                Ok((outcome.into(), None))
+            },
+        )
+    }
 
-        let mut outcomes: Vec<ScenarioOutcome> = Vec::with_capacity(scenarios.len());
-        let mut agg = CtmcAggregate::new();
+    fn stream_agent<S: ReplicationSink + Send>(
+        &self,
+        scenarios: &[AgentScenario],
+        sink: &mut S,
+        resume: Option<CheckpointData>,
+    ) -> Vec<AgentOutcome> {
+        let config = &self.config;
+        // Session-level worker allocation: when the stream has fewer
+        // replication tasks than workers (the single-giant-replication
+        // case sharding exists for), the surplus workers go to each task's
+        // shard segments instead of idling. Pure scheduling — shard_jobs
+        // never changes any result.
+        let remaining = (scenarios.len() * config.replications.max(1) as usize)
+            .saturating_sub(resume.as_ref().map_or(0, |d| d.frontier as usize));
+        let workers = effective_jobs(config.jobs);
+        let shard_jobs = (workers / workers.min(remaining.max(1))).max(1);
+        // One scratch arena per worker: every replication a worker serves
+        // reuses its buffers, so a warm stream allocates nothing per task.
+        // The scratch never changes the numbers.
+        self.stream_replications(scenarios, sink, resume, SimScratch::new, |s, r, scratch| {
+            // A post-validation simulator error is an internal invariant
+            // violation: it becomes a structured failure (or, under
+            // FailFast, a panic) instead of an unwrap.
+            run_agent_replication(&scenarios[s], config, r, scratch, shard_jobs).map_err(|e| {
+                format!(
+                    "internal invariant violated: scenario `{}` failed \
+                     after session validation: {e}",
+                    scenarios[s].label
+                )
+            })
+        })
+    }
+
+    /// The one replication loop behind every workload kind: resumes from a
+    /// checkpoint, runs `run(scenario index, replication, worker context)`
+    /// for every remaining replication under the failure policy, rejects
+    /// injected or real non-finite statistics, delivers records and
+    /// failures in order, folds them into one [`AggSnapshot`] per scenario,
+    /// and writes checkpoints. `make_ctx` builds each worker's context
+    /// (and rebuilds it after a caught panic).
+    fn stream_replications<Sc, S, C>(
+        &self,
+        scenarios: &[Sc],
+        sink: &mut S,
+        resume: Option<CheckpointData>,
+        make_ctx: impl Fn() -> C + Sync,
+        run: impl Fn(usize, u32, &mut C) -> Result<Replication, String> + Sync,
+    ) -> Vec<Sc::Outcome>
+    where
+        Sc: Replicable,
+        S: ReplicationSink + Send,
+    {
+        let config = &self.config;
+        let start = resume.as_ref().map_or(0, |d| d.frontier as usize);
+        let carried = resume.as_ref().map_or(0, |d| d.failures.len());
+        let mut framing = StreamFraming::begin(config, scenarios.len(), start, carried, sink);
+        let (total, window, reps) = (framing.total, framing.window, framing.reps);
+
+        let mut outcomes: Vec<Sc::Outcome> = Vec::with_capacity(scenarios.len());
+        let mut agg = AggSnapshot::new(StabilityVerdict::Borderline);
         let mut failures: Vec<ReplicationFailure> = Vec::new();
         let keep_snaps = self.checkpoint.is_some();
         let ckpt_digest = if keep_snaps {
@@ -880,14 +940,13 @@ impl Session {
             }
             let completed = start / reps;
             for (s, snap) in data.snapshots.iter().enumerate().take(completed) {
-                agg.restore(snap);
-                outcomes.push(agg.finish(&scenarios[s], config));
+                outcomes.push(scenarios[s].outcome(snap, config.confidence));
             }
             if keep_snaps {
                 completed_snaps = data.snapshots[..completed].to_vec();
             }
             if !start.is_multiple_of(reps) {
-                agg.restore(&data.snapshots[completed]);
+                agg = data.snapshots[completed].clone();
             }
         }
 
@@ -898,41 +957,44 @@ impl Session {
             total,
             config.jobs,
             window,
-            || (),
-            |index, ctx: &mut ()| {
+            &make_ctx,
+            |index, ctx: &mut C| {
                 let (s, r) = (index / reps, (index % reps) as u32);
-                run_with_policy(
-                    policy,
-                    faults,
-                    scenarios[s].id,
-                    r,
-                    ctx,
-                    || (),
-                    |_, _ctx| Ok(run_replication_on(&models[s], &scenarios[s], config, r)),
-                )
+                let id = scenarios[s].id();
+                run_with_policy(policy, faults, id, r, ctx, &make_ctx, |_, ctx| {
+                    let (mut outcome, telemetry) = run(s, r, ctx)?;
+                    // Injected metric corruption (chaos `nan` faults)
+                    // poisons the classification after the run, exercising
+                    // the same rejection a real estimator bug would hit.
+                    if faults.is_some_and(|p| p.corrupts_metrics(id, r)) {
+                        outcome.tail_slope = f64::NAN;
+                    }
+                    check_finite(&outcome, scenarios[s].label())?;
+                    Ok((outcome, telemetry))
+                })
             },
-            |index, result: TaskOutput<ReplicationOutcome>| {
+            |index, result: TaskOutput<Replication>| {
                 let (s, r) = (index / reps, index % reps);
                 if r == 0 {
-                    agg.begin(stability::classify(&scenarios[s].params).verdict);
+                    agg = AggSnapshot::new(scenarios[s].theory());
                 }
                 match result {
                     TaskOutput::Ok {
-                        value: outcome,
+                        value: (outcome, telemetry),
                         retries,
                     } => {
                         framing.retries += u64::from(retries);
                         framing.record(&ReplicationRecord {
                             scenario_index: s,
-                            scenario_id: scenarios[s].id,
+                            scenario_id: scenarios[s].id(),
                             replication: r as u32,
                             class: outcome.class,
                             tail_slope: outcome.tail_slope,
                             tail_average: outcome.tail_average,
-                            events: 0,
-                            transfers: 0,
-                            truncated: false,
-                            telemetry: None,
+                            events: outcome.events,
+                            transfers: outcome.transfers,
+                            truncated: outcome.truncated,
+                            telemetry,
                         });
                         agg.push(&outcome);
                     }
@@ -943,7 +1005,7 @@ impl Session {
                         policy,
                         ReplicationFailure {
                             scenario_index: s,
-                            scenario_id: scenarios[s].id,
+                            scenario_id: scenarios[s].id(),
                             replication: r as u32,
                             attempts,
                             payload,
@@ -952,22 +1014,22 @@ impl Session {
                 }
                 if r + 1 == reps {
                     if keep_snaps {
-                        completed_snaps.push(agg.snapshot());
+                        completed_snaps.push(agg.clone());
                     }
-                    outcomes.push(agg.finish(&scenarios[s], config));
+                    outcomes.push(scenarios[s].outcome(&agg, config.confidence));
                 }
                 if let Some(spec) = &self.checkpoint {
                     write_checkpoint(
                         spec,
                         ckpt_digest,
-                        "ctmc",
+                        self.kind_tag(),
                         index,
                         total,
                         reps,
                         &framing,
                         &failures,
                         &completed_snaps,
-                        || agg.snapshot(),
+                        || agg.clone(),
                     );
                 }
             },
@@ -976,193 +1038,90 @@ impl Session {
         framing.end(sched);
         outcomes
     }
+}
 
-    fn stream_agent<S: ReplicationSink + Send>(
-        &self,
-        scenarios: &[AgentScenario],
-        sink: &mut S,
-        resume: Option<CheckpointData>,
-    ) -> Vec<AgentOutcome> {
-        let config = &self.config;
-        let start = resume.as_ref().map_or(0, |d| d.frontier as usize);
-        let carried = resume.as_ref().map_or(0, |d| d.failures.len());
-        let mut framing = StreamFraming::begin(config, scenarios.len(), start, carried, sink);
-        let (total, window, reps) = (framing.total, framing.window, framing.reps);
+/// One replication's result as every workload kind reports it: the
+/// classified run plus its telemetry (agent replications with
+/// [`EngineConfig::metrics`] set; `None` otherwise).
+type Replication = (AgentReplication, Option<ReplicationTelemetry>);
 
-        let mut outcomes: Vec<AgentOutcome> = Vec::with_capacity(scenarios.len());
-        let mut agg = AgentAggregate::new();
-        let mut failures: Vec<ReplicationFailure> = Vec::new();
-        let keep_snaps = self.checkpoint.is_some();
-        let ckpt_digest = if keep_snaps {
-            self.checkpoint_digest()
-        } else {
-            0
-        };
-        let mut completed_snaps: Vec<AggSnapshot> = Vec::new();
+/// What the replication loop needs from a scenario of either kind: its
+/// stream key and label, its theory verdict, and how a finished aggregate
+/// becomes the kind's outcome.
+trait Replicable: Sync {
+    type Outcome: Send;
+    fn id(&self) -> u64;
+    fn label(&self) -> &str;
+    fn theory(&self) -> StabilityVerdict;
+    fn outcome(&self, agg: &AggSnapshot, confidence: f64) -> Self::Outcome;
+}
 
-        if let Some(data) = resume {
-            framing.retries = data.retries;
-            failures = data.failures;
-            for f in &failures {
-                framing.failure(f);
-            }
-            let completed = start / reps;
-            for (s, snap) in data.snapshots.iter().enumerate().take(completed) {
-                agg.restore(snap);
-                outcomes.push(agg.finish(&scenarios[s], config));
-            }
-            if keep_snaps {
-                completed_snaps = data.snapshots[..completed].to_vec();
-            }
-            if !start.is_multiple_of(reps) {
-                agg.restore(&data.snapshots[completed]);
-            }
+impl Replicable for Scenario {
+    type Outcome = ScenarioOutcome;
+
+    fn id(&self) -> u64 {
+        self.id
+    }
+
+    fn label(&self) -> &str {
+        &self.label
+    }
+
+    fn theory(&self) -> StabilityVerdict {
+        stability::classify(&self.params).verdict
+    }
+
+    fn outcome(&self, agg: &AggSnapshot, confidence: f64) -> ScenarioOutcome {
+        let majority = agg.votes.majority();
+        ScenarioOutcome {
+            scenario_id: self.id,
+            label: self.label.clone(),
+            theory: agg.theory,
+            votes: agg.votes,
+            majority,
+            tail_slope: agg.slope.estimate(confidence),
+            tail_average: agg.average.estimate(confidence),
+            agreement: if agg.count == 0 {
+                1.0
+            } else {
+                f64::from(agg.agreeing) / f64::from(agg.count)
+            },
+            agrees: verdict_agrees(agg.theory, majority),
+            failed_replications: agg.failed,
         }
+    }
+}
 
-        let policy = config.failure_policy;
-        let faults = self.faults.as_ref();
-        // Session-level worker allocation: when the stream has fewer
-        // replication tasks than workers (the single-giant-replication
-        // case sharding exists for), the surplus workers go to each task's
-        // shard segments instead of idling. Pure scheduling — shard_jobs
-        // never changes any result.
-        let workers = effective_jobs(config.jobs);
-        let outer = workers.min(total.saturating_sub(start).max(1));
-        let shard_jobs = (workers / outer).max(1);
-        let sched =
-            run_ordered(
-                start,
-                total,
-                config.jobs,
-                window,
-                // One scratch arena per worker: every replication a worker
-                // serves reuses its buffers, so a warm stream allocates nothing
-                // per task. The scratch never changes the numbers.
-                SimScratch::new,
-                |index, scratch: &mut SimScratch| {
-                    let (s, r) = (index / reps, (index % reps) as u32);
-                    // The metered path runs the identical simulation through a
-                    // counting recorder (no extra draws), so the outcome is
-                    // bit-identical either way; only the side channel differs.
-                    // A post-validation simulator error is an internal
-                    // invariant violation: it becomes a structured failure (or,
-                    // under FailFast, a panic) instead of an unwrap.
-                    let invariant = |e: swarm::SwarmError| {
-                        format!(
-                            "internal invariant violated: scenario `{}` failed \
-                         after session validation: {e}",
-                            scenarios[s].label
-                        )
-                    };
-                    run_with_policy(
-                        policy,
-                        faults,
-                        scenarios[s].id,
-                        r,
-                        scratch,
-                        SimScratch::new,
-                        |_, scratch| {
-                            let mut pair = if config.metrics {
-                                let (outcome, telemetry) = run_agent_replication_metered_opts(
-                                    &scenarios[s],
-                                    config,
-                                    r,
-                                    scratch,
-                                    shard_jobs,
-                                )
-                                .map_err(invariant)?;
-                                (outcome, Some(telemetry))
-                            } else {
-                                let outcome = run_agent_replication_opts(
-                                    &scenarios[s],
-                                    config,
-                                    r,
-                                    scratch,
-                                    shard_jobs,
-                                )
-                                .map_err(invariant)?;
-                                (outcome, None)
-                            };
-                            // Injected metric corruption (chaos `nan`
-                            // faults) poisons the classification after the
-                            // run, exercising the same rejection a real
-                            // estimator bug would hit.
-                            if faults.is_some_and(|p| p.corrupts_metrics(scenarios[s].id, r)) {
-                                pair.0.tail_slope = f64::NAN;
-                            }
-                            check_finite(&pair.0, &scenarios[s].label)?;
-                            Ok(pair)
-                        },
-                    )
-                },
-                |index,
-                 result: TaskOutput<(
-                    crate::agent::AgentReplication,
-                    Option<ReplicationTelemetry>,
-                )>| {
-                    let (s, r) = (index / reps, index % reps);
-                    if r == 0 {
-                        agg.begin(crate::agent::scenario_theory(&scenarios[s]));
-                    }
-                    match result {
-                        TaskOutput::Ok {
-                            value: (outcome, telemetry),
-                            retries,
-                        } => {
-                            framing.retries += u64::from(retries);
-                            framing.record(&ReplicationRecord {
-                                scenario_index: s,
-                                scenario_id: scenarios[s].id,
-                                replication: r as u32,
-                                class: outcome.class,
-                                tail_slope: outcome.tail_slope,
-                                tail_average: outcome.tail_average,
-                                events: outcome.events,
-                                transfers: outcome.transfers,
-                                truncated: outcome.truncated,
-                                telemetry,
-                            });
-                            agg.push(&outcome);
-                        }
-                        TaskOutput::Failed { attempts, payload } => quarantine(
-                            &mut framing,
-                            &mut agg.failed,
-                            &mut failures,
-                            policy,
-                            ReplicationFailure {
-                                scenario_index: s,
-                                scenario_id: scenarios[s].id,
-                                replication: r as u32,
-                                attempts,
-                                payload,
-                            },
-                        ),
-                    }
-                    if r + 1 == reps {
-                        if keep_snaps {
-                            completed_snaps.push(agg.snapshot());
-                        }
-                        outcomes.push(agg.finish(&scenarios[s], config));
-                    }
-                    if let Some(spec) = &self.checkpoint {
-                        write_checkpoint(
-                            spec,
-                            ckpt_digest,
-                            "agent",
-                            index,
-                            total,
-                            reps,
-                            &framing,
-                            &failures,
-                            &completed_snaps,
-                            || agg.snapshot(),
-                        );
-                    }
-                },
-            );
+impl Replicable for AgentScenario {
+    type Outcome = AgentOutcome;
 
-        framing.end(sched);
-        outcomes
+    fn id(&self) -> u64 {
+        self.id
+    }
+
+    fn label(&self) -> &str {
+        &self.label
+    }
+
+    fn theory(&self) -> StabilityVerdict {
+        crate::agent::scenario_theory(self)
+    }
+
+    fn outcome(&self, agg: &AggSnapshot, confidence: f64) -> AgentOutcome {
+        let majority = agg.votes.majority();
+        AgentOutcome {
+            scenario_id: self.id,
+            label: self.label.clone(),
+            theory: agg.theory,
+            votes: agg.votes,
+            majority,
+            tail_slope: agg.slope.estimate(confidence),
+            tail_average: agg.average.estimate(confidence),
+            agrees: verdict_agrees(agg.theory, majority),
+            truncated_replications: agg.truncated,
+            mean_events: agg.events.mean(),
+            failed_replications: agg.failed,
+        }
     }
 }
 
@@ -1177,7 +1136,7 @@ const NON_FINITE_MARKER: &str = "non-finite statistic";
 /// is still a vote). The error becomes a typed quarantined failure — or a
 /// panic under [`FailurePolicy::FailFast`] — never a silently-NaN
 /// artifact.
-fn check_finite(outcome: &crate::agent::AgentReplication, label: &str) -> Result<(), String> {
+fn check_finite(outcome: &AgentReplication, label: &str) -> Result<(), String> {
     for (name, value) in [
         ("tail_slope", outcome.tail_slope),
         ("tail_average", outcome.tail_average),
@@ -1468,180 +1427,6 @@ impl<'s, S: ReplicationSink> StreamFraming<'s, S> {
             p.end(&stats);
         }
         self.sink.end(&stats);
-    }
-}
-
-/// Incremental (O(1)-memory) aggregation of one CTMC scenario's
-/// replications, pushed in replication order.
-struct CtmcAggregate {
-    theory: StabilityVerdict,
-    votes: ClassVotes,
-    slope: Welford,
-    average: Welford,
-    agreeing: u32,
-    count: u32,
-    /// Replications quarantined (no vote, no sample) for this scenario.
-    failed: u32,
-}
-
-impl CtmcAggregate {
-    fn new() -> Self {
-        CtmcAggregate {
-            theory: StabilityVerdict::Borderline,
-            votes: ClassVotes::default(),
-            slope: Welford::new(),
-            average: Welford::new(),
-            agreeing: 0,
-            count: 0,
-            failed: 0,
-        }
-    }
-
-    fn begin(&mut self, theory: StabilityVerdict) {
-        *self = CtmcAggregate::new();
-        self.theory = theory;
-    }
-
-    fn push(&mut self, outcome: &ReplicationOutcome) {
-        self.votes.push(outcome.class);
-        self.slope.push(outcome.tail_slope);
-        self.average.push(outcome.tail_average);
-        if verdict_agrees(self.theory, outcome.class) {
-            self.agreeing += 1;
-        }
-        self.count += 1;
-    }
-
-    /// The full aggregation state, bit-exactly, for checkpointing.
-    fn snapshot(&self) -> AggSnapshot {
-        AggSnapshot {
-            theory: self.theory,
-            votes: self.votes,
-            slope: self.slope,
-            average: self.average,
-            events: Welford::new(),
-            agreeing: self.agreeing,
-            truncated: 0,
-            count: self.count,
-            failed: self.failed,
-        }
-    }
-
-    /// Rebuilds the state captured by [`CtmcAggregate::snapshot`].
-    fn restore(&mut self, snap: &AggSnapshot) {
-        *self = CtmcAggregate {
-            theory: snap.theory,
-            votes: snap.votes,
-            slope: snap.slope,
-            average: snap.average,
-            agreeing: snap.agreeing,
-            count: snap.count,
-            failed: snap.failed,
-        };
-    }
-
-    fn finish(&mut self, scenario: &Scenario, config: &EngineConfig) -> ScenarioOutcome {
-        let majority = self.votes.majority();
-        ScenarioOutcome {
-            scenario_id: scenario.id,
-            label: scenario.label.clone(),
-            theory: self.theory,
-            votes: self.votes,
-            majority,
-            tail_slope: self.slope.estimate(config.confidence),
-            tail_average: self.average.estimate(config.confidence),
-            agreement: if self.count == 0 {
-                1.0
-            } else {
-                f64::from(self.agreeing) / f64::from(self.count)
-            },
-            agrees: verdict_agrees(self.theory, majority),
-            failed_replications: self.failed,
-        }
-    }
-}
-
-/// Incremental aggregation of one agent scenario's replications.
-struct AgentAggregate {
-    theory: StabilityVerdict,
-    votes: ClassVotes,
-    slope: Welford,
-    average: Welford,
-    events: Welford,
-    truncated: u32,
-    /// Replications quarantined (no vote, no sample) for this scenario.
-    failed: u32,
-}
-
-impl AgentAggregate {
-    fn new() -> Self {
-        AgentAggregate {
-            theory: StabilityVerdict::Borderline,
-            votes: ClassVotes::default(),
-            slope: Welford::new(),
-            average: Welford::new(),
-            events: Welford::new(),
-            truncated: 0,
-            failed: 0,
-        }
-    }
-
-    fn begin(&mut self, theory: StabilityVerdict) {
-        *self = AgentAggregate::new();
-        self.theory = theory;
-    }
-
-    fn push(&mut self, outcome: &crate::agent::AgentReplication) {
-        self.votes.push(outcome.class);
-        self.slope.push(outcome.tail_slope);
-        self.average.push(outcome.tail_average);
-        self.events.push(outcome.events as f64);
-        self.truncated += u32::from(outcome.truncated);
-    }
-
-    /// The full aggregation state, bit-exactly, for checkpointing.
-    fn snapshot(&self) -> AggSnapshot {
-        AggSnapshot {
-            theory: self.theory,
-            votes: self.votes,
-            slope: self.slope,
-            average: self.average,
-            events: self.events,
-            agreeing: 0,
-            truncated: self.truncated,
-            count: 0,
-            failed: self.failed,
-        }
-    }
-
-    /// Rebuilds the state captured by [`AgentAggregate::snapshot`].
-    fn restore(&mut self, snap: &AggSnapshot) {
-        *self = AgentAggregate {
-            theory: snap.theory,
-            votes: snap.votes,
-            slope: snap.slope,
-            average: snap.average,
-            events: snap.events,
-            truncated: snap.truncated,
-            failed: snap.failed,
-        };
-    }
-
-    fn finish(&mut self, scenario: &AgentScenario, config: &EngineConfig) -> AgentOutcome {
-        let majority = self.votes.majority();
-        AgentOutcome {
-            scenario_id: scenario.id,
-            label: scenario.label.clone(),
-            theory: self.theory,
-            votes: self.votes,
-            majority,
-            tail_slope: self.slope.estimate(config.confidence),
-            tail_average: self.average.estimate(config.confidence),
-            agrees: verdict_agrees(self.theory, majority),
-            truncated_replications: self.truncated,
-            mean_events: self.events.mean(),
-            failed_replications: self.failed,
-        }
     }
 }
 

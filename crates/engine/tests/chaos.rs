@@ -16,11 +16,14 @@
 //!
 //! The checkpoint tests simulate a crash by panicking mid-delivery and then
 //! resume from the surviving checkpoint file, asserting the combined run is
-//! byte-identical to an uninterrupted one.
+//! byte-identical to an uninterrupted one. Two of them resume checkpoint
+//! files kept under `tests/fixtures/`, written by an earlier build, so the
+//! checkpoint format and digest hold across commits.
 
 use engine::{
-    artifact, EngineConfig, Error, FailurePolicy, FaultPlan, ReplicationFailure, ReplicationRecord,
-    ReplicationSink, Scenario, ScenarioOutcome, Session, StreamPlan, StreamStats, Workload,
+    artifact, AgentScenario, EngineConfig, Error, FailurePolicy, FaultPlan, ReplicationFailure,
+    ReplicationRecord, ReplicationSink, Scenario, ScenarioOutcome, Session, StreamPlan,
+    StreamStats, Workload,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -373,4 +376,65 @@ fn resuming_under_a_different_configuration_is_a_typed_error() {
         other => panic!("expected CheckpointMismatch, got {other:?}"),
     }
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_nan_classified_ctmc_replication_is_a_typed_failure() {
+    let (_, fault_free) = baseline(1);
+    let quarantine = FailurePolicy::Quarantine {
+        max_failures: u32::MAX,
+    };
+    let mut sink = Collector::default();
+    let outcomes = session(2, quarantine, Some(FaultPlan::new().nan_at(0, 1)))
+        .stream(&mut sink)
+        .into_ctmc()
+        .expect("ctmc workload");
+    let mut expected = fault_free.records;
+    expected.remove(1);
+    assert_eq!(sink.records, expected, "survivors match the fault-free run");
+    let [failure] = sink.failures.as_slice() else {
+        panic!("exactly one typed failure, got {:?}", sink.failures);
+    };
+    assert_eq!((failure.scenario_id, failure.replication), (0, 1));
+    assert!(failure.payload.starts_with("non-finite statistic"));
+    let stats = sink.stats.expect("stream ended");
+    assert_eq!((stats.failed, stats.non_finite), (1, 1));
+    assert_eq!(outcomes[0].failed_replications, 1);
+}
+
+/// Resumes `fixture`, a checkpoint an earlier build wrote while a
+/// `FailFast` session at `jobs = 1` aborted on an injected panic inside the
+/// second scenario, and requires the outcomes of an uninterrupted run.
+fn fixture_resumes(fixture: &str, session: impl Fn(usize) -> Session) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(fixture);
+    let uninterrupted = session(1).run();
+    for jobs in [1, 2] {
+        let resumed = session(jobs).resume(&path).expect("the fixture resumes");
+        assert_eq!(resumed, uninterrupted, "{fixture}, jobs = {jobs}");
+    }
+}
+
+#[test]
+fn checkpoints_from_an_earlier_build_resume_to_the_uninterrupted_outcomes() {
+    // Written at frontier 8 of 12 and 5 of 8.
+    fixture_resumes("ctmc.ckpt", |jobs| {
+        session(jobs, FailurePolicy::FailFast, None)
+    });
+    fixture_resumes("agent.ckpt", |jobs| {
+        let config = EngineConfig::default()
+            .with_replications(4)
+            .with_horizon(100.0)
+            .with_master_seed(0xC1A05)
+            .with_jobs(jobs);
+        Session::builder()
+            .config(config)
+            .workload(Workload::agent(vec![
+                AgentScenario::new(0, "stable", example1(1.0)),
+                AgentScenario::new(1, "transient", example1(4.0)),
+            ]))
+            .build()
+            .expect("valid session")
+    });
 }

@@ -10,7 +10,8 @@ use engine::{
 use markov::PathClass;
 use swarm::sim::KernelKind;
 use swarm::{stability, StabilityVerdict, SwarmParams};
-use workload::{Registry, ScenarioRunOptions};
+use workload::experiments::{self, ExperimentConfig, EXAMPLE1_LOADS};
+use workload::{scenario, Registry, ScenarioRunOptions};
 
 /// Runs a CTMC batch through the unified Session API.
 fn run_batch(scenarios: &[Scenario], config: &EngineConfig) -> Vec<ScenarioOutcome> {
@@ -192,6 +193,81 @@ fn golden_master_holds_across_commits() {
         [[Stable; 6], [Stable; 6], [Growing; 6]].concat(),
         "CTMC classes (stable, near-boundary, transient)"
     );
+
+    // E1 and E5 at the experiments tests' `tiny()` budget, E1's points also
+    // through the engine exactly as E1 builds them.
+    let tiny = ExperimentConfig {
+        horizon: 150.0,
+        seed: 42,
+        threads: 2,
+        replications: 1,
+        progress: false,
+    };
+    let e1_points: Vec<Scenario> = EXAMPLE1_LOADS
+        .iter()
+        .enumerate()
+        .map(|(i, &load)| {
+            let params = scenario::example1_at_load(load, 1.0, 1.0, 2.0).expect("valid point");
+            Scenario::new(i as u64, format!("load={load}"), params)
+        })
+        .collect();
+    let e1_config = EngineConfig::default()
+        .with_replications(1)
+        .with_horizon(150.0)
+        .with_master_seed(42)
+        .with_jobs(2);
+    let e1: Vec<String> = run_batch(&e1_points, &e1_config)
+        .iter()
+        .map(|o| {
+            let v = o.votes;
+            let votes = format!("{}/{}/{}", v.stable, v.growing, v.indeterminate);
+            format!("{:?} {:?} {votes}", o.theory, o.majority)
+        })
+        .collect();
+    let (stable, transient) = ("PositiveRecurrent Stable 1/0/0", "Transient Growing 0/1/0");
+    let missed = "PositiveRecurrent Growing 0/1/0";
+    assert_eq!(
+        e1,
+        [stable, stable, missed, transient, transient, transient],
+        "E1 (theory, majority, stable/growing/indeterminate votes)"
+    );
+    let e1_table: Vec<String> = experiments::example1(&tiny).tables[0]
+        .rows()
+        .iter()
+        .map(|row| format!("{} {}", row[1], row[2]))
+        .collect();
+    let (stable, transient) = ("stable Stable", "transient Growing");
+    assert_eq!(
+        e1_table,
+        [
+            stable,
+            stable,
+            "stable Growing",
+            transient,
+            transient,
+            transient
+        ],
+        "E1 table (theory, simulated)"
+    );
+    let e5 = experiments::stability_region(&tiny);
+    let map: Vec<&str> = e5.figures[0]
+        .1
+        .lines()
+        .filter(|line| line.contains(" | "))
+        .collect();
+    assert_eq!(
+        map,
+        [
+            "     8.000 | · # # # # # ",
+            "     4.000 | · # # # # # ",
+            "     2.000 | · · ? # # # ",
+            "     1.250 | · · · · ? · ",
+            "     0.800 | · · · · · · ",
+        ],
+        "E5 region map glyph rows"
+    );
+    let note = "region map: 28 of 30 cells agree with Theorem 1 (2 mismatches)";
+    assert!(e5.notes.iter().any(|n| n == note), "{:?}", e5.notes);
 }
 
 #[test]

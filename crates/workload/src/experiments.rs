@@ -9,17 +9,20 @@
 
 use crate::report::{fmt_num, ExperimentReport, Table};
 use crate::scenario;
-use crate::sweep::{run_sweep, summarise, SweepOptions, SweepPoint};
+use engine::{
+    Axis, EngineConfig, GridSpec, PhaseDiagram, Scenario, ScenarioOutcome, Session, Workload,
+};
 use markov::PathClassifier;
 use pieceset::{PieceId, PieceSet};
 use swarm::branching_analysis;
 use swarm::coded;
 use swarm::lyapunov::LyapunovFunction;
+use swarm::metrics::SimResult;
 use swarm::mu_infinity::{MuInfinityProcess, MuInfinityState};
 use swarm::policy;
 use swarm::sim::{AgentConfig, AgentSwarm};
 use swarm::stability;
-use swarm::{SwarmModel, SwarmParams};
+use swarm::{StabilityVerdict, SwarmModel, SwarmParams};
 
 /// Shared experiment configuration: a simulation budget and a base seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,16 +67,32 @@ impl ExperimentConfig {
         }
     }
 
-    fn sweep_options(&self) -> SweepOptions {
-        SweepOptions {
-            horizon: self.horizon,
-            seed: self.seed,
-            threads: self.threads,
-            replications: self.replications,
-            initial_one_club: 0,
-            progress: self.progress,
-        }
+    /// The engine configuration of the Theorem 1 sweeps and region maps:
+    /// scenario `i`, replication `r` draws from the engine's `(seed, i, r)`
+    /// stream.
+    #[must_use]
+    pub fn engine_config(&self) -> EngineConfig {
+        EngineConfig::default()
+            .with_replications(self.replications)
+            .with_horizon(self.horizon)
+            .with_master_seed(self.seed)
+            .with_jobs(self.threads)
+            .with_progress(self.progress)
     }
+}
+
+/// The report note for a demo run the simulator's `max_events` safety
+/// valve stopped before its horizon (`None` when the run finished): a
+/// clipped trajectory must never pass for a full one.
+fn truncation_note(run: &str, sim: &AgentSwarm, result: &SimResult) -> Option<String> {
+    result.truncated.then(|| {
+        format!(
+            "truncated: {run} stopped at t = {t:.1} on reaching the {}-event cap \
+             (max_events), so its numbers cover [0, {t:.1}] only",
+            sim.config().max_events,
+            t = result.horizon,
+        )
+    })
 }
 
 /// Derives the random stream for one illustrative demo trajectory.
@@ -101,7 +120,78 @@ pub const EXAMPLE1_LOADS: [f64; 6] = [0.3, 0.6, 0.9, 1.2, 1.6, 2.5];
 // The canonical verdict spelling shared with the engine's artifacts.
 use engine::labels::verdict_name as verdict_str;
 
-fn sweep_table(title: &str, outcomes: &[crate::SweepOutcome]) -> Table {
+/// Replicates labelled Theorem 1 points through one CTMC [`Session`] and
+/// returns their outcomes in input order; point `i` keeps stream key `i`.
+fn run_ctmc(
+    config: &ExperimentConfig,
+    points: impl IntoIterator<Item = (String, SwarmParams)>,
+) -> Vec<ScenarioOutcome> {
+    let scenarios = points
+        .into_iter()
+        .enumerate()
+        .map(|(i, (label, params))| Scenario::new(i as u64, label, params))
+        .collect();
+    Session::builder()
+        .config(config.engine_config())
+        .workload(Workload::ctmc(scenarios))
+        .build()
+        .unwrap_or_else(|e| panic!("sweep session rejected: {e}"))
+        .run()
+        .into_ctmc()
+        .expect("a CTMC workload")
+}
+
+/// E1's load sweep: Example 1 (`U_s = µ = 1`, `γ = 2`) at each of
+/// [`EXAMPLE1_LOADS`]. `run_experiments --out-dir` writes these outcomes
+/// as the `example1_sweep` artifacts.
+#[must_use]
+pub fn example1_sweep(config: &ExperimentConfig) -> Vec<ScenarioOutcome> {
+    run_ctmc(
+        config,
+        EXAMPLE1_LOADS.iter().map(|&f| {
+            (
+                format!("load={f}"),
+                scenario::example1_at_load(f, 1.0, 1.0, 2.0).unwrap(),
+            )
+        }),
+    )
+}
+
+/// Example 1's stability region (`U_s = 0.5`, `µ = 1`, K = 1) over the
+/// given λ0 axis and `γ ∈ {0.8, 1.25, 2, 4, 8}`: E5's map, and
+/// `run_experiments --out-dir`'s `phase` artifacts. Cell (row, col) keeps
+/// stream key `row · λ0-count + col`.
+#[must_use]
+pub fn example1_region(config: &ExperimentConfig, lambda0: Axis) -> PhaseDiagram {
+    let spec = GridSpec {
+        lambda0,
+        mu: Axis::fixed("µ", 1.0),
+        gamma: Axis::new("γ", vec![0.8, 1.25, 2.0, 4.0, 8.0]),
+        pieces: vec![1],
+    };
+    Session::builder()
+        .config(config.engine_config())
+        .workload(Workload::grid(&spec, |_k, mu, gamma, lambda0| {
+            scenario::example1(lambda0, 0.5, mu, gamma).ok()
+        }))
+        .build()
+        .unwrap_or_else(|e| panic!("region-map session rejected: {e}"))
+        .run()
+        .into_grid()
+        .expect("a grid workload")
+}
+
+/// `(agreeing, decidable)`: how many non-borderline points' majority votes
+/// agree with Theorem 1, out of how many non-borderline points.
+fn agreement(outcomes: &[ScenarioOutcome]) -> (usize, usize) {
+    let decidable = outcomes
+        .iter()
+        .filter(|o| o.theory != StabilityVerdict::Borderline);
+    let agreeing = decidable.clone().filter(|o| o.agrees).count();
+    (agreeing, decidable.count())
+}
+
+fn sweep_table(title: &str, outcomes: &[ScenarioOutcome]) -> Table {
     let mut t = Table::new(
         title,
         &[
@@ -117,9 +207,9 @@ fn sweep_table(title: &str, outcomes: &[crate::SweepOutcome]) -> Table {
         t.row(&[
             o.label.clone(),
             verdict_str(o.theory).to_owned(),
-            format!("{:?}", o.simulated),
-            fmt_num(o.tail_slope),
-            fmt_num(o.tail_average),
+            format!("{:?}", o.majority),
+            fmt_num(o.tail_slope.mean),
+            fmt_num(o.tail_average.mean),
             o.agrees.to_string(),
         ]);
     }
@@ -139,32 +229,19 @@ pub fn example1(config: &ExperimentConfig) -> ExperimentReport {
         fmt_num(threshold)
     ));
 
-    let loads = EXAMPLE1_LOADS;
-    let points: Vec<SweepPoint> = loads
-        .iter()
-        .map(|&f| {
-            SweepPoint::new(
-                format!("load={f}"),
-                scenario::example1_at_load(f, us, mu, gamma).unwrap(),
-            )
-        })
-        .collect();
-    let outcomes = run_sweep(&points, config.sweep_options());
-    let summary = summarise(&outcomes);
+    let outcomes = example1_sweep(config);
+    let (agreeing, decidable) = agreement(&outcomes);
     report.push_table(sweep_table(
         "load sweep across the boundary (µ < γ)",
         &outcomes,
     ));
     report.note(format!(
-        "agreement with Theorem 1 on decidable points: {}/{}",
-        summary.agreements,
-        summary.points - summary.borderline
+        "agreement with Theorem 1 on decidable points: {agreeing}/{decidable}"
     ));
 
     // γ ≤ µ regime: heavy load, weak seed — still stable (any load is).
     let slow = scenario::example1(6.0, 0.3, 1.0, 0.8).unwrap();
-    let slow_points = vec![SweepPoint::new("γ=0.8µ, λ0=6, Us=0.3", slow)];
-    let slow_outcomes = run_sweep(&slow_points, config.sweep_options());
+    let slow_outcomes = run_ctmc(config, [("γ=0.8µ, λ0=6, Us=0.3".into(), slow)]);
     report.push_table(sweep_table(
         "slow-departure regime (γ ≤ µ): stable at any load",
         &slow_outcomes,
@@ -181,25 +258,22 @@ pub fn example2(config: &ExperimentConfig) -> ExperimentReport {
     report.note("stability region: λ12 < 2·λ34 and λ34 < 2·λ12");
     let lambda34 = 1.0;
     let ratios = [0.3, 0.7, 1.0, 1.5, 2.5, 4.0];
-    let points: Vec<SweepPoint> = ratios
-        .iter()
-        .map(|&r| {
-            SweepPoint::new(
+    let outcomes = run_ctmc(
+        config,
+        ratios.iter().map(|&r| {
+            (
                 format!("λ12/λ34={r}"),
                 scenario::example2(r * lambda34, lambda34, 1.0).unwrap(),
             )
-        })
-        .collect();
-    let outcomes = run_sweep(&points, config.sweep_options());
-    let summary = summarise(&outcomes);
+        }),
+    );
+    let (agreeing, decidable) = agreement(&outcomes);
     report.push_table(sweep_table(
         "ratio sweep across the 2:1 boundary",
         &outcomes,
     ));
     report.note(format!(
-        "agreement with Theorem 1 on decidable points: {}/{}",
-        summary.agreements,
-        summary.points - summary.borderline
+        "agreement with Theorem 1 on decidable points: {agreeing}/{decidable}"
     ));
     report
 }
@@ -222,18 +296,17 @@ pub fn example3(config: &ExperimentConfig) -> ExperimentReport {
 
     // λ1 = λ2 = 1; sweep λ3 so that (λ1+λ2)/λ3 crosses the factor.
     let crossings = [0.5, 0.8, 1.0, 1.3, 2.0];
-    let points: Vec<SweepPoint> = crossings
-        .iter()
-        .map(|&c| {
+    let outcomes = run_ctmc(
+        config,
+        crossings.iter().map(|&c| {
             // (λ1 + λ2)/λ3 = c · factor → transient when c > 1.
             let lambda3 = 2.0 / (c * factor);
-            SweepPoint::new(
+            (
                 format!("(λ1+λ2)/(factor·λ3)={c}"),
                 scenario::example3([1.0, 1.0, lambda3], mu, gamma).unwrap(),
             )
-        })
-        .collect();
-    let outcomes = run_sweep(&points, config.sweep_options());
+        }),
+    );
     report.push_table(sweep_table(
         "asymmetry sweep across the Example 3 boundary",
         &outcomes,
@@ -241,17 +314,17 @@ pub fn example3(config: &ExperimentConfig) -> ExperimentReport {
 
     // γ = ∞: symmetric arrival rates are the (null-recurrent) borderline; any
     // asymmetry is transient.
-    let degenerate = vec![
-        SweepPoint::new(
-            "γ=∞ symmetric",
+    let degenerate = [
+        (
+            "γ=∞ symmetric".into(),
             scenario::example3([1.0, 1.0, 1.0], 1.0, f64::INFINITY).unwrap(),
         ),
-        SweepPoint::new(
-            "γ=∞ asymmetric",
+        (
+            "γ=∞ asymmetric".into(),
             scenario::example3([1.0, 1.0, 0.5], 1.0, f64::INFINITY).unwrap(),
         ),
     ];
-    let outcomes = run_sweep(&degenerate, config.sweep_options());
+    let outcomes = run_ctmc(config, degenerate);
     report.push_table(sweep_table(
         "γ = ∞ degenerate cases (Section VIII-D)",
         &outcomes,
@@ -306,6 +379,11 @@ pub fn one_club_growth(config: &ExperimentConfig) -> ExperimentReport {
         .expect("valid simulator configuration");
         let mut rng = demo_rng(config, 0xE4, variant as u64);
         let result = sim.run_from_one_club(initial_club, config.horizon, &mut rng);
+        report.notes.extend(truncation_note(
+            &format!("the {name} configuration"),
+            &sim,
+            &result,
+        ));
 
         let mut table = Table::new(
             &format!(
@@ -368,34 +446,28 @@ pub fn stability_region(config: &ExperimentConfig) -> ExperimentReport {
                 },
                 fmt_num(lambda0)
             );
-            points.push(SweepPoint::new(
-                label,
-                scenario::example1(lambda0, us, mu, g).unwrap(),
-            ));
+            points.push((label, scenario::example1(lambda0, us, mu, g).unwrap()));
         }
     }
-    let outcomes = run_sweep(&points, config.sweep_options());
-    let summary = summarise(&outcomes);
+    let outcomes = run_ctmc(config, points);
+    let (agreeing, decidable) = agreement(&outcomes);
+    let rate = if decidable == 0 {
+        1.0
+    } else {
+        agreeing as f64 / decidable as f64
+    };
     report.push_table(sweep_table("grid over (γ/µ, λ0)", &outcomes));
     report.note(format!(
-        "agreement on decidable points: {}/{} ({}%)",
-        summary.agreements,
-        summary.points - summary.borderline,
-        fmt_num(100.0 * summary.agreement_rate())
+        "agreement on decidable points: {agreeing}/{decidable} ({}%)",
+        fmt_num(100.0 * rate)
     ));
 
     // An ASCII rendering of the same region over a finer (λ0, γ) grid — the
-    // closest thing to a region "figure" the paper implies.
-    let x_values: Vec<f64> = (1..=6).map(|i| 0.4 * f64::from(i)).collect();
-    let y_values = vec![0.8, 1.25, 2.0, 4.0, 8.0];
-    let map = crate::grid::stability_map(
-        "λ0",
-        &x_values,
-        "γ",
-        &y_values,
-        |lambda0, gamma| scenario::example1(lambda0, us, mu, gamma).ok(),
-        config.sweep_options(),
-    );
+    // closest thing to a region "figure" the paper implies. The λ0 values
+    // are the multiples 0.4·i, not `Axis::linspace`'s (whose last value
+    // differs in the last bit, which would change that column's point).
+    let lambda0 = Axis::new("λ0", (1..=6).map(|i| 0.4 * f64::from(i)).collect());
+    let map = example1_region(config, lambda0);
     report.note(format!(
         "region map: {} of {} cells agree with Theorem 1 ({} mismatches)",
         map.agreements(),
@@ -419,16 +491,15 @@ pub fn one_extra_piece(config: &ExperimentConfig) -> ExperimentReport {
         "Corollary: dwelling long enough to upload one extra piece stabilises the swarm",
     );
     let lambda0 = 20.0;
-    let points: Vec<SweepPoint> = [0.5, 0.8, 0.95, 1.5, 3.0]
-        .iter()
-        .map(|&ratio| {
-            SweepPoint::new(
+    let outcomes = run_ctmc(
+        config,
+        [0.5, 0.8, 0.95, 1.5, 3.0].iter().map(|&ratio| {
+            (
                 format!("γ/µ={ratio}, λ0={lambda0}"),
                 scenario::one_extra_piece(3, lambda0, ratio).unwrap(),
             )
-        })
-        .collect();
-    let outcomes = run_sweep(&points, config.sweep_options());
+        }),
+    );
     report.push_table(sweep_table(
         "dwell-time sweep at heavy load (K = 3, U_s = 0.05)",
         &outcomes,
@@ -493,6 +564,8 @@ pub fn policy_insensitivity(config: &ExperimentConfig) -> ExperimentReport {
             .expect("valid configuration");
             let mut rng = demo_rng(config, 0xE7, (pi * 2 + wi) as u64);
             let result = sim.run(&[], config.horizon, &mut rng);
+            let run = format!("the {name} run at the {which} point");
+            report.notes.extend(truncation_note(&run, &sim, &result));
             let classifier = PathClassifier::new(params.total_arrival_rate(), 40.0);
             let class = classifier.classify(&result.peer_count_path()).class;
             cells.push(format!("{class:?}"));
@@ -746,6 +819,9 @@ pub fn abs_bounds(config: &ExperimentConfig) -> ExperimentReport {
     .expect("valid simulator configuration");
     let mut rng = demo_rng(config, 0x10, 0);
     let result = sim.run_from_one_club(100, config.horizon, &mut rng);
+    report
+        .notes
+        .extend(truncation_note("the envelope run", &sim, &result));
 
     let d_rate =
         branching_analysis::piece_download_rate_bound(&params, piece, 0.01).expect("subcritical");
@@ -892,6 +968,9 @@ pub fn faster_retry(config: &ExperimentConfig) -> ExperimentReport {
             .expect("valid configuration");
             let mut rng = demo_rng(config, 0x12, (gi * 2 + ei) as u64);
             let result = sim.run_from_one_club(80, config.horizon, &mut rng);
+            let gifts = if gifted { "with" } else { "without" };
+            let run = format!("the η = {eta} run {gifts} gifted arrivals");
+            report.notes.extend(truncation_note(&run, &sim, &result));
             let trend = result.peer_count_path().trend(0.5);
             table.row(&[
                 gifted.to_string(),
@@ -942,6 +1021,38 @@ mod tests {
             replications: 1,
             progress: false,
         }
+    }
+
+    /// A demo run of Example 1 over 100 time units under a `max_events` cap.
+    fn capped_demo(max_events: u64) -> Option<String> {
+        let sim = AgentSwarm::with_config(
+            scenario::example1(1.0, 1.0, 1.0, 2.0).unwrap(),
+            AgentConfig {
+                max_events,
+                ..Default::default()
+            },
+            Box::new(policy::RandomUseful),
+        )
+        .unwrap();
+        let result = sim.run(&[], 100.0, &mut demo_rng(&tiny(), 0xAB, 0));
+        truncation_note("the probe run", &sim, &result)
+    }
+
+    #[test]
+    fn truncation_note_names_a_clipped_run_its_stop_time_and_the_cap() {
+        let note = capped_demo(100).expect("100 events cannot cover 100 time units");
+        assert!(
+            note.starts_with("truncated: the probe run stopped at t = "),
+            "{note}"
+        );
+        assert!(note.contains("the 100-event cap"), "{note}");
+        // perfbench parses these prefixes as agreement counts.
+        assert!(!note.starts_with("agreement") && !note.starts_with("region map: "));
+    }
+
+    #[test]
+    fn truncation_note_is_silent_for_a_run_that_reaches_its_horizon() {
+        assert_eq!(capped_demo(AgentConfig::default().max_events), None);
     }
 
     #[test]

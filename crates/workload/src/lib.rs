@@ -1,6 +1,5 @@
-//! Workloads, parameter sweeps, and experiment harnesses for the
-//! reproduction of *Stability of a Peer-to-Peer Communication System*
-//! (Zhu & Hajek, PODC 2011).
+//! Workloads and experiment harnesses for the reproduction of *Stability
+//! of a Peer-to-Peer Communication System* (Zhu & Hajek, PODC 2011).
 //!
 //! The paper's "evaluation" consists of Theorem 1, three worked examples
 //! (Fig. 1), the peer-flow picture of the missing-piece syndrome (Fig. 2),
@@ -19,10 +18,10 @@
 //! * [`ndjson`] — the strict validator of the engine's metrics NDJSON
 //!   export (`run_experiments --metrics`): framing, schema, and the
 //!   counter algebra all checked line by line,
-//! * [`sweep`] — a small parallel parameter-sweep runner that simulates each
-//!   point and compares against the Theorem 1 / Theorem 15 prediction,
 //! * [`report`] — plain-text tables, the output format of every experiment,
-//! * [`experiments`] — one entry point per table/figure/claim (E1–E12).
+//! * [`experiments`] — one entry point per table/figure/claim (E1–E12);
+//!   the Theorem 1 sweeps and the E5 region map run straight on
+//!   [`engine::Session`].
 //!
 //! # Examples
 //!
@@ -40,17 +39,13 @@
 
 pub mod error;
 pub mod experiments;
-pub mod grid;
 mod json;
 pub mod ndjson;
 pub mod registry;
 pub mod report;
 pub mod scenario;
-pub mod sweep;
 
 pub use error::SpecError;
-pub use grid::{CellOutcome, RegionGrid};
 pub use ndjson::NdjsonSummary;
 pub use registry::{Registry, ScenarioRunOptions, ScenarioRunReport, ScenarioSpec};
 pub use report::{ExperimentReport, Table};
-pub use sweep::{SweepOutcome, SweepPoint, SweepSummary};

@@ -87,14 +87,13 @@
 //! stderr with their stream keys and payloads).
 
 use p2p_stability::engine::{
-    self, Axis, CheckpointSpec, EngineConfig, FailurePolicy, FaultPlan, GridSpec, MetricsSink,
-    NullSink, ProgressSink, ReplicationFailure, ReplicationSink, Session, Workload,
+    self, Axis, CheckpointSpec, FailurePolicy, FaultPlan, MetricsSink, NullSink, ProgressSink,
+    ReplicationFailure, ReplicationSink,
 };
 use p2p_stability::swarm::sim::KernelKind;
 use p2p_stability::workload::experiments::{self, ExperimentConfig};
 use p2p_stability::workload::ndjson;
 use p2p_stability::workload::registry::{self, Registry, ScenarioRunOptions};
-use p2p_stability::workload::scenario;
 use p2p_stability::workload::{ScenarioRunReport, ScenarioSpec};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -406,34 +405,6 @@ fn parse_cli() -> Result<Cli, CliError> {
     })
 }
 
-/// The Example 1 phase diagram regenerated alongside the reports when
-/// `--out-dir` is given: the Theorem 1 region over `(λ₀, γ)` at `U_s = 0.5`,
-/// `µ = 1`, sharing the CLI's seed / replication / jobs budget.
-fn phase_diagram(config: &ExperimentConfig) -> engine::PhaseDiagram {
-    let spec = GridSpec {
-        lambda0: Axis::linspace("λ0", 0.4, 2.4, 6),
-        mu: Axis::fixed("µ", 1.0),
-        gamma: Axis::new("γ", vec![0.8, 1.25, 2.0, 4.0, 8.0]),
-        pieces: vec![1],
-    };
-    let engine_config = EngineConfig::default()
-        .with_replications(config.replications)
-        .with_horizon(config.horizon)
-        .with_master_seed(config.seed)
-        .with_jobs(config.threads)
-        .with_progress(config.progress);
-    Session::builder()
-        .config(engine_config)
-        .workload(Workload::grid(&spec, |_k, mu, gamma, lambda0| {
-            scenario::example1(lambda0, 0.5, mu, gamma).ok()
-        }))
-        .build()
-        .expect("a valid phase-diagram session")
-        .run()
-        .into_grid()
-        .expect("a grid workload")
-}
-
 fn main() -> ExitCode {
     let cli = match parse_cli() {
         Ok(cli) => cli,
@@ -670,37 +641,15 @@ fn write_artifacts(
         std::fs::write(dir.join(format!("{}.txt", report.id)), report.render())?;
     }
 
-    let diagram = phase_diagram(config);
+    // The Example 1 phase diagram over `(λ₀, γ)`, sharing the CLI's seed /
+    // replication / jobs budget.
+    let diagram = experiments::example1_region(config, Axis::linspace("λ0", 0.4, 2.4, 6));
     engine::artifact::write_phase(dir, "phase", &diagram)?;
     std::fs::write(dir.join("phase.txt"), diagram.render())?;
 
     // The E1 load sweep as machine-readable engine outcomes (the same
     // loads the E1.txt report in this directory describes).
-    let scenarios: Vec<engine::Scenario> = experiments::EXAMPLE1_LOADS
-        .iter()
-        .enumerate()
-        .map(|(i, &load)| {
-            engine::Scenario::new(
-                i as u64,
-                format!("load={load}"),
-                scenario::example1_at_load(load, 1.0, 1.0, 2.0).expect("valid parameters"),
-            )
-        })
-        .collect();
-    let engine_config = EngineConfig::default()
-        .with_replications(config.replications)
-        .with_horizon(config.horizon)
-        .with_master_seed(config.seed)
-        .with_jobs(config.threads)
-        .with_progress(config.progress);
-    let outcomes = Session::builder()
-        .config(engine_config)
-        .workload(Workload::ctmc(scenarios))
-        .build()
-        .expect("a valid E1 sweep session")
-        .run()
-        .into_ctmc()
-        .expect("a CTMC workload");
+    let outcomes = experiments::example1_sweep(config);
     engine::artifact::write_outcomes(dir, "example1_sweep", &outcomes)?;
     Ok(())
 }
