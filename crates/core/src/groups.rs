@@ -102,8 +102,8 @@ impl GroupCounts {
     /// # Panics
     ///
     /// Panics in debug builds if the group count is already zero — the
-    /// incremental bookkeeping of the event-driven simulator must never
-    /// remove a peer it did not add.
+    /// incremental bookkeeping of the turbo simulator must never remove a
+    /// peer it did not add.
     pub fn remove(&mut self, group: PeerGroup) {
         let slot = match group {
             PeerGroup::NormalYoung => &mut self.normal_young,

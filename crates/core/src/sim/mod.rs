@@ -11,27 +11,23 @@
 //!
 //! # Kernels
 //!
-//! Five interchangeable kernels implement the bookkeeping behind the shared
+//! Four interchangeable kernels implement the bookkeeping behind the shared
 //! event loop (see [`KernelKind`]):
 //!
-//! * **Event-driven** (the default) — peer piece collections live in a
-//!   packed [`pieceset::PieceMatrix`] (one row of `u64` words per peer),
-//!   seed and boosted membership in [`pieceset::WordBits`] index sets, and
-//!   the Fig.-2 group decomposition is keyed off *incremental transitions*:
-//!   every arrival, transfer, and departure adjusts the group counts in
-//!   `O(1)`, so snapshots cost `O(1)` and choosing a departing seed is a
-//!   popcount select instead of a population scan.
+//! * **Turbo** (the default) — peer piece collections live in a packed
+//!   [`pieceset::PieceMatrix`] (one row of `u64` words per peer) beside one
+//!   packed metadata record per peer, and the Fig.-2 group decomposition
+//!   follows every arrival, transfer, and departure in `O(1)`, so snapshots
+//!   cost `O(1)`. Arrivals draw from alias tables ([`markov::alias`]),
+//!   swap-remove index pools make boosted-vs-normal uploader selection and
+//!   seed departures direct `O(1)` picks instead of rejection loops, and a
+//!   [`SimScratch`] arena reuses every buffer across replications.
 //! * **Legacy scan** — the original array-of-structs kernel that recomputes
-//!   the group decomposition by scanning every peer at each snapshot and
-//!   falls back to an `O(n)` scan when sampling a departing seed. Kept as
-//!   the differential-testing baseline and the benchmark reference.
-//! * **Turbo** — the parity-*free* kernel: alias-table arrival draws
-//!   ([`markov::alias`]), swap-remove index pools so boosted-vs-normal
-//!   uploader selection and seed departures are direct `O(1)` picks instead
-//!   of rejection loops, and buffer reuse across replications through a
-//!   [`SimScratch`] arena. It samples from the *same distributions* at the
-//!   same points but consumes different draws, so its trajectories agree
-//!   with the other kernels statistically, not byte-for-byte.
+//!   the group decomposition by scanning every peer at each snapshot,
+//!   rejection-samples the uploader by clock rate, and falls back to an
+//!   `O(n)` scan when sampling a departing seed. It is turbo's reference: it samples
+//!   each event's outcome from the same distribution but consumes different
+//!   draws, so the two kernels agree statistically, not byte for byte.
 //! * **Coded** — the network-coding kernel (Section VIII-B, Theorem 15):
 //!   peer state is a subspace of `F_q^K` in reduced row-echelon form with
 //!   the dimension cached in a packed per-peer record, uploads are random
@@ -44,27 +40,24 @@
 //!   mask) until a peer-to-peer transfer actually needs a basis, and the
 //!   turbo tricks (alias tables, swap-remove pools, [`SimScratch`] reuse).
 //!   Constructed with [`AgentSwarm::with_coded_turbo`]; `GF(2)` only;
-//!   parity-free like turbo, validated by the three-way distributional
-//!   battery in `crates/core/tests/coded_distributional.rs`.
+//!   validated by the three-way distributional battery in
+//!   `crates/core/tests/coded_distributional.rs`.
 //!
-//! The event-driven and scan kernels run under the *same* driver loop and
-//! consume random draws in the *same* order, so for a fixed RNG stream they
-//! produce **identical trajectories** — a property test pins this
-//! (`crates/core/tests/kernel_equivalence.rs`). The turbo kernel is pinned
-//! by a *distributional* differential test instead
-//! (`crates/core/tests/turbo_distributional.rs`): over replication
-//! ensembles, its sojourn, population, watch-piece, and group statistics
-//! must match the event kernel's within confidence intervals.
+//! The turbo kernel is pinned against the scan kernel by a *distributional*
+//! differential test (`crates/core/tests/turbo_distributional.rs`): over
+//! replication ensembles, its sojourn, population, watch-piece, group, and
+//! event-count statistics must match the scan kernel's within confidence
+//! intervals, and the same test proves it rejects a turbo run with skewed
+//! arrival rates.
 //!
 //! Aggregate exponential clocks are maintained per peer class — total
 //! arrival rate, (possibly boosted) fixed-seed rate, total peer contact rate
 //! split into normal and boosted sub-populations, and the peer-seed
 //! departure rate — and updated in `O(1)` per event; no per-event rescan of
-//! the population happens in either kernel.
+//! the population happens in any kernel.
 
 mod coded;
 mod coded_turbo;
-mod event;
 mod scan;
 mod sharded;
 mod turbo;
@@ -84,18 +77,15 @@ use telemetry::{NullRecorder, Recorder};
 /// Which simulation kernel executes the run (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelKind {
-    /// Incremental bookkeeping on packed bitsets: `O(1)` snapshots and group
-    /// updates, popcount-select departures. The default.
-    #[default]
-    EventDriven,
     /// The original scan-based kernel: group decomposition recomputed by a
-    /// full population scan at every snapshot. Kept for differential testing
-    /// and as the benchmark baseline.
+    /// full population scan at every snapshot. Kept as the turbo kernel's
+    /// reference in the distributional differential test.
     LegacyScan,
-    /// The parity-free kernel: alias-table arrivals, direct `O(1)`
-    /// pool-based uploader and departure sampling (no rejection loops), and
-    /// [`SimScratch`] buffer reuse. Statistically identical trajectories,
-    /// not byte-identical ones — validated distributionally.
+    /// The default kernel: alias-table arrivals, direct `O(1)` pool-based
+    /// uploader and departure sampling (no rejection loops), `O(1)`
+    /// snapshots, and [`SimScratch`] buffer reuse. Validated
+    /// distributionally against [`KernelKind::LegacyScan`].
+    #[default]
     Turbo,
     /// The network-coding kernel (Section VIII-B, Theorem 15): peer state is
     /// the subspace `V_A ⊆ F_q^K` held in reduced row-echelon form, contacts
@@ -143,7 +133,7 @@ impl Default for AgentConfig {
             retry_speedup: 1.0,
             snapshot_interval: 10.0,
             max_events: 50_000_000,
-            kernel: KernelKind::EventDriven,
+            kernel: KernelKind::Turbo,
         }
     }
 }
@@ -163,6 +153,34 @@ pub struct FlashCrowd {
     pub count: usize,
     /// The piece collection every member of the crowd arrives with.
     pub pieces: PieceSet,
+}
+
+/// The most peers a run may start with and inject through flash crowds,
+/// together. The turbo and coded-turbo kernels index peers and pool
+/// positions in `u32` and keep `u32::MAX` free as their "not in a pool"
+/// sentinel, so every index of a population this size fits. Every validation path applies the bound
+/// through [`checked_population`] before a peer table is allocated.
+pub const MAX_PEERS: usize = u32::MAX as usize;
+
+/// Adds up peer `counts` without overflow, failing once the total passes
+/// [`MAX_PEERS`].
+///
+/// # Errors
+///
+/// Returns [`SwarmError::InvalidParameter`] if the counts sum past
+/// [`MAX_PEERS`].
+pub fn checked_population(counts: impl IntoIterator<Item = usize>) -> Result<usize, SwarmError> {
+    counts
+        .into_iter()
+        .try_fold(0usize, |total, n| {
+            total.checked_add(n).filter(|&t| t <= MAX_PEERS)
+        })
+        .ok_or_else(|| {
+            SwarmError::InvalidParameter(format!(
+                "the initial population and flash crowds add up to more than \
+                 {MAX_PEERS} peers, the most a run can index"
+            ))
+        })
 }
 
 /// The agent-based swarm simulator.
@@ -403,11 +421,11 @@ impl AgentSwarm {
     }
 
     /// Validates an initial population and flash schedule without running:
-    /// every collection must stay inside the `K`-piece file, crowd times
-    /// must be finite and non-negative, and — mirroring the builder's
-    /// `λ_F = 0` convention — no *complete* collection may be injected when
-    /// `γ = ∞` (such a peer would never depart and act as a phantom
-    /// permanent seed).
+    /// together they may hold at most [`MAX_PEERS`] peers, every collection
+    /// must stay inside the `K`-piece file, crowd times must be finite and
+    /// non-negative, and — mirroring the builder's `λ_F = 0` convention — no
+    /// *complete* collection may be injected when `γ = ∞` (such a peer
+    /// would never depart and act as a phantom permanent seed).
     ///
     /// # Errors
     ///
@@ -418,6 +436,7 @@ impl AgentSwarm {
         initial: &[PieceSet],
         flash: &[FlashCrowd],
     ) -> Result<(), SwarmError> {
+        checked_population(std::iter::once(initial.len()).chain(flash.iter().map(|c| c.count)))?;
         let full = self.params.full_type();
         let check_type = |pieces: PieceSet, what: &str| -> Result<(), SwarmError> {
             if !pieces.is_subset_of(full) {
@@ -471,14 +490,14 @@ impl AgentSwarm {
     /// Runs like [`AgentSwarm::run_with_schedule`], reusing the buffers of
     /// `scratch` instead of allocating fresh state.
     ///
-    /// With the [`KernelKind::Turbo`] kernel the entire peer table — piece
-    /// matrix, per-peer metadata, sampling pools, snapshot buffer — lives in
-    /// the scratch arena, so a replication loop that calls this repeatedly
-    /// (and returns each result via [`SimScratch::recycle`]) performs no
-    /// per-replication allocation once the buffers have grown to the
-    /// workload's high-water mark. The other kernels reuse the recycled
-    /// snapshot buffer only (their peer state is rebuilt per run, keeping
-    /// their draw-parity contract untouched).
+    /// With the [`KernelKind::Turbo`] and [`KernelKind::CodedTurbo`] kernels
+    /// the entire peer table — piece rows, per-peer metadata, sampling
+    /// pools, snapshot buffer — lives in the scratch arena, so a replication
+    /// loop that calls this repeatedly (and returns each result via
+    /// [`SimScratch::recycle`]) performs no per-replication allocation once
+    /// the buffers have grown to the workload's high-water mark. The scan
+    /// and coded kernels reuse the recycled snapshot buffer only and rebuild
+    /// their peer state per run.
     ///
     /// The scratch never influences the trajectory: for a fixed RNG stream
     /// the result is identical whether the scratch is fresh or warm.
@@ -527,13 +546,6 @@ impl AgentSwarm {
         let mut schedule: Vec<FlashCrowd> = flash.to_vec();
         schedule.sort_by(|a, b| a.time.total_cmp(&b.time));
         Ok(match self.config.kernel {
-            KernelKind::EventDriven => drive(
-                self,
-                event::State::new(self, initial, scratch.take_snapshots(), recorder),
-                &schedule,
-                horizon,
-                rng,
-            ),
             KernelKind::LegacyScan => drive(
                 self,
                 scan::State::new(self, initial, scratch.take_snapshots(), recorder),
@@ -584,11 +596,12 @@ impl AgentSwarm {
 ///
 /// The driver owns time, the aggregate rate computation, event selection,
 /// the snapshot grid, the flash schedule, and truncation; kernels own the
-/// population state and the per-event updates. Every handler of the
-/// draw-compatible kernels (event-driven and scan) must consume random
-/// draws in exactly the same order — that is what makes their trajectories
-/// reproducible kernel-to-kernel. The turbo kernel is exempt: it must only
-/// sample each handler's outcome from the correct distribution.
+/// population state and the per-event updates. Every handler must sample
+/// its outcome from the model's distribution; no kernel has to consume the
+/// same draws as another. The scan kernel's draw order is fixed all the
+/// same: its ensembles are the turbo kernel's reference and the engine's
+/// golden master pins its trajectories across commits, so moving one of its
+/// draws moves the reference.
 trait KernelState {
     /// Reserves capacity for about `capacity` snapshots before the run
     /// starts (the driver derives it from the horizon and snapshot grid, so
@@ -796,6 +809,20 @@ mod tests {
         assert!(sim
             .run_with_schedule(&[], &[bad_type], 10.0, &mut rng)
             .is_err());
+        // Populations are bounded by the kernels' u32 peer indices; the
+        // check runs without allocating and cannot overflow.
+        let crowd = |count| FlashCrowd {
+            time: 1.0,
+            count,
+            pieces: PieceSet::empty(),
+        };
+        assert!(sim.validate_run(&[], &[crowd(MAX_PEERS)]).is_ok());
+        assert!(sim
+            .validate_run(&[PieceSet::empty()], &[crowd(MAX_PEERS)])
+            .is_err());
+        assert!(sim
+            .validate_run(&[], &[crowd(usize::MAX), crowd(usize::MAX)])
+            .is_err());
     }
 
     #[test]
@@ -994,40 +1021,9 @@ mod tests {
     }
 
     #[test]
-    fn both_kernels_produce_identical_trajectories() {
-        // The exhaustive version lives in tests/kernel_equivalence.rs; this
-        // is the smoke check close to the implementation.
-        let p = params(3, 0.5, 1.0, 2.0, 1.5);
-        for kernel in [KernelKind::EventDriven, KernelKind::LegacyScan] {
-            let config = AgentConfig {
-                kernel,
-                snapshot_interval: 5.0,
-                ..Default::default()
-            };
-            let sim = AgentSwarm::with_config(p.clone(), config, Box::new(RandomUseful)).unwrap();
-            let mut rng = StdRng::seed_from_u64(11);
-            let result = sim.run_from_one_club(20, 150.0, &mut rng);
-            if kernel == KernelKind::EventDriven {
-                // run once more with the scan kernel below and compare
-                let scan_cfg = AgentConfig {
-                    kernel: KernelKind::LegacyScan,
-                    snapshot_interval: 5.0,
-                    ..Default::default()
-                };
-                let scan_sim =
-                    AgentSwarm::with_config(p.clone(), scan_cfg, Box::new(RandomUseful)).unwrap();
-                let mut rng2 = StdRng::seed_from_u64(11);
-                let scan = scan_sim.run_from_one_club(20, 150.0, &mut rng2);
-                assert_eq!(result, scan);
-            }
-        }
-    }
-
-    #[test]
     fn truncation_is_reported_and_identical_across_kernels() {
         let p = params(2, 1.0, 1.0, 2.0, 2.0);
-        let mut results = Vec::new();
-        for kernel in [KernelKind::EventDriven, KernelKind::LegacyScan] {
+        for kernel in [KernelKind::LegacyScan, KernelKind::Turbo] {
             let config = AgentConfig {
                 kernel,
                 max_events: 500,
@@ -1038,11 +1034,10 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(13);
             let result = sim.run(&[], 10_000.0, &mut rng);
             assert!(result.truncated, "500 events cannot reach horizon 10000");
-            assert_eq!(result.events, 500);
+            assert_eq!(result.events, 500, "{kernel:?}");
             assert!(result.horizon < 10_000.0);
-            results.push(result);
+            assert_eq!(result.final_snapshot().time, result.horizon);
         }
-        assert_eq!(results[0], results[1]);
     }
 
     #[test]
@@ -1105,38 +1100,6 @@ mod tests {
         // Crowd members arrived empty-handed: they count as arrivals without
         // the watch piece.
         assert!(after.arrivals_without_watch >= before.arrivals_without_watch + 300);
-    }
-
-    #[test]
-    fn flash_crowds_identical_across_kernels() {
-        let p = params(3, 0.5, 1.0, 3.0, 1.0);
-        let crowds = [
-            FlashCrowd {
-                time: 20.0,
-                count: 100,
-                pieces: PieceSet::empty(),
-            },
-            FlashCrowd {
-                time: 60.0,
-                count: 50,
-                pieces: PieceSet::singleton(PieceId::new(1)),
-            },
-        ];
-        let mut results = Vec::new();
-        for kernel in [KernelKind::EventDriven, KernelKind::LegacyScan] {
-            let config = AgentConfig {
-                kernel,
-                snapshot_interval: 5.0,
-                ..Default::default()
-            };
-            let sim = AgentSwarm::with_config(p.clone(), config, Box::new(RandomUseful)).unwrap();
-            let mut rng = StdRng::seed_from_u64(23);
-            results.push(
-                sim.run_with_schedule(&[], &crowds, 120.0, &mut rng)
-                    .unwrap(),
-            );
-        }
-        assert_eq!(results[0], results[1]);
     }
 
     #[test]

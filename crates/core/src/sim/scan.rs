@@ -1,11 +1,12 @@
 //! The legacy scan kernel: array-of-structs peers, snapshot-time population
 //! scans, and `O(n)` fallback when sampling a departing seed.
 //!
-//! Kept verbatim (modulo the shared driver) as the differential-testing
-//! baseline for the event-driven kernel and as the benchmark reference. Its
-//! per-event handlers consume random draws in exactly the same order as
-//! [`super::event`], which is what lets the equivalence property test demand
-//! *identical* trajectories rather than statistical agreement.
+//! Kept verbatim (modulo the shared driver) as the turbo kernel's
+//! reference. Its handlers use the plainest sampler for every event, so
+//! each one can be checked against the model by eye, and their draw order
+//! is fixed: the distributional differential test compares turbo against
+//! this kernel's replication ensembles, and the engine's golden master pins
+//! its trajectories across commits.
 
 use super::{AgentSwarm, KernelState};
 use crate::groups::{classify_peer, GroupCounts};
@@ -28,8 +29,8 @@ struct Peer {
 /// Mutable state of the scan kernel.
 pub(super) struct State<'a, T: Recorder> {
     sim: &'a AgentSwarm,
-    /// Instrumentation hook. Counter placement mirrors [`super::event`]
-    /// exactly — recorders consume no draws, so parity is untouched.
+    /// Instrumentation hook. Recorders consume no draws, so a metered run
+    /// walks the same trajectory as an unmetered one.
     rec: &'a mut T,
     peers: Vec<Peer>,
     piece_copies: Vec<u64>,
@@ -195,7 +196,7 @@ impl<T: Recorder> KernelState for State<'_, T> {
         let k = self.sim.params.num_pieces();
         let full = self.full();
         // The scan: the group decomposition is recomputed from scratch by
-        // classifying every peer (the event kernel maintains it instead).
+        // classifying every peer (the turbo kernel maintains it instead).
         let mut groups = GroupCounts::default();
         let mut seeds = 0u64;
         for p in &self.peers {
@@ -224,9 +225,8 @@ impl<T: Recorder> KernelState for State<'_, T> {
     fn handle_arrival<R: Rng>(&mut self, time: f64, rng: &mut R) {
         self.rec.incr(Counter::Arrivals);
         // Rebuilt every arrival — one of the scan kernel's allocations the
-        // event kernel avoids. Built from the identical weights, so the
-        // prefix sums (and therefore the mapping of the shared single
-        // uniform draw) are identical to the event kernel's cached table.
+        // turbo kernel avoids with its cached alias table. One uniform draw
+        // resolved against the prefix sums picks the arriving type.
         let weights: Vec<f64> = self.arrival_types.iter().map(|(_, r)| *r).collect();
         // simlint: allow(E001, "SwarmParams validation guarantees lambda_total > 0")
         let sampler = CumulativeWeights::new(&weights).expect("λ_total > 0");
@@ -298,7 +298,7 @@ impl<T: Recorder> KernelState for State<'_, T> {
         let n = self.peers.len();
         // Zero seeds → zero departure rate: unreachable from the driver, but
         // early-return instead of probing 64 times for a seed that cannot
-        // exist. The event kernel early-returns identically (draw parity).
+        // exist.
         if n == 0 || self.seeds == 0 {
             return;
         }

@@ -1,14 +1,14 @@
-//! The turbo kernel: parity-free `O(1)` event sampling and zero-allocation
-//! replication.
+//! The turbo kernel, the default: `O(1)` event sampling without rejection
+//! loops, and zero-allocation replication.
 //!
-//! The event-driven kernel is bound by its draw-parity contract with the
-//! legacy scan kernel: every random draw must happen at the same point with
-//! the same distribution, which locks in rejection-sampling loops (the
-//! boosted-uploader probe of `handle_peer_tick`, the 64-try uniform probe of
-//! `handle_seed_departure`) and per-replication reallocation of the whole
-//! peer table. This kernel deliberately breaks byte-parity — trading
-//! *identical* trajectories for *statistically identical* ones — to remove
-//! every rejection-based or superlinear step from the hot path:
+//! The legacy scan kernel, turbo's reference, keeps the simplest sampler
+//! for each event: a rejection probe that picks the uploader in proportion
+//! to its clock rate (the `handle_peer_tick` loop), 64 uniform probes and then an `O(n)` scan for a
+//! departing seed, an arrival sampler rebuilt per arrival, a population
+//! scan per snapshot, and a fresh peer table per replication. This kernel
+//! draws every outcome from the same distribution but removes each of those
+//! steps from the hot path, so it consumes different draws and agrees with
+//! the scan kernel statistically rather than byte for byte:
 //!
 //! * **Arrivals** draw the arriving type from a Walker/Vose
 //!   [`AliasTable`](markov::alias::AliasTable): `O(1)` per arrival
@@ -18,27 +18,28 @@
 //!   uploader is a single uniform pool pick, a normal one is drawn by
 //!   complement rejection with `O(1)` *expected* tries (the coin fires the
 //!   normal branch with probability proportional to the normal count, so
-//!   the expected work is constant by construction). The parity kernels'
+//!   the expected work is constant by construction). The scan kernel's
 //!   rejection probe costs `Θ(η)` draws when the boosted fraction is
 //!   small.
 //! * **Seed departures** pick uniformly from a seed index pool: one draw,
-//!   `O(1)`, replacing 64 uniform probes plus a popcount select (or, in the
-//!   scan kernel, an `O(n)` population scan).
+//!   `O(1)`, replacing the scan kernel's probes and population scan.
 //! * **Per-peer metadata lives in one packed [`PeerMeta`] record** (arrival
 //!   time, pool positions, cached piece count, flags, Fig.-2 group — 24
-//!   bytes), so touching a peer costs one cache line where the parity
-//!   kernels walk several parallel arrays. The cached count also makes
-//!   completion checks `O(1)` at any `K` (no popcount over the row).
+//!   bytes), so touching a peer costs one cache line. The cached count also
+//!   makes completion checks `O(1)` at any `K` (no popcount over the row).
+//! * **The Fig.-2 groups follow every transition**: each peer's group is
+//!   cached and the aggregate counts move on every arrival, transfer, and
+//!   departure, so a snapshot is `O(1)` where the scan kernel reclassifies
+//!   every peer.
 //! * **Replication batches reuse a [`SimScratch`] arena**: the piece
 //!   matrix, metadata, sampling pools, and snapshot buffer all persist
 //!   across runs, so a warm replication loop performs no per-replication
 //!   allocation.
 //!
-//! Everything observable — the Fig.-2 group transitions, the aggregate
-//! counters, the `O(1)` snapshots — matches the event kernel exactly.
-//! Because the draw *sequence* differs, validation is distributional rather
-//! than byte-wise: `crates/core/tests/turbo_distributional.rs` pins the
-//! turbo kernel's replication ensembles against the event kernel's.
+//! Because the draw *sequence* differs from the scan kernel's, validation
+//! is distributional rather than byte-wise:
+//! `crates/core/tests/turbo_distributional.rs` pins the turbo kernel's
+//! replication ensembles against the scan kernel's.
 
 use super::{AgentSwarm, KernelState};
 use crate::groups::{GroupCounts, PeerGroup};
@@ -255,9 +256,9 @@ impl<'a, T: Recorder> State<'a, T> {
         state
     }
 
-    /// Classifies a peer from its metadata alone (identical rules to the
-    /// event kernel's `classify`, with the watch-piece membership cached in
-    /// [`HAS_WATCH`] so no matrix read is needed).
+    /// Classifies a peer from its metadata alone (identical rules to
+    /// [`crate::groups::classify_peer`], with the watch-piece membership
+    /// cached in [`HAS_WATCH`] so no matrix read is needed).
     fn classify(&self, meta: PeerMeta) -> PeerGroup {
         if meta.has(HAS_WATCH) {
             if meta.has(ARRIVED_WITH_WATCH) {
@@ -357,8 +358,8 @@ impl<'a, T: Recorder> State<'a, T> {
         }
     }
 
-    /// Delivers `piece` to peer `target` — the event kernel's transition
-    /// bookkeeping, with pool membership replacing the `WordBits` sets.
+    /// Delivers `piece` to peer `target`: counters, the Fig.-2 group
+    /// transition, pool membership, and completion.
     fn give_piece(&mut self, target: usize, piece: PieceId, time: f64) {
         debug_assert!(!self.s.pieces.contains(target, piece));
         self.s.pieces.insert(target, piece);
@@ -572,7 +573,7 @@ impl<T: Recorder> KernelState for State<'_, T> {
         // one weighted coin, then one uniform pool pick (boosted) or a
         // complement rejection (normal). The coin fires the normal branch
         // with probability proportional to the normal count, so the
-        // rejection's expected tries are O(1) — unlike the parity kernels'
+        // rejection's expected tries are O(1) — unlike the scan kernel's
         // Θ(η) probe.
         let uploader = if nb == 0 {
             rng.gen_range(0..n)

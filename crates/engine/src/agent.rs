@@ -32,7 +32,7 @@ use markov::{PathClass, PathClassifier};
 use pieceset::PieceSet;
 use serde::{Deserialize, Serialize};
 use swarm::coded::{theorem15_classify, CodedGifts};
-use swarm::sim::{AgentConfig, AgentSwarm, FlashCrowd, ShardPlan, SimScratch};
+use swarm::sim::{checked_population, AgentConfig, AgentSwarm, FlashCrowd, ShardPlan, SimScratch};
 use swarm::{policy, stability, StabilityVerdict, SwarmError, SwarmParams};
 use telemetry::{CounterRecorder, CounterSet, NullRecorder, Recorder, Span};
 
@@ -136,8 +136,8 @@ impl AgentScenario {
     }
 
     /// Fully validates the scenario: simulator configuration, policy,
-    /// initial population, and flash schedule. What this accepts,
-    /// [`run_agent_replication`] can run.
+    /// population bound, initial population, and flash schedule. What this
+    /// accepts, [`run_agent_replication`] can run.
     ///
     /// # Errors
     ///
@@ -145,6 +145,9 @@ impl AgentScenario {
     /// violation.
     pub fn validate(&self) -> Result<(), SwarmError> {
         let sim = self.build_sim()?;
+        // Bound the counts before `initial_population` allocates by them.
+        let initial = self.initial.iter().map(|&(_, count)| count);
+        checked_population(initial.chain(self.flash.iter().map(|crowd| crowd.count)))?;
         sim.validate_run(&self.initial_population(), &self.flash)
     }
 
@@ -487,6 +490,24 @@ mod tests {
         scenario.flash = vec![FlashCrowd {
             time: -5.0,
             count: 3,
+            pieces: PieceSet::empty(),
+        }];
+        assert!(run_agent_batch(&[scenario], &quick_config()).is_err());
+    }
+
+    #[test]
+    fn oversized_populations_are_an_error_not_an_allocation_panic() {
+        // Counts past the kernels' u32 peer indices, alone or by an
+        // overflowing sum, are rejected before any peer table is sized.
+        let mut scenario = AgentScenario::new(0, "huge", example1(1.0));
+        scenario.initial = vec![(PieceSet::empty(), usize::MAX)];
+        assert!(scenario.validate().is_err());
+        scenario.initial = vec![(PieceSet::empty(), usize::MAX / 2 + 1); 2];
+        assert!(scenario.validate().is_err());
+        scenario.initial.clear();
+        scenario.flash = vec![FlashCrowd {
+            time: 1.0,
+            count: swarm::sim::MAX_PEERS + 1,
             pieces: PieceSet::empty(),
         }];
         assert!(run_agent_batch(&[scenario], &quick_config()).is_err());

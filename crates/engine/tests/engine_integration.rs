@@ -158,7 +158,7 @@ fn golden_master_holds_across_commits() {
     // any random stream fails here. Integers and classes only: a last-ulp
     // libm difference cannot flip them.
     use PathClass::{Growing, Indeterminate, Stable};
-    let event = flash_crowd_replications(KernelKind::EventDriven);
+    let scan = flash_crowd_replications(KernelKind::LegacyScan);
     let turbo = flash_crowd_replications(KernelKind::Turbo);
     let mut ctmc = Records::default();
     Session::builder()
@@ -169,14 +169,14 @@ fn golden_master_holds_across_commits() {
         .stream(&mut ctmc);
     let ctmc: Vec<_> = ctmc.0.iter().map(|r| r.class).collect();
     assert_eq!(
-        event,
+        scan,
         [
             (6040, 1851, Indeterminate),
             (15398, 1597, Growing),
             (19011, 1498, Growing),
             (6936, 1833, Indeterminate),
         ],
-        "event kernel"
+        "scan kernel"
     );
     assert_eq!(
         turbo,

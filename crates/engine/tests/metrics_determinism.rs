@@ -24,8 +24,9 @@ fn example1(lambda0: f64) -> SwarmParams {
 fn scenarios() -> Vec<AgentScenario> {
     let mut turbo = AgentScenario::new(0, "turbo", example1(0.8));
     turbo.config.kernel = KernelKind::Turbo;
-    let event = AgentScenario::new(1, "event", example1(1.5));
-    vec![turbo, event]
+    let mut scan = AgentScenario::new(1, "scan", example1(1.5));
+    scan.config.kernel = KernelKind::LegacyScan;
+    vec![turbo, scan]
 }
 
 fn session(jobs: usize, metrics: bool) -> Session {

@@ -149,13 +149,13 @@ fn sharded_telemetry_merges_shard_counters_into_the_partition_identities() {
 #[test]
 fn a_sharded_non_turbo_scenario_is_rejected_at_build_time() {
     let mut scenario = AgentScenario::new(0, "bad", example1(1.0));
-    scenario.config.kernel = KernelKind::EventDriven;
+    scenario.config.kernel = KernelKind::LegacyScan;
     scenario.shards = Some(4);
     let error = Session::builder()
         .config(config(1))
         .workload(Workload::agent(vec![scenario]))
         .build()
-        .expect_err("the parity kernels cannot shard");
+        .expect_err("the scan kernel cannot shard");
     let message = error.to_string();
     assert!(
         message.contains("turbo"),

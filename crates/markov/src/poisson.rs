@@ -320,9 +320,7 @@ mod tests {
     #[test]
     fn cumulative_weights_match_linear_walk_on_shared_draws() {
         // The binary-search sampler consumes the identical single uniform
-        // draw as the linear walk; on a shared stream they must agree (this
-        // is the arrival-sampling parity contract between the simulation
-        // kernels).
+        // draw as the linear walk; on a shared stream they must agree.
         let weights = [0.5, 0.0, 2.5, 1.0, 0.0, 0.25];
         let table = CumulativeWeights::new(&weights).unwrap();
         let mut a = StdRng::seed_from_u64(11);

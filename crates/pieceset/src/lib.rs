@@ -11,14 +11,11 @@
 //! * [`TypeSpace`] — an enumeration of all `2^K` types with a canonical dense
 //!   index, used by the exact CTMC state vector and by the stability-region
 //!   computations,
-//! * [`WordBits`] — a growable packed `u64`-word bitset over arbitrary
-//!   indices (peers of a population, pieces of a very wide file) with
-//!   popcount-accelerated rank selection, backing the event-driven
-//!   simulator's seed / boosted membership sets,
 //! * [`PieceMatrix`] — every peer's piece collection as one row of packed
-//!   `u64` words in a single flat buffer, so the simulator's hot queries
-//!   (useful-piece counts, n-th useful piece, fullness) are allocation-free
-//!   mask/popcount operations.
+//!   `u64` words in a single flat buffer, so the turbo simulator's hot
+//!   queries (membership, missing pieces, the useful pieces of a contact)
+//!   are allocation-free word operations and a departure is a row
+//!   `swap_remove`.
 //!
 //! # Examples
 //!
@@ -41,13 +38,11 @@ mod enumerate;
 mod matrix;
 mod piece;
 mod set;
-mod words;
 
 pub use enumerate::{SubsetsIter, TypeIndex, TypeSpace, MAX_ENUMERABLE_PIECES};
 pub use matrix::PieceMatrix;
 pub use piece::PieceId;
 pub use set::{PieceSet, PieceSetIter, MAX_PIECES};
-pub use words::WordBits;
 
 /// Errors produced by this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -4,15 +4,15 @@
 //! The agent-based simulator keeps thousands of peers, each holding a subset
 //! of the file's `K` pieces. [`PieceMatrix`] backs those collections with one
 //! flat `Vec<u64>` — `⌈K/64⌉` words per peer, rows contiguous — so the hot
-//! queries of the event kernel (does the uploader hold anything the target
-//! lacks? how many pieces does a peer still need? which is the `n`-th useful
-//! piece?) are word-wise mask/popcount operations with **no allocation and no
-//! pointer chasing**, and a departing peer is a `swap_remove` of one row.
+//! queries of the turbo kernel (does a peer hold a piece? which pieces does
+//! it still need? which pieces could an uploader usefully send?) are
+//! word-wise mask operations with **no allocation and no pointer chasing**,
+//! and a departing peer is a `swap_remove` of one row.
 //!
 //! Rows are addressed by index; the matrix does not know what a row *means*
-//! (the simulator keeps its per-peer metadata in parallel arrays). For files
-//! of at most [`crate::MAX_PIECES`] pieces a row converts losslessly to a
-//! [`PieceSet`]; wider files stay in multi-word form.
+//! (the simulator keeps its per-peer metadata in a parallel array). For
+//! files of at most [`crate::MAX_PIECES`] pieces a row converts losslessly to
+//! a [`PieceSet`]; wider files stay in multi-word form.
 //!
 //! # Examples
 //!
@@ -22,12 +22,12 @@
 //! let mut m = PieceMatrix::new(5);
 //! let a = m.push_set(PieceSet::from_pieces([PieceId::new(0), PieceId::new(3)]));
 //! let b = m.push_set(PieceSet::empty());
-//! assert_eq!(m.count(a), 2);
+//! assert!(m.contains(a, PieceId::new(3)));
 //! // pieces `a` could usefully upload to `b`:
-//! assert_eq!(m.useful_count(a, b), 2);
-//! assert_eq!(m.useful_select(a, b, 1), Some(PieceId::new(3)));
+//! assert_eq!(m.useful_set(a, b), m.as_set(a));
 //! m.insert(b, PieceId::new(3));
-//! assert_eq!(m.useful_count(a, b), 1);
+//! assert_eq!(m.useful_set(a, b), PieceSet::singleton(PieceId::new(0)));
+//! assert_eq!(m.missing_set(b).len(), 4);
 //! ```
 
 use crate::{PieceId, PieceSet};
@@ -92,22 +92,10 @@ impl PieceMatrix {
         self.data.clear();
     }
 
-    /// Number of pieces `K` (the row width in bits).
-    #[must_use]
-    pub fn num_pieces(&self) -> usize {
-        self.num_pieces
-    }
-
     /// Number of rows (peers) currently stored.
     #[must_use]
     pub fn rows(&self) -> usize {
         self.data.len() / self.words_per_row
-    }
-
-    /// Number of `u64` words backing each row.
-    #[must_use]
-    pub fn words_per_row(&self) -> usize {
-        self.words_per_row
     }
 
     #[inline]
@@ -184,60 +172,6 @@ impl PieceMatrix {
         newly
     }
 
-    /// Number of pieces `row` holds (one popcount per word, no allocation).
-    #[must_use]
-    #[inline]
-    pub fn count(&self, row: usize) -> usize {
-        self.row(row).iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Returns `true` if `row` holds the complete `K`-piece collection.
-    #[must_use]
-    #[inline]
-    pub fn is_full(&self, row: usize) -> bool {
-        self.count(row) == self.num_pieces
-    }
-
-    /// Number of pieces still missing from `row` (`K − |row|`).
-    #[must_use]
-    #[inline]
-    pub fn missing(&self, row: usize) -> usize {
-        self.num_pieces - self.count(row)
-    }
-
-    /// Number of pieces row `a` holds that row `b` lacks (`|a − b|`), the
-    /// useful-piece count of an `a → b` contact.
-    #[must_use]
-    #[inline]
-    pub fn useful_count(&self, a: usize, b: usize) -> usize {
-        let (ra, rb) = (self.row(a), self.row(b));
-        ra.iter()
-            .zip(rb)
-            .map(|(x, y)| (x & !y).count_ones() as usize)
-            .sum()
-    }
-
-    /// The `rank`-th piece (0-based, increasing index order) that row `a`
-    /// holds and row `b` lacks, or `None` if fewer exist — uniform
-    /// random-useful selection without materialising the difference set.
-    #[must_use]
-    pub fn useful_select(&self, a: usize, b: usize, rank: usize) -> Option<PieceId> {
-        let (ra, rb) = (self.row(a), self.row(b));
-        let mut remaining = rank;
-        for (w, (x, y)) in ra.iter().zip(rb).enumerate() {
-            let mut bits = x & !y;
-            let ones = bits.count_ones() as usize;
-            if remaining < ones {
-                for _ in 0..remaining {
-                    bits &= bits - 1;
-                }
-                return Some(PieceId::new(w * 64 + bits.trailing_zeros() as usize));
-            }
-            remaining -= ones;
-        }
-        None
-    }
-
     /// The pieces missing from `row`, as a [`PieceSet`].
     ///
     /// # Panics
@@ -307,18 +241,20 @@ mod tests {
         indices.iter().map(|&i| PieceId::new(i)).collect()
     }
 
+    fn held(m: &PieceMatrix, row: usize) -> Vec<usize> {
+        m.pieces(row).map(PieceId::index).collect()
+    }
+
     #[test]
     fn push_query_round_trip() {
         let mut m = PieceMatrix::new(6);
         let a = m.push_set(set(&[0, 2, 5]));
         assert_eq!(m.rows(), 1);
-        assert_eq!(m.count(a), 3);
         assert!(m.contains(a, PieceId::new(2)));
         assert!(!m.contains(a, PieceId::new(1)));
         assert_eq!(m.as_set(a), set(&[0, 2, 5]));
         assert_eq!(m.missing_set(a), set(&[1, 3, 4]));
-        assert_eq!(m.missing(a), 3);
-        assert!(!m.is_full(a));
+        assert_eq!(held(&m, a), vec![0, 2, 5]);
     }
 
     #[test]
@@ -328,8 +264,8 @@ mod tests {
         assert!(m.insert(r, PieceId::new(0)));
         assert!(!m.insert(r, PieceId::new(0)));
         assert!(m.insert(r, PieceId::new(1)));
-        assert!(m.is_full(r));
-        assert_eq!(m.missing(r), 0);
+        assert_eq!(m.as_set(r), PieceSet::full(2));
+        assert!(m.missing_set(r).is_empty());
     }
 
     #[test]
@@ -337,31 +273,25 @@ mod tests {
         let mut m = PieceMatrix::new(8);
         let a = m.push_set(set(&[0, 1, 4, 7]));
         let b = m.push_set(set(&[1, 2, 7]));
-        let expected = set(&[0, 4]);
-        assert_eq!(m.useful_count(a, b), 2);
-        assert_eq!(m.useful_set(a, b), expected);
-        assert_eq!(m.useful_select(a, b, 0), Some(PieceId::new(0)));
-        assert_eq!(m.useful_select(a, b, 1), Some(PieceId::new(4)));
-        assert_eq!(m.useful_select(a, b, 2), None);
+        assert_eq!(m.useful_set(a, b), set(&[0, 4]));
+        assert_eq!(m.useful_set(b, a), set(&[2]));
+        assert_eq!(m.useful_set(a, b), m.as_set(a).difference(m.as_set(b)));
     }
 
     #[test]
     fn multi_word_rows() {
         // 130 pieces → 3 words per row.
         let mut m = PieceMatrix::new(130);
-        assert_eq!(m.words_per_row(), 3);
         let a = m.push_empty();
         let b = m.push_empty();
         for i in [0usize, 63, 64, 127, 128, 129] {
             m.insert(a, PieceId::new(i));
         }
         m.insert(b, PieceId::new(64));
-        assert_eq!(m.count(a), 6);
-        assert_eq!(m.useful_count(a, b), 5);
-        assert_eq!(m.useful_select(a, b, 4), Some(PieceId::new(129)));
-        let held: Vec<usize> = m.pieces(a).map(PieceId::index).collect();
-        assert_eq!(held, vec![0, 63, 64, 127, 128, 129]);
-        assert!(!m.is_full(a));
+        assert_eq!(held(&m, a), vec![0, 63, 64, 127, 128, 129]);
+        assert_eq!(held(&m, b), vec![64]);
+        assert!(m.contains(a, PieceId::new(128)));
+        assert!(!m.contains(b, PieceId::new(128)));
     }
 
     #[test]
@@ -394,15 +324,14 @@ mod tests {
         m.push_set(set(&[0, 3]));
         m.reset(130);
         assert_eq!(m.rows(), 0);
-        assert_eq!(m.num_pieces(), 130);
-        assert_eq!(m.words_per_row(), 3);
         let r = m.push_empty();
         m.insert(r, PieceId::new(129));
-        assert_eq!(m.count(r), 1);
+        assert_eq!(held(&m, r), vec![129]);
+        // Back to one word per row: single-word conversions work again.
         m.reset(2);
-        assert_eq!(m.words_per_row(), 1);
         let r = m.push_set(set(&[0, 1]));
-        assert!(m.is_full(r));
+        assert_eq!(m.as_set(r), PieceSet::full(2));
+        assert!(m.missing_set(r).is_empty());
     }
 
     #[test]

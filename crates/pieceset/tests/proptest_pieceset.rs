@@ -125,56 +125,3 @@ proptest! {
         prop_assert!(s.is_subset_of(PieceSet::full(8)));
     }
 }
-
-// --- WordBits::select_nth edge cases --------------------------------------
-
-use pieceset::WordBits;
-
-proptest! {
-    #[test]
-    fn select_nth_on_empty_set_is_none(len in 0usize..300, rank in 0usize..64) {
-        let s = WordBits::with_len(len);
-        prop_assert_eq!(s.select_nth(rank), None);
-    }
-
-    #[test]
-    fn select_nth_on_all_ones(len in 1usize..300, rank_seed in any::<u64>()) {
-        // A fully populated range: rank r selects index r, the top rank
-        // (count - 1) selects the last index, and count is out of range.
-        let mut s = WordBits::with_len(len);
-        for i in 0..len {
-            s.insert(i);
-        }
-        prop_assert_eq!(s.count(), len);
-        let rank = (rank_seed as usize) % len;
-        prop_assert_eq!(s.select_nth(rank), Some(rank));
-        prop_assert_eq!(s.select_nth(len - 1), Some(len - 1));
-        prop_assert_eq!(s.select_nth(len), None);
-    }
-
-    #[test]
-    fn select_nth_matches_iteration_after_swap_bit_churn(
-        members in proptest::collection::vec(0usize..256, 0..40),
-        churn in proptest::collection::vec((0usize..256, 0usize..256), 0..40),
-    ) {
-        // Mirror the simulator's departure pattern: arbitrary swap_bit moves
-        // (swap-remove companions) must keep rank selection consistent with
-        // in-order iteration, including the top rank `count - 1`.
-        let mut s = WordBits::with_len(256);
-        for &m in &members {
-            s.insert(m);
-        }
-        for &(to, from) in &churn {
-            s.swap_bit(to, from);
-        }
-        let in_order: Vec<usize> = s.iter().collect();
-        prop_assert_eq!(s.count(), in_order.len());
-        for (rank, &member) in in_order.iter().enumerate() {
-            prop_assert_eq!(s.select_nth(rank), Some(member));
-        }
-        if let Some(&last) = in_order.last() {
-            prop_assert_eq!(s.select_nth(s.count() - 1), Some(last));
-        }
-        prop_assert_eq!(s.select_nth(s.count()), None);
-    }
-}

@@ -47,7 +47,7 @@ use engine::{
 use pieceset::{PieceId, PieceSet};
 use swarm::coded::CodedParams;
 use swarm::netcoding::GaloisField;
-use swarm::sim::{AgentConfig, FlashCrowd, KernelKind};
+use swarm::sim::{checked_population, AgentConfig, FlashCrowd, KernelKind};
 use swarm::SwarmParams;
 
 /// A peer-type selector as written in scenario files: either an explicit
@@ -157,7 +157,9 @@ pub struct InitialGroupSpec {
 }
 
 /// The `"coding"` block of a scenario file: runs the scenario as the
-/// Section VIII-B network-coded system (Theorem 15) on the coded kernel.
+/// Section VIII-B network-coded system (Theorem 15) on one of the coded
+/// kernels (`"coded"`, the default with this block, or `"coded-turbo"` for
+/// `q = 2`).
 ///
 /// The scenario's `arrivals` must all be empty-handed classes — their
 /// combined rate is the total arrival rate `λ`, of which a fraction
@@ -224,15 +226,16 @@ pub struct ScenarioSpec {
     pub initial: Vec<InitialGroupSpec>,
     /// Scheduled flash crowds.
     pub flash_crowds: Vec<FlashSpec>,
-    /// The simulation kernel (`"event-driven"`, `"legacy-scan"`, `"turbo"`,
-    /// or `"coded"` in files; the scan kernel exists for differential
-    /// cross-checks, the turbo kernel trades byte-reproducible trajectories
-    /// across kernels for speed — it remains deterministic per seed — and
-    /// the coded kernel runs the network-coded variant, which additionally
-    /// requires a [`ScenarioSpec::coding`] block).
+    /// The simulation kernel (`"turbo"`, `"legacy-scan"`, `"coded"`, or
+    /// `"coded-turbo"` in files). Turbo is the default; the scan kernel is
+    /// turbo's reference in the distributional differential test (both are
+    /// deterministic per seed, and they agree statistically, not byte for
+    /// byte); the two coded kernels run the network-coded variant and
+    /// require a [`ScenarioSpec::coding`] block, `"coded-turbo"` over
+    /// `GF(2)` only.
     pub kernel: KernelKind,
     /// Network-coding block; present if and only if the kernel is
-    /// [`KernelKind::Coded`].
+    /// [`KernelKind::Coded`] or [`KernelKind::CodedTurbo`].
     pub coding: Option<CodingSpec>,
     /// Intra-replication shard count (`"shards"` in files; turbo kernel
     /// only). `None` inherits the engine-wide setting; a value above 1
@@ -247,7 +250,8 @@ pub struct ScenarioSpec {
 impl ScenarioSpec {
     /// A spec with the model defaults: `U_s = 0`, `µ = 1`, `γ = ∞`,
     /// random-useful policy, `η = 1`, watch piece 0, horizon 1000,
-    /// snapshots every 10, the standard event cap, and no arrivals yet.
+    /// snapshots every 10, the standard event cap, the turbo kernel, and no
+    /// arrivals yet.
     #[must_use]
     pub fn new(name: impl Into<String>, num_pieces: usize) -> Self {
         ScenarioSpec {
@@ -266,7 +270,7 @@ impl ScenarioSpec {
             max_events: 50_000_000,
             initial: Vec::new(),
             flash_crowds: Vec::new(),
-            kernel: KernelKind::EventDriven,
+            kernel: KernelKind::Turbo,
             coding: None,
             shards: None,
             sync_window: None,
@@ -296,6 +300,18 @@ impl ScenarioSpec {
                 "watch_piece {} outside a {}-piece file",
                 self.watch_piece, self.num_pieces
             )));
+        }
+        // Bound the population before anything is sized by it: counts past
+        // the kernels' peer index range would overflow an allocation or wrap
+        // a `u32` index.
+        let mut peers = 0;
+        for (i, group) in self.initial.iter().enumerate() {
+            peers = checked_population([peers, group.count])
+                .map_err(|e| SpecError::Invalid(format!("initial[{i}].count: {e}")))?;
+        }
+        for (i, crowd) in self.flash_crowds.iter().enumerate() {
+            peers = checked_population([peers, crowd.count])
+                .map_err(|e| SpecError::Invalid(format!("flash_crowds[{i}].count: {e}")))?;
         }
         let watch = PieceId::new(self.watch_piece);
         match (&self.coding, self.kernel) {
@@ -480,7 +496,6 @@ impl ScenarioSpec {
                 "kernel".into(),
                 Json::Str(
                     match self.kernel {
-                        KernelKind::EventDriven => "event-driven",
                         KernelKind::LegacyScan => "legacy-scan",
                         KernelKind::Turbo => "turbo",
                         KernelKind::Coded => "coded",
@@ -605,15 +620,14 @@ impl ScenarioSpec {
         let kernel_named = doc.get("kernel").is_some();
         match doc.get("kernel") {
             None => {}
-            Some(Json::Str(s)) if s == "event-driven" => spec.kernel = KernelKind::EventDriven,
             Some(Json::Str(s)) if s == "legacy-scan" => spec.kernel = KernelKind::LegacyScan,
             Some(Json::Str(s)) if s == "turbo" => spec.kernel = KernelKind::Turbo,
             Some(Json::Str(s)) if s == "coded" => spec.kernel = KernelKind::Coded,
             Some(Json::Str(s)) if s == "coded-turbo" => spec.kernel = KernelKind::CodedTurbo,
             Some(_) => {
                 return Err(SpecError::Parse(
-                    "`kernel` must be \"event-driven\", \"legacy-scan\", \
-                     \"turbo\", \"coded\", or \"coded-turbo\""
+                    "`kernel` must be \"turbo\", \"legacy-scan\", \
+                     \"coded\", or \"coded-turbo\""
                         .into(),
                 ))
             }
@@ -1346,7 +1360,6 @@ mod tests {
         for (name, kind) in [
             ("legacy-scan", KernelKind::LegacyScan),
             ("turbo", KernelKind::Turbo),
-            ("event-driven", KernelKind::EventDriven),
         ] {
             let doc = format!(
                 r#"{{"name":"x","num_pieces":2,"kernel":"{name}",
@@ -1367,23 +1380,36 @@ mod tests {
     fn kernel_override_wins_over_the_spec_and_turbo_runs_are_deterministic() {
         let registry = Registry::builtin();
         let spec = registry.get("retry-speedup").unwrap();
-        assert_eq!(spec.kernel, KernelKind::EventDriven);
-        let options = ScenarioRunOptions {
-            replications: 2,
-            jobs: 1,
-            seed: 77,
-            horizon_override: Some(80.0),
-            kernel_override: Some(KernelKind::Turbo),
-            ..Default::default()
+        assert_eq!(spec.kernel, KernelKind::Turbo, "turbo is the default");
+        let run_at = |jobs, kernel_override| {
+            let options = ScenarioRunOptions {
+                replications: 2,
+                jobs,
+                seed: 77,
+                horizon_override: Some(80.0),
+                kernel_override,
+                ..Default::default()
+            };
+            run(spec, &options).unwrap()
         };
-        let a = run(spec, &options).unwrap();
-        let b = run(spec, &ScenarioRunOptions { jobs: 4, ..options }).unwrap();
-        assert_eq!(a.outcome, b.outcome, "turbo is deterministic per seed");
-        assert_eq!(a.outcome.votes.total(), 2);
+        let turbo = run_at(1, None);
         assert_eq!(
-            a.spec.kernel,
-            KernelKind::Turbo,
+            turbo.outcome,
+            run_at(4, None).outcome,
+            "turbo is deterministic"
+        );
+        let scan = run_at(1, Some(KernelKind::LegacyScan));
+        let scan_jobs4 = run_at(4, Some(KernelKind::LegacyScan));
+        assert_eq!(scan.outcome, scan_jobs4.outcome, "scan is deterministic");
+        assert_eq!(scan.outcome.votes.total(), 2);
+        assert_eq!(
+            scan.spec.kernel,
+            KernelKind::LegacyScan,
             "the report's spec records the kernel that actually ran"
+        );
+        assert_ne!(
+            scan.outcome, turbo.outcome,
+            "the override changed the kernel"
         );
     }
 

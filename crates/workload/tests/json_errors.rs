@@ -37,11 +37,68 @@ fn unknown_kernel_names_are_structured_errors() {
             "arrivals":[{"pieces":"empty","rate":1}]}"#,
         "kernel",
     );
+    // The deleted event-driven kernel is no longer a kernel name.
+    parse_err(
+        r#"{"name":"x","num_pieces":2,"kernel":"event-driven",
+            "arrivals":[{"pieces":"empty","rate":1}]}"#,
+        "kernel",
+    );
     // `coded` is a valid kernel name, but only with a coding block.
     parse_err(
         r#"{"name":"x","num_pieces":2,"kernel":"coded",
             "arrivals":[{"pieces":"empty","rate":1}]}"#,
         "coding",
+    );
+}
+
+/// Parses `doc` and asserts that compiling it fails with a
+/// [`SpecError::Invalid`] whose message mentions `needle`.
+fn compile_err(doc: &str, needle: &str) {
+    let spec = ScenarioSpec::from_json(doc).expect("parses");
+    match spec.compile(0) {
+        Ok(_) => panic!("{doc} should not compile"),
+        Err(error) => {
+            assert!(
+                matches!(error, SpecError::Invalid(_)),
+                "compile failures are SpecError::Invalid, got {error:?}"
+            );
+            let message = error.to_string();
+            assert!(
+                message.contains(needle),
+                "error for {doc} should mention `{needle}`, got: {message}"
+            );
+        }
+    }
+}
+
+#[test]
+fn peer_counts_past_the_index_range_are_structured_errors() {
+    // One initial group too large to index.
+    compile_err(
+        r#"{"name":"x","num_pieces":2,"arrivals":[{"pieces":"empty","rate":1}],
+            "initial":[{"pieces":"empty","count":1e19}]}"#,
+        "initial[0].count",
+    );
+    // Two initial groups whose counts overflow a usize sum.
+    compile_err(
+        r#"{"name":"x","num_pieces":2,"arrivals":[{"pieces":"empty","rate":1}],
+            "initial":[{"pieces":"empty","count":1},
+                       {"pieces":"empty","count":1.8446744073709552e19}]}"#,
+        "initial[1].count",
+    );
+    // A flash crowd too large to index.
+    compile_err(
+        r#"{"name":"x","num_pieces":2,"arrivals":[{"pieces":"empty","rate":1}],
+            "flash_crowds":[{"time":5,"count":1e19,"pieces":"empty"}]}"#,
+        "flash_crowds[0].count",
+    );
+    // The bound holds for the sum, not just each count: 2^32 − 1 initial
+    // peers fit, one more flash-crowd peer does not.
+    compile_err(
+        r#"{"name":"x","num_pieces":2,"arrivals":[{"pieces":"empty","rate":1}],
+            "initial":[{"pieces":"empty","count":4294967295}],
+            "flash_crowds":[{"time":5,"count":1,"pieces":"empty"}]}"#,
+        "flash_crowds[0].count",
     );
 }
 
@@ -126,24 +183,8 @@ fn coding_block_implies_the_coded_kernel() {
 fn coded_compile_rejects_incompatible_features() {
     let base = r#"{"name":"x","num_pieces":4,"coding":{"q":8,"gift_fraction":0.5},
         "arrivals":[{"pieces":"empty","rate":1}]%EXTRA%}"#;
-    let compile_err = |extra: &str, needle: &str| {
-        let doc = base.replace("%EXTRA%", extra);
-        let spec = ScenarioSpec::from_json(&doc).expect("parses");
-        match spec.compile(0) {
-            Ok(_) => panic!("{doc} should not compile"),
-            Err(error) => {
-                assert!(
-                    matches!(error, SpecError::Invalid(_)),
-                    "compile failures are SpecError::Invalid, got {error:?}"
-                );
-                let message = error.to_string();
-                assert!(
-                    message.contains(needle),
-                    "error should mention `{needle}`, got: {message}"
-                );
-            }
-        }
-    };
+    let compile_err =
+        |extra: &str, needle: &str| compile_err(&base.replace("%EXTRA%", extra), needle);
     // Gifted arrivals are expressed by gift_fraction, not piece selectors.
     let spec = ScenarioSpec::from_json(
         r#"{"name":"x","num_pieces":4,"coding":{"q":8,"gift_fraction":0.5},

@@ -24,12 +24,12 @@
 //! * `--scenario FILE|NAME` — instead of the E1–E12 reports, execute one
 //!   scenario from the registry: a JSON scenario file (see `EXPERIMENTS.md`
 //!   for the format) or a built-in name,
-//! * `--kernel event|scan|turbo|coded|coded-turbo` — override the
-//!   scenario's simulation kernel (`event-driven` and `legacy-scan` are
-//!   byte-reproducible against each other; `turbo` is the parity-free fast
-//!   kernel, deterministic per seed but validated distributionally; `coded`
-//!   is the network-coded kernel and needs a scenario with a `"coding"`
-//!   block; `coded-turbo` is its bitsliced GF(2) fast path and additionally
+//! * `--kernel turbo|scan|coded|coded-turbo` — override the scenario's
+//!   simulation kernel (`turbo` is the default; `scan`, also spelled
+//!   `legacy-scan`, is turbo's reference, deterministic per seed like every
+//!   kernel and matching turbo distributionally; `coded` is the
+//!   network-coded kernel and needs a scenario with a `"coding"` block;
+//!   `coded-turbo` is its bitsliced GF(2) fast path and additionally
 //!   requires `q = 2`),
 //! * `--shards N` — (with `--scenario`) shard each replication's peer
 //!   population across `N` per-shard clocks (turbo kernel only); for a
@@ -181,7 +181,7 @@ fn parse_failure_policy(value: &str) -> Result<FailurePolicy, String> {
 
 const USAGE: &str = "usage: run_experiments [quick] [--replications N] [--jobs N] \
 [--seed S] [--horizon T] [--scenario FILE|NAME] \
-[--kernel event|scan|turbo|coded|coded-turbo] \
+[--kernel turbo|scan|coded|coded-turbo] \
 [--shards N] [--sync-window W] \
 [--progress] [--stream] [--metrics[=FILE]] [--check-metrics FILE] \
 [--allow-truncated] [--failure-policy failfast|quarantine[:N]|retry[:N[:MS]]] \
@@ -272,15 +272,14 @@ fn parse_cli() -> Result<Cli, CliError> {
             "--scenario" => scenario = Some(value_of("--scenario")?),
             "--kernel" => {
                 kernel = Some(match value_of("--kernel")?.as_str() {
-                    "event" | "event-driven" => KernelKind::EventDriven,
-                    "scan" | "legacy-scan" => KernelKind::LegacyScan,
                     "turbo" => KernelKind::Turbo,
+                    "scan" | "legacy-scan" => KernelKind::LegacyScan,
                     "coded" => KernelKind::Coded,
                     "coded-turbo" => KernelKind::CodedTurbo,
                     other => {
                         return Err(CliError::Invalid(format!(
                             "--kernel: unknown kernel `{other}` \
-                             (expected event, scan, turbo, coded, or coded-turbo)"
+                             (expected turbo, scan, coded, or coded-turbo)"
                         )))
                     }
                 });
