@@ -3,7 +3,7 @@
 use crate::rates::transfer_rate;
 use crate::{SwarmParams, SwarmState};
 use markov::gillespie::{Simulator, StopRule};
-use markov::{Ctmc, PathClassifier, SamplePath};
+use markov::{Ctmc, SamplePath};
 use pieceset::TypeSpace;
 use rand::Rng;
 
@@ -86,22 +86,16 @@ impl SwarmModel {
         sim.run(initial, StopRule::at_time(horizon), rng).path
     }
 
-    /// Simulates and classifies the path of the peer count with a classifier
-    /// scaled to the model (slope scale `λ_total`, return level
-    /// `max(30, 3·initial population)`).
+    /// Simulates and classifies the path of the peer count with
+    /// [`SwarmParams::path_classifier`].
     pub fn simulate_and_classify<R: Rng + ?Sized>(
         &self,
         initial: SwarmState,
         horizon: f64,
         rng: &mut R,
     ) -> markov::classify::PathVerdict {
-        let initial_n = initial.total_peers() as f64;
-        let path = self.simulate_peer_count(initial, horizon, rng);
-        let classifier = PathClassifier::new(
-            self.params.total_arrival_rate(),
-            (3.0 * initial_n).max(30.0),
-        );
-        classifier.classify(&path)
+        let classifier = self.params.path_classifier(initial.total_peers() as usize);
+        classifier.classify(&self.simulate_peer_count(initial, horizon, rng))
     }
 }
 

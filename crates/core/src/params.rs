@@ -146,6 +146,15 @@ impl SwarmParams {
         self.arrivals.values().sum()
     }
 
+    /// The classifier every replication's peer-count path is judged by:
+    /// slope scale `λ_total`, return level `max(30, 3·initial_peers)`.
+    /// CTMC and agent replications use this one rule.
+    #[must_use]
+    pub fn path_classifier(&self, initial_peers: usize) -> markov::PathClassifier {
+        let return_level = (3.0 * initial_peers as f64).max(30.0);
+        markov::PathClassifier::new(self.total_arrival_rate(), return_level)
+    }
+
     /// Total arrival rate of peers whose initial collection contains piece `k`
     /// (the "gifted" arrival rate for that piece).
     #[must_use]

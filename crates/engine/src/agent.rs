@@ -13,8 +13,8 @@
 //!
 //! Truncated replications (runs that hit the simulator's `max_events`
 //! safety valve before the horizon) are surfaced per scenario in
-//! [`AgentOutcome::truncated_replications`] so a verdict derived from
-//! clipped trajectories is never silently trusted.
+//! [`crate::ScenarioOutcome::truncated_replications`] so a verdict
+//! derived from clipped trajectories is never silently trusted.
 //!
 //! Session workers replicate through a per-worker [`SimScratch`] arena: the
 //! simulator's peer table, sampling pools, and snapshot buffers are reused
@@ -25,12 +25,9 @@
 
 use crate::config::EngineConfig;
 use crate::metrics::ReplicationTelemetry;
-use crate::replicate::{ClassVotes, ReplicationOutcome};
+use crate::replicate::ReplicationOutcome;
 use crate::rng::replication_rng;
-use crate::stats::Estimate;
-use markov::{PathClass, PathClassifier};
 use pieceset::PieceSet;
-use serde::{Deserialize, Serialize};
 use swarm::coded::{theorem15_classify, CodedGifts};
 use swarm::sim::{checked_population, AgentConfig, AgentSwarm, FlashCrowd, ShardPlan, SimScratch};
 use swarm::{policy, stability, StabilityVerdict, SwarmError, SwarmParams};
@@ -62,17 +59,22 @@ pub struct AgentScenario {
     /// set, and the theory verdict comes from Theorem 15 instead of
     /// Theorem 1.
     pub coding: Option<CodedGifts>,
-    /// Intra-replication shard count override. `None` inherits
-    /// [`EngineConfig::shards`]; an effective value above 1 runs this
-    /// scenario's swarm through the sharded turbo driver
+    /// Intra-replication shard count. `None` or 1 runs unsharded; a value
+    /// above 1 runs this scenario's swarm through the sharded turbo driver
     /// ([`swarm::sim::ShardPlan`]), splitting one population across shard
-    /// workers inside each replication.
+    /// workers inside each replication. Results stay bit-identical at any
+    /// [`EngineConfig::jobs`] for a fixed `(master_seed, shards)`; changing
+    /// the shard count changes the sampled trajectory.
     pub shards: Option<u32>,
-    /// Synchronization-window override for the sharded driver. `None`
-    /// inherits [`EngineConfig::sync_window`]; ignored when the effective
-    /// shard count is 1.
+    /// Length of the sharded synchronization window in simulated time:
+    /// cross-shard uploads batch into exchange rounds at window
+    /// boundaries. `None` uses 0.25; ignored when unsharded.
     pub sync_window: Option<f64>,
 }
+
+/// The sharded synchronization window, in simulated time, of a scenario
+/// that sets none.
+pub(crate) const DEFAULT_SYNC_WINDOW: f64 = 0.25;
 
 impl AgentScenario {
     /// Creates a scenario with the default simulator configuration, the
@@ -151,102 +153,31 @@ impl AgentScenario {
         sim.validate_run(&self.initial_population(), &self.flash)
     }
 
-    /// The effective shard plan of this scenario under `config`: the
-    /// scenario-level override (falling back to [`EngineConfig::shards`] /
-    /// [`EngineConfig::sync_window`]) as a [`ShardPlan`] running its shard
-    /// segments on `shard_jobs` workers, or `None` when the effective
-    /// shard count is 1 (unsharded).
+    /// The scenario's shard plan, running its shard segments on
+    /// `shard_jobs` workers, or `None` when it runs unsharded.
     #[must_use]
-    pub fn shard_plan(&self, config: &EngineConfig, shard_jobs: usize) -> Option<ShardPlan> {
-        let shards = self.shards.unwrap_or(config.shards);
+    pub fn shard_plan(&self, shard_jobs: usize) -> Option<ShardPlan> {
+        let shards = self.shards.unwrap_or(1);
         (shards > 1).then(|| {
-            ShardPlan::new(shards, self.sync_window.unwrap_or(config.sync_window))
+            ShardPlan::new(shards, self.sync_window.unwrap_or(DEFAULT_SYNC_WINDOW))
                 .with_jobs(shard_jobs)
         })
     }
 
-    /// Validates the sharding settings this scenario would run with under
-    /// `config` (the sharded driver supports the turbo kernel only, and
-    /// needs a positive finite synchronization window). Unsharded
-    /// scenarios always pass.
+    /// Validates the scenario's sharding settings (the sharded driver
+    /// supports the turbo kernel only, and needs a positive finite
+    /// synchronization window). Unsharded scenarios always pass.
     ///
     /// # Errors
     ///
     /// Returns [`SwarmError::InvalidParameter`] describing the first
     /// incompatibility.
-    pub fn validate_sharding(&self, config: &EngineConfig) -> Result<(), SwarmError> {
-        match self.shard_plan(config, 1) {
+    pub fn validate_sharding(&self) -> Result<(), SwarmError> {
+        match self.shard_plan(1) {
             Some(plan) => self.build_sim()?.validate_sharded(&plan),
             None => Ok(()),
         }
     }
-}
-
-/// The result of one agent-simulator replication.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AgentReplication {
-    /// Replication index within the scenario.
-    pub replication: u32,
-    /// Classification of the simulated peer-count path.
-    pub class: PathClass,
-    /// Tail growth rate of the peer count (peers per unit time).
-    pub tail_slope: f64,
-    /// Time-average of the peer count over the tail window.
-    pub tail_average: f64,
-    /// Simulated events executed.
-    pub events: u64,
-    /// Successful piece (or coded-combination) transfers executed.
-    pub transfers: u64,
-    /// `true` if the run hit the `max_events` safety valve before the
-    /// horizon (its classification covers a clipped trajectory).
-    pub truncated: bool,
-}
-
-/// A CTMC replication in the shape every session record takes: the
-/// type-count simulator counts no events or transfers and never truncates.
-impl From<ReplicationOutcome> for AgentReplication {
-    fn from(outcome: ReplicationOutcome) -> Self {
-        AgentReplication {
-            replication: outcome.replication,
-            class: outcome.class,
-            tail_slope: outcome.tail_slope,
-            tail_average: outcome.tail_average,
-            events: 0,
-            transfers: 0,
-            truncated: false,
-        }
-    }
-}
-
-/// Aggregated outcome of one agent scenario's replication batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AgentOutcome {
-    /// The scenario's stream key.
-    pub scenario_id: u64,
-    /// The scenario's label.
-    pub label: String,
-    /// Theorem 1's verdict for the parameter point.
-    pub theory: StabilityVerdict,
-    /// Per-class vote counts.
-    pub votes: ClassVotes,
-    /// Majority-vote classification.
-    pub majority: PathClass,
-    /// Tail growth rate across replications, with confidence interval.
-    pub tail_slope: Estimate,
-    /// Tail-average peer count across replications, with confidence
-    /// interval.
-    pub tail_average: Estimate,
-    /// Whether the majority vote agrees with theory (borderline → true).
-    pub agrees: bool,
-    /// Number of replications clipped by the `max_events` safety valve —
-    /// non-zero means the verdict rests on truncated trajectories.
-    pub truncated_replications: u32,
-    /// Mean simulated events per replication.
-    pub mean_events: f64,
-    /// Replications quarantined by the failure policy: they contribute no
-    /// vote and no sample, so `votes.total()` can fall short of the
-    /// configured replication count by exactly this amount.
-    pub failed_replications: u32,
 }
 
 /// Runs replication `replication` of `scenario` on its derived random
@@ -260,7 +191,7 @@ pub struct AgentOutcome {
 /// run is metered through one [`CounterRecorder`] per shard (folded in
 /// shard order) and timed; otherwise it runs through the no-op
 /// [`NullRecorder`] and the telemetry is `None`. Neither the scratch,
-/// `shard_jobs` nor metering ever changes the [`AgentReplication`].
+/// `shard_jobs` nor metering ever changes the [`ReplicationOutcome`].
 ///
 /// # Errors
 ///
@@ -273,8 +204,8 @@ pub fn run_agent_replication(
     replication: u32,
     scratch: &mut SimScratch,
     shard_jobs: usize,
-) -> Result<(AgentReplication, Option<ReplicationTelemetry>), SwarmError> {
-    let plan = scenario.shard_plan(config, shard_jobs);
+) -> Result<(ReplicationOutcome, Option<ReplicationTelemetry>), SwarmError> {
+    let plan = scenario.shard_plan(shard_jobs);
     if !config.metrics {
         return run_recorded(scenario, config, replication, scratch, plan, NullRecorder)
             .map(|(outcome, _, _)| (outcome, None));
@@ -307,7 +238,7 @@ fn run_recorded<T: Recorder + Clone + Send>(
     scratch: &mut SimScratch,
     plan: Option<ShardPlan>,
     recorder: T,
-) -> Result<(AgentReplication, Vec<T>, f64), SwarmError> {
+) -> Result<(ReplicationOutcome, Vec<T>, f64), SwarmError> {
     let sim = scenario.build_sim()?;
     let (initial, flash) = (scenario.initial_population(), &scenario.flash);
     let mut rng = replication_rng(config.master_seed, scenario.id, u64::from(replication));
@@ -334,20 +265,16 @@ fn run_recorded<T: Recorder + Clone + Send>(
     Ok((outcome, recorders, wall_seconds))
 }
 
-/// Classifies a finished simulator run into the replication outcome — the
-/// one place the agent path classifier is configured.
+/// Classifies a finished simulator run into the replication outcome.
 fn classify_result(
     scenario: &AgentScenario,
     replication: u32,
     result: &swarm::metrics::SimResult,
     initial_peers: usize,
-) -> AgentReplication {
-    let classifier = PathClassifier::new(
-        scenario.params.total_arrival_rate(),
-        (3.0 * initial_peers as f64).max(30.0),
-    );
+) -> ReplicationOutcome {
+    let classifier = scenario.params.path_classifier(initial_peers);
     let verdict = classifier.classify(&result.peer_count_path());
-    AgentReplication {
+    ReplicationOutcome {
         replication,
         class: verdict.class,
         tail_slope: verdict.tail_slope,
@@ -374,7 +301,9 @@ pub(crate) fn scenario_theory(scenario: &AgentScenario) -> StabilityVerdict {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replicate::ScenarioOutcome;
     use crate::session::{Session, Workload};
+    use markov::PathClass;
     use pieceset::PieceId;
 
     /// The Session-backed equivalent of the old `run_agent_batch` free
@@ -382,7 +311,7 @@ mod tests {
     fn run_agent_batch(
         scenarios: &[AgentScenario],
         config: &EngineConfig,
-    ) -> Result<Vec<AgentOutcome>, crate::Error> {
+    ) -> Result<Vec<ScenarioOutcome>, crate::Error> {
         let session = Session::builder()
             .config(*config)
             .workload(Workload::agent(scenarios.to_vec()))
@@ -434,6 +363,11 @@ mod tests {
         assert_eq!(seq[0].theory, StabilityVerdict::PositiveRecurrent);
         assert_eq!(seq[1].theory, StabilityVerdict::Transient);
         assert_eq!(seq[0].votes.total(), 3);
+        // Agreement is the share of votes that match the theory verdict.
+        for (outcome, agreeing) in seq.iter().zip([PathClass::Stable, PathClass::Growing]) {
+            let expected = outcome.votes.fraction(agreeing);
+            assert_eq!(outcome.agreement, expected, "{}", outcome.label);
+        }
     }
 
     #[test]

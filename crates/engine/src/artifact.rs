@@ -33,8 +33,10 @@ fn csv_f64(x: f64) -> String {
 }
 
 /// A float rendered as a JSON value (`null` for non-finite, which JSON
-/// cannot represent as a number).
-fn json_f64(x: f64) -> String {
+/// cannot represent as a number). `workload`'s scenario writer renders its
+/// numbers through this too.
+#[must_use]
+pub fn json_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x}")
     } else {
@@ -43,7 +45,9 @@ fn json_f64(x: f64) -> String {
 }
 
 /// Escapes a string for a JSON string literal (without the quotes).
-pub(crate) fn json_escape(s: &str) -> String {
+/// `workload`'s scenario writer escapes its strings through this too.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -278,6 +282,8 @@ mod tests {
             tail_average: average.estimate(0.95),
             agreement: 2.0 / 3.0,
             agrees: true,
+            truncated_replications: 0,
+            mean_events: 0.0,
             failed_replications: 0,
         }
     }

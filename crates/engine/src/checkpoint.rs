@@ -26,9 +26,8 @@
 //! `save`), deliberately hand-rolled like every other artifact in this
 //! workspace.
 
-use crate::agent::AgentReplication;
 use crate::error::Error;
-use crate::replicate::{verdict_agrees, ClassVotes};
+use crate::replicate::{verdict_agrees, ClassVotes, ReplicationOutcome};
 use crate::session::ReplicationFailure;
 use crate::stats::Welford;
 use std::io::Write;
@@ -70,9 +69,10 @@ impl CheckpointSpec {
 
 /// One scenario's incremental (O(1)-memory) aggregation state: what the
 /// session folds each replication into, in replication order, and what a
-/// checkpoint stores bit-exactly. One struct covers both workload kinds;
-/// each outcome reads only the fields it reports, so a checkpoint holding
-/// zeros in the others (as older builds wrote) resumes to the same result.
+/// checkpoint stores bit-exactly. One struct covers both workload kinds.
+/// A CTMC replication pushes zero events, so a CTMC checkpoint from an
+/// older build, whose events accumulator is empty, resumes to the same
+/// mean of 0.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct AggSnapshot {
     pub(crate) theory: StabilityVerdict,
@@ -108,7 +108,7 @@ impl AggSnapshot {
     }
 
     /// Folds in one successful replication.
-    pub(crate) fn push(&mut self, replication: &AgentReplication) {
+    pub(crate) fn push(&mut self, replication: &ReplicationOutcome) {
         self.votes.push(replication.class);
         self.slope.push(replication.tail_slope);
         self.average.push(replication.tail_average);

@@ -12,9 +12,9 @@
 //! `f` axis. Scenario ids are linear cell indices, so results are
 //! bit-identical at any worker count.
 
-use crate::agent::AgentOutcome;
 use crate::grid::Axis;
 use crate::labels;
+use crate::replicate::ScenarioOutcome;
 use serde::{Deserialize, Serialize};
 use swarm::sim::AgentConfig;
 
@@ -89,7 +89,7 @@ pub struct CodedPhaseCell {
     /// Gift fraction `f` at the cell.
     pub gift_fraction: f64,
     /// The engine outcome (Theorem 15 verdict, votes, statistics).
-    pub outcome: AgentOutcome,
+    pub outcome: ScenarioOutcome,
 }
 
 impl CodedPhaseCell {

@@ -55,10 +55,6 @@ pub struct EngineConfig {
     pub master_seed: u64,
     /// Worker threads (0 = one per available core).
     pub jobs: usize,
-    /// Initial one-club size (0 = start from an empty system).
-    pub initial_one_club: u32,
-    /// Confidence level of the reported intervals (e.g. `0.95`).
-    pub confidence: f64,
     /// Report batch progress on stderr.
     pub progress: bool,
     /// Collect per-replication kernel counters and wall times (agent
@@ -68,22 +64,6 @@ pub struct EngineConfig {
     pub metrics: bool,
     /// What to do when a replication fails (see [`FailurePolicy`]).
     pub failure_policy: FailurePolicy,
-    /// Shards each agent replication's peer population is split across
-    /// (≤ 1 = unsharded). Sharding runs one giant swarm's shards on
-    /// multiple workers inside a single replication — the turbo kernel
-    /// only — trading exact cross-shard contact timing for a relaxed
-    /// synchronization window ([`EngineConfig::sync_window`]). Results
-    /// remain bit-identical at any [`EngineConfig::jobs`] for a fixed
-    /// `(master_seed, shards)`; changing the shard count changes the
-    /// sampled trajectory (same process, different stream splitting).
-    /// A scenario-level shard setting overrides this engine-wide knob.
-    pub shards: u32,
-    /// Length of the sharded synchronization window in simulated time:
-    /// cross-shard uploads batch into exchange rounds at window
-    /// boundaries, and frozen cross-shard population weights refresh
-    /// there too. Smaller windows track the unsharded process more
-    /// closely at more synchronization cost. Ignored when unsharded.
-    pub sync_window: f64,
 }
 
 impl Default for EngineConfig {
@@ -93,13 +73,9 @@ impl Default for EngineConfig {
             horizon: 2_000.0,
             master_seed: 0x5EED_0CAF_E5EE_D000,
             jobs: 0,
-            initial_one_club: 0,
-            confidence: 0.95,
             progress: false,
             metrics: false,
             failure_policy: FailurePolicy::FailFast,
-            shards: 1,
-            sync_window: 0.25,
         }
     }
 }
@@ -112,10 +88,10 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the simulated horizon per replication.
+    /// Sets the simulated horizon per replication (finite and positive;
+    /// [`crate::SessionBuilder::build`] rejects anything else).
     #[must_use]
     pub fn with_horizon(mut self, horizon: f64) -> Self {
-        assert!(horizon > 0.0, "horizon must be positive");
         self.horizon = horizon;
         self
     }
@@ -131,24 +107,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Sets the initial one-club size.
-    #[must_use]
-    pub fn with_initial_one_club(mut self, peers: u32) -> Self {
-        self.initial_one_club = peers;
-        self
-    }
-
-    /// Sets the confidence level of reported intervals.
-    #[must_use]
-    pub fn with_confidence(mut self, confidence: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&confidence),
-            "confidence must be in (0, 1)"
-        );
-        self.confidence = confidence;
         self
     }
 
@@ -172,26 +130,6 @@ impl EngineConfig {
         self.failure_policy = policy;
         self
     }
-
-    /// Sets the intra-replication shard count (clamped to at least 1; 1 =
-    /// unsharded).
-    #[must_use]
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Sets the sharded synchronization window (simulated time between
-    /// cross-shard exchange rounds).
-    #[must_use]
-    pub fn with_sync_window(mut self, sync_window: f64) -> Self {
-        assert!(
-            sync_window.is_finite() && sync_window > 0.0,
-            "sync window must be positive and finite"
-        );
-        self.sync_window = sync_window;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -205,21 +143,13 @@ mod tests {
             .with_horizon(10.0)
             .with_master_seed(1)
             .with_jobs(3)
-            .with_initial_one_club(5)
-            .with_confidence(0.9)
             .with_progress(true)
             .with_metrics(true)
-            .with_failure_policy(FailurePolicy::Quarantine { max_failures: 2 })
-            .with_shards(0)
-            .with_sync_window(0.5);
+            .with_failure_policy(FailurePolicy::Quarantine { max_failures: 2 });
         assert_eq!(config.replications, 1, "clamped to at least one");
-        assert_eq!(config.shards, 1, "shards clamp to at least one");
-        assert_eq!(config.sync_window, 0.5);
         assert_eq!(config.horizon, 10.0);
         assert_eq!(config.master_seed, 1);
         assert_eq!(config.jobs, 3);
-        assert_eq!(config.initial_one_club, 5);
-        assert_eq!(config.confidence, 0.9);
         assert!(config.progress);
         assert!(config.metrics);
         assert_eq!(
@@ -235,11 +165,5 @@ mod tests {
             FailurePolicy::FailFast
         );
         assert_eq!(FailurePolicy::default(), FailurePolicy::FailFast);
-    }
-
-    #[test]
-    #[should_panic(expected = "confidence")]
-    fn confidence_must_be_a_probability() {
-        let _ = EngineConfig::default().with_confidence(1.0);
     }
 }

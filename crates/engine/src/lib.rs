@@ -15,8 +15,9 @@
 //!   both bit-identical at any worker count,
 //! * [`error`] — the typed [`Error`] hierarchy; every failure mode is
 //!   rejected by [`SessionBuilder::build`] before anything runs,
-//! * [`replicate`] — the CTMC scenario/outcome types and the
-//!   per-replication unit of work,
+//! * [`replicate`] — the replication and outcome types both workload
+//!   kinds share ([`ReplicationOutcome`], [`ScenarioOutcome`]), and the
+//!   CTMC scenario with its per-replication unit of work,
 //! * [`agent`] — the same contract for **agent-based scenarios** (piece
 //!   policies, retry speed-up, flash crowds, large `K`) that the
 //!   type-count CTMC cannot express, with `max_events` truncation
@@ -30,8 +31,8 @@
 //! * [`grid`] / [`coded`] — phase-diagram rectangle and diagram types,
 //! * [`labels`] — the one canonical verdict/class naming and glyph map,
 //! * [`artifact`] — CSV and JSON emitters for batch and grid results,
-//! * [`progress`] — a thread-safe completed-replication counter, usable
-//!   as a built-in [`ReplicationSink`] ([`ProgressSink`]),
+//! * [`progress`] — [`ProgressSink`], the built-in [`ReplicationSink`]
+//!   that reports decile progress on stderr,
 //! * [`metrics`] — the telemetry export path: [`ReplicationTelemetry`]
 //!   (per-replication kernel counters and wall time, attached to records
 //!   when [`EngineConfig::metrics`] is set) and [`MetricsSink`], an NDJSON
@@ -89,7 +90,7 @@ pub mod rng;
 pub mod session;
 pub mod stats;
 
-pub use agent::{run_agent_replication, AgentOutcome, AgentReplication, AgentScenario};
+pub use agent::{run_agent_replication, AgentScenario};
 pub use checkpoint::CheckpointSpec;
 pub use coded::{CodedGridSpec, CodedPhaseCell, CodedPhaseDiagram};
 pub use config::{EngineConfig, FailurePolicy};
@@ -97,10 +98,9 @@ pub use error::Error;
 pub use faults::{FaultKind, FaultParseError, FaultPlan};
 pub use grid::{Axis, GridSpec, PhaseCell, PhaseDiagram};
 pub use metrics::{MetricsSink, ReplicationTelemetry};
-pub use progress::{Progress, ProgressSink};
+pub use progress::ProgressSink;
 pub use replicate::{
-    run_replication, run_replication_on, verdict_agrees, ClassVotes, ReplicationOutcome, Scenario,
-    ScenarioOutcome,
+    run_replication_on, verdict_agrees, ClassVotes, ReplicationOutcome, Scenario, ScenarioOutcome,
 };
 pub use rng::{derive_seed, replication_rng};
 pub use session::{

@@ -1,91 +1,11 @@
-//! Thread-safe progress reporting for long batches.
+//! Progress reporting for long batches.
 //!
-//! [`Progress`] is the raw counter; [`ProgressSink`] wraps it as a
-//! [`ReplicationSink`] so progress reporting plugs into
-//! [`crate::Session::stream`] like any other observer. A session with
+//! [`ProgressSink`] is a [`ReplicationSink`], so progress reporting plugs
+//! into [`crate::Session::stream`] like any other observer. A session with
 //! [`crate::EngineConfig::progress`] set attaches one automatically.
 
 use crate::session::{ReplicationFailure, ReplicationRecord, ReplicationSink, StreamPlan};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// A completed-replication counter shared by the batch workers. Reports to
-/// stderr at (roughly) decile boundaries when enabled; a disabled counter
-/// still counts, so callers can read totals either way.
-///
-/// Besides completions the counter accumulates simulated events (fed via
-/// [`Progress::add_events`]), so its decile lines report elapsed wall time
-/// and a running events-per-second throughput.
-#[derive(Debug)]
-pub struct Progress {
-    label: String,
-    total: u64,
-    done: AtomicU64,
-    /// Simulated events accumulated across completions.
-    events: AtomicU64,
-    start: Instant,
-    enabled: bool,
-}
-
-impl Progress {
-    /// A counter expecting `total` completions.
-    #[must_use]
-    pub fn new(label: impl Into<String>, total: u64, enabled: bool) -> Self {
-        Progress {
-            label: label.into(),
-            total,
-            done: AtomicU64::new(0),
-            events: AtomicU64::new(0),
-            start: Instant::now(),
-            enabled,
-        }
-    }
-
-    /// Accumulates simulated events toward the throughput figure (called
-    /// before the matching [`Progress::tick`]).
-    pub fn add_events(&self, events: u64) {
-        self.events.fetch_add(events, Ordering::Relaxed);
-    }
-
-    /// Records one completion (called from worker threads).
-    pub fn tick(&self) {
-        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        if !self.enabled || self.total == 0 {
-            return;
-        }
-        if let Some(percent) = report_percent(done, self.total) {
-            let elapsed = self.start.elapsed().as_secs_f64();
-            let events = self.events.load(Ordering::Relaxed);
-            let rate = if elapsed > 0.0 {
-                events as f64 / elapsed
-            } else {
-                0.0
-            };
-            eprintln!(
-                "[{}] {done}/{} replications ({percent}%) — {elapsed:.1}s elapsed, {rate:.0} ev/s",
-                self.label, self.total,
-            );
-        }
-    }
-
-    /// Completions recorded so far.
-    #[must_use]
-    pub fn done(&self) -> u64 {
-        self.done.load(Ordering::Relaxed)
-    }
-
-    /// Simulated events accumulated so far.
-    #[must_use]
-    pub fn events(&self) -> u64 {
-        self.events.load(Ordering::Relaxed)
-    }
-
-    /// Expected total completions.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-}
 
 /// The report-line policy, as a pure function so it is testable without
 /// capturing stderr: returns `Some(percent)` when completing replication
@@ -108,14 +28,18 @@ fn report_percent(done: u64, total: u64) -> Option<u64> {
     Some((100 * done / total).min(99))
 }
 
-/// The progress counter as a [`ReplicationSink`]: learns the stream's total
-/// at [`ReplicationSink::begin`] and reports decile completion (with
-/// elapsed time and events-per-second throughput) on stderr as records
-/// arrive.
+/// A [`ReplicationSink`] that learns the stream's total at
+/// [`ReplicationSink::begin`] and reports decile completion on stderr as
+/// records arrive, with elapsed wall time and events-per-second
+/// throughput.
 #[derive(Debug)]
 pub struct ProgressSink {
     label: String,
-    progress: Option<Progress>,
+    total: u64,
+    done: u64,
+    /// Simulated events accumulated across completions.
+    events: u64,
+    start: Instant,
 }
 
 impl ProgressSink {
@@ -124,59 +48,57 @@ impl ProgressSink {
     pub fn new(label: impl Into<String>) -> Self {
         ProgressSink {
             label: label.into(),
-            progress: None,
+            total: 0,
+            done: 0,
+            events: 0,
+            start: Instant::now(),
         }
     }
 
-    /// Replications counted so far (0 before the stream begins).
-    #[must_use]
-    pub fn done(&self) -> u64 {
-        self.progress.as_ref().map_or(0, Progress::done)
+    /// Records one completion, printing a line when it crosses a decile.
+    fn tick(&mut self) {
+        self.done += 1;
+        if self.total == 0 {
+            return;
+        }
+        if let Some(percent) = report_percent(self.done, self.total) {
+            let elapsed = self.start.elapsed().as_secs_f64();
+            let rate = if elapsed > 0.0 {
+                self.events as f64 / elapsed
+            } else {
+                0.0
+            };
+            eprintln!(
+                "[{}] {}/{} replications ({percent}%) — {elapsed:.1}s elapsed, {rate:.0} ev/s",
+                self.label, self.done, self.total,
+            );
+        }
     }
 }
 
 impl ReplicationSink for ProgressSink {
     fn begin(&mut self, plan: &StreamPlan) {
-        self.progress = Some(Progress::new(self.label.clone(), plan.total, true));
+        self.total = plan.total;
+        self.done = 0;
+        self.events = 0;
+        self.start = Instant::now();
     }
 
     fn record(&mut self, record: &ReplicationRecord) {
-        if let Some(progress) = &self.progress {
-            progress.add_events(record.events);
-            progress.tick();
-        }
+        self.events += record.events;
+        self.tick();
     }
 
     fn failure(&mut self, _failure: &ReplicationFailure) {
         // A quarantined replication is still a completed slot of the plan's
         // total — count it, or the decile math never reaches 100%.
-        if let Some(progress) = &self.progress {
-            progress.tick();
-        }
+        self.tick();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counts_across_threads() {
-        let progress = Progress::new("test", 64, false);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..16 {
-                        progress.add_events(10);
-                        progress.tick();
-                    }
-                });
-            }
-        });
-        assert_eq!(progress.done(), 64);
-        assert_eq!(progress.total(), 64);
-        assert_eq!(progress.events(), 640);
-    }
 
     /// For any total, the number of report lines is at most 10 — small
     /// totals used to print one line per replication because

@@ -1,12 +1,13 @@
-//! The CTMC replication path: scenario and outcome types plus the
-//! per-replication unit of work. Batches of these run through
-//! [`crate::Session`] (via [`crate::Workload::ctmc`]), which aggregates
-//! them into majority-vote verdicts with streaming statistics.
+//! The replication and outcome types every workload kind shares, plus the
+//! CTMC scenario and its per-replication unit of work. Batches run through
+//! [`crate::Session`] (via [`crate::Workload::ctmc`] or
+//! [`crate::Workload::agent`]), which aggregates them into majority-vote
+//! verdicts with streaming statistics.
 
 use crate::config::EngineConfig;
 use crate::rng::replication_rng;
 use crate::stats::Estimate;
-use markov::{PathClass, PathClassifier};
+use markov::PathClass;
 use serde::{Deserialize, Serialize};
 use swarm::{StabilityVerdict, SwarmModel, SwarmParams};
 
@@ -37,7 +38,9 @@ impl Scenario {
     }
 }
 
-/// The result of one replication of one scenario.
+/// The result of one replication of one scenario, CTMC or agent. The
+/// type-count CTMC counts no events or transfers and never truncates, so
+/// its replications report 0, 0 and `false` there.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ReplicationOutcome {
     /// Replication index within the scenario.
@@ -48,6 +51,13 @@ pub struct ReplicationOutcome {
     pub tail_slope: f64,
     /// Time-average of the peer count over the tail window.
     pub tail_average: f64,
+    /// Simulated events executed.
+    pub events: u64,
+    /// Successful piece (or coded-combination) transfers executed.
+    pub transfers: u64,
+    /// `true` if the run hit the `max_events` safety valve before the
+    /// horizon (its classification covers a clipped trajectory).
+    pub truncated: bool,
 }
 
 /// Vote counts over a scenario's replications.
@@ -106,14 +116,15 @@ impl ClassVotes {
     }
 }
 
-/// Aggregated outcome of one scenario's replication batch.
+/// Aggregated outcome of one scenario's replication batch, CTMC or agent.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioOutcome {
     /// The scenario's stream key.
     pub scenario_id: u64,
     /// The scenario's label.
     pub label: String,
-    /// Theorem 1's verdict for the parameter point.
+    /// The theory verdict for the parameter point: Theorem 1's, or
+    /// Theorem 15's for a coded agent scenario.
     pub theory: StabilityVerdict,
     /// Per-class vote counts.
     pub votes: ClassVotes,
@@ -129,6 +140,11 @@ pub struct ScenarioOutcome {
     pub agreement: f64,
     /// Whether the majority vote agrees with theory (borderline → true).
     pub agrees: bool,
+    /// Number of replications clipped by the `max_events` safety valve —
+    /// non-zero means the verdict rests on truncated trajectories.
+    pub truncated_replications: u32,
+    /// Mean simulated events per replication (0 for CTMC scenarios).
+    pub mean_events: f64,
     /// Replications quarantined by the failure policy: they contribute no
     /// vote and no sample, so `votes.total()` can fall short of the
     /// configured replication count by exactly this amount.
@@ -147,29 +163,11 @@ pub fn verdict_agrees(theory: StabilityVerdict, simulated: PathClass) -> bool {
     }
 }
 
-/// Runs a single replication of `scenario` on its derived random stream.
-///
-/// This is the engine's unit of work: exposed so tests and callers can
-/// reproduce any replication of any batch in isolation. Batch callers
-/// should build the [`SwarmModel`] once per scenario and use
-/// [`run_replication_on`]; this convenience wrapper rebuilds it.
-#[must_use]
-pub fn run_replication(
-    scenario: &Scenario,
-    config: &EngineConfig,
-    replication: u32,
-) -> ReplicationOutcome {
-    run_replication_on(
-        &SwarmModel::new(scenario.params.clone()),
-        scenario,
-        config,
-        replication,
-    )
-}
-
-/// Runs a single replication against an already-constructed model
-/// (avoiding the per-replication `2^K` type-space rebuild on the batch
-/// hot path). `model` must be built from `scenario.params`.
+/// Runs replication `replication` of `scenario`, from an empty system, on
+/// its derived random stream: the CTMC unit of work, and the way to
+/// reproduce any replication of any batch in isolation. `model` must be
+/// built from `scenario.params`; building it once per scenario avoids a
+/// per-replication `2^K` type-space rebuild.
 #[must_use]
 pub fn run_replication_on(
     model: &SwarmModel,
@@ -178,23 +176,16 @@ pub fn run_replication_on(
     replication: u32,
 ) -> ReplicationOutcome {
     let mut rng = replication_rng(config.master_seed, scenario.id, u64::from(replication));
-    let initial = if config.initial_one_club > 0 {
-        model.one_club_state(pieceset::PieceId::new(0), config.initial_one_club)
-    } else {
-        model.empty_state()
-    };
-    let initial_n = initial.total_peers() as f64;
-    let path = model.simulate_peer_count(initial, config.horizon, &mut rng);
-    let classifier = PathClassifier::new(
-        scenario.params.total_arrival_rate(),
-        (3.0 * initial_n).max(30.0),
-    );
-    let verdict = classifier.classify(&path);
+    let path = model.simulate_peer_count(model.empty_state(), config.horizon, &mut rng);
+    let verdict = scenario.params.path_classifier(0).classify(&path);
     ReplicationOutcome {
         replication,
         class: verdict.class,
         tail_slope: verdict.tail_slope,
         tail_average: verdict.tail_average,
+        events: 0,
+        transfers: 0,
+        truncated: false,
     }
 }
 
@@ -256,10 +247,11 @@ mod tests {
     fn single_replication_is_reproducible() {
         let scenario = Scenario::new(3, "point", example1(1.0));
         let config = quick_config();
-        let a = run_replication(&scenario, &config, 2);
-        let b = run_replication(&scenario, &config, 2);
-        assert_eq!(a, b);
-        let c = run_replication(&scenario, &config, 3);
+        let model = SwarmModel::new(scenario.params.clone());
+        let run = |replication| run_replication_on(&model, &scenario, &config, replication);
+        let a = run(2);
+        assert_eq!(a, run(2));
+        let c = run(3);
         assert_ne!(
             (a.tail_slope, a.tail_average),
             (c.tail_slope, c.tail_average)
@@ -279,6 +271,9 @@ mod tests {
         for outcome in &outcomes {
             assert_eq!(outcome.votes.total(), 4);
             assert_eq!(outcome.tail_slope.n, 4);
+            // The type-count CTMC counts no events and never truncates.
+            assert_eq!(outcome.truncated_replications, 0);
+            assert_eq!(outcome.mean_events, 0.0);
         }
         assert_eq!(outcomes[0].theory, StabilityVerdict::PositiveRecurrent);
         assert_eq!(outcomes[1].theory, StabilityVerdict::Transient);
@@ -297,25 +292,6 @@ mod tests {
         assert!(!verdict_agrees(PositiveRecurrent, PathClass::Growing));
         assert!(!verdict_agrees(Transient, PathClass::Stable));
         assert!(verdict_agrees(Transient, PathClass::Growing));
-    }
-
-    #[test]
-    fn one_club_initial_condition_is_used() {
-        use pieceset::{PieceId, PieceSet};
-        // Example 3 at λ = (1, 1, 1), µ = 1, γ = 2 (stable).
-        let mut builder = SwarmParams::builder(3).seed_departure_rate(2.0);
-        for piece in 0..3 {
-            builder = builder.arrival(PieceSet::singleton(PieceId::new(piece)), 1.0);
-        }
-        let scenario = Scenario::new(0, "club", builder.build().unwrap());
-        let config = EngineConfig::default()
-            .with_horizon(300.0)
-            .with_master_seed(1);
-        let empty = run_replication(&scenario, &config, 0);
-        let club = run_replication(&scenario, &config.with_initial_one_club(50), 0);
-        // 50 one-club peers at t = 0 move the path drawn from the same stream.
-        assert!(club.tail_average > 0.0);
-        assert_ne!(club.tail_average, empty.tail_average);
     }
 
     #[test]

@@ -71,7 +71,7 @@
 //! # Ok::<(), swarm::SwarmError>(())
 //! ```
 
-use crate::agent::{run_agent_replication, AgentOutcome, AgentReplication, AgentScenario};
+use crate::agent::{run_agent_replication, AgentScenario, DEFAULT_SYNC_WINDOW};
 use crate::checkpoint::{self, AggSnapshot, CheckpointData, CheckpointSpec};
 use crate::coded::{CodedGridSpec, CodedPhaseCell, CodedPhaseDiagram};
 use crate::config::{EngineConfig, FailurePolicy};
@@ -80,7 +80,9 @@ use crate::faults::FaultPlan;
 use crate::grid::{GridSpec, PhaseCell, PhaseDiagram};
 use crate::metrics::ReplicationTelemetry;
 use crate::progress::ProgressSink;
-use crate::replicate::{run_replication_on, verdict_agrees, Scenario, ScenarioOutcome};
+use crate::replicate::{
+    run_replication_on, verdict_agrees, ReplicationOutcome, Scenario, ScenarioOutcome,
+};
 use markov::PathClass;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -134,7 +136,7 @@ pub struct ReplicationRecord {
 /// The `(scenario_id, replication)` pair is the failed replication's
 /// stream key: it is enough to re-run exactly that replication in
 /// isolation under a debugger, on any machine, at any worker count —
-/// with [`crate::run_replication`] for a CTMC scenario, or with
+/// with [`crate::run_replication_on`] for a CTMC scenario, or with
 /// [`crate::run_agent_replication`] on a fresh [`SimScratch`] for an agent
 /// scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -454,7 +456,7 @@ pub enum SessionOutput {
     /// Aggregated CTMC outcomes, in input order.
     Ctmc(Vec<ScenarioOutcome>),
     /// Aggregated agent outcomes, in input order.
-    Agent(Vec<AgentOutcome>),
+    Agent(Vec<ScenarioOutcome>),
     /// An evaluated `(λ₀, µ, γ, K)` phase diagram.
     Grid(PhaseDiagram),
     /// An evaluated Theorem 15 coded phase diagram.
@@ -473,7 +475,7 @@ impl SessionOutput {
 
     /// The agent outcomes, if this was a [`Workload::agent`] session.
     #[must_use]
-    pub fn into_agent(self) -> Option<Vec<AgentOutcome>> {
+    pub fn into_agent(self) -> Option<Vec<ScenarioOutcome>> {
         match self {
             SessionOutput::Agent(outcomes) => Some(outcomes),
             _ => None,
@@ -550,8 +552,8 @@ impl SessionBuilder {
     /// # Errors
     ///
     /// * [`Error::MissingWorkload`] — no workload was supplied,
-    /// * [`Error::InvalidConfig`] — non-positive horizon or a confidence
-    ///   level outside `(0, 1)`,
+    /// * [`Error::InvalidConfig`] — a horizon that is not finite and
+    ///   positive,
     /// * [`Error::DuplicateScenarioId`] — two scenarios share a stream
     ///   key,
     /// * [`Error::Scenario`] — an agent scenario's policy, simulator
@@ -560,16 +562,10 @@ impl SessionBuilder {
     pub fn build(self) -> Result<Session, Error> {
         let config = self.config.unwrap_or_default();
         let workload = self.workload.ok_or(Error::MissingWorkload)?;
-        if config.horizon.is_nan() || config.horizon <= 0.0 {
+        if !(config.horizon.is_finite() && config.horizon > 0.0) {
             return Err(Error::InvalidConfig(format!(
-                "horizon must be positive, got {}",
+                "horizon must be finite and positive, got {}",
                 config.horizon
-            )));
-        }
-        if config.confidence.is_nan() || config.confidence <= 0.0 || config.confidence >= 1.0 {
-            return Err(Error::InvalidConfig(format!(
-                "confidence must lie in (0, 1), got {}",
-                config.confidence
             )));
         }
         match &workload.kind {
@@ -578,12 +574,12 @@ impl SessionBuilder {
             }
             WorkloadKind::Agent(scenarios) => {
                 check_unique_ids(scenarios.iter().map(|s| s.id))?;
-                validate_agent_scenarios(scenarios, &config)?;
+                validate_agent_scenarios(scenarios)?;
             }
             // Grid cells carry their linear rectangle index as id: unique
             // by construction.
             WorkloadKind::Grid { .. } => {}
-            WorkloadKind::Coded { scenarios, .. } => validate_agent_scenarios(scenarios, &config)?,
+            WorkloadKind::Coded { scenarios, .. } => validate_agent_scenarios(scenarios)?,
         }
         Ok(Session {
             config,
@@ -605,14 +601,11 @@ fn check_unique_ids(ids: impl Iterator<Item = u64>) -> Result<(), Error> {
     Ok(())
 }
 
-fn validate_agent_scenarios(
-    scenarios: &[AgentScenario],
-    config: &EngineConfig,
-) -> Result<(), Error> {
+fn validate_agent_scenarios(scenarios: &[AgentScenario]) -> Result<(), Error> {
     for scenario in scenarios {
         scenario
             .validate()
-            .and_then(|()| scenario.validate_sharding(config))
+            .and_then(|()| scenario.validate_sharding())
             .map_err(|source| Error::Scenario {
                 label: scenario.label.clone(),
                 source,
@@ -736,20 +729,22 @@ impl Session {
     /// every config field that influences the numbers (worker count,
     /// progress, and metrics are deliberately excluded — they never change
     /// results) plus the full workload description.
+    ///
+    /// `initial_one_club`, `confidence`, `shards` and `sync_window` were
+    /// config fields once. Their text stays, at the values every session
+    /// now runs with, so checkpoints written by earlier builds resume.
     fn checkpoint_digest(&self) -> u64 {
         let c = &self.config;
         let mut desc = format!(
             "replications={} horizon={:016x} master_seed={:016x} \
-             initial_one_club={} confidence={:016x} policy={:?} shards={} \
+             initial_one_club=0 confidence={:016x} policy={:?} shards=1 \
              sync_window={:016x} kind={}\n",
             c.replications,
             c.horizon.to_bits(),
             c.master_seed,
-            c.initial_one_club,
-            c.confidence.to_bits(),
+            CONFIDENCE.to_bits(),
             c.failure_policy,
-            c.shards,
-            c.sync_window.to_bits(),
+            DEFAULT_SYNC_WINDOW.to_bits(),
             self.kind_tag(),
         );
         match &self.workload.kind {
@@ -858,7 +853,7 @@ impl Session {
             || (),
             |s, r, ()| {
                 let outcome = run_replication_on(&models[s], &scenarios[s], &self.config, r);
-                Ok((outcome.into(), None))
+                Ok((outcome, None))
             },
         )
     }
@@ -868,7 +863,7 @@ impl Session {
         scenarios: &[AgentScenario],
         sink: &mut S,
         resume: Option<CheckpointData>,
-    ) -> Vec<AgentOutcome> {
+    ) -> Vec<ScenarioOutcome> {
         let config = &self.config;
         // Session-level worker allocation: when the stream has fewer
         // replication tasks than workers (the single-giant-replication
@@ -910,7 +905,7 @@ impl Session {
         resume: Option<CheckpointData>,
         make_ctx: impl Fn() -> C + Sync,
         run: impl Fn(usize, u32, &mut C) -> Result<Replication, String> + Sync,
-    ) -> Vec<Sc::Outcome>
+    ) -> Vec<ScenarioOutcome>
     where
         Sc: Replicable,
         S: ReplicationSink + Send,
@@ -921,7 +916,7 @@ impl Session {
         let mut framing = StreamFraming::begin(config, scenarios.len(), start, carried, sink);
         let (total, window, reps) = (framing.total, framing.window, framing.reps);
 
-        let mut outcomes: Vec<Sc::Outcome> = Vec::with_capacity(scenarios.len());
+        let mut outcomes = Vec::with_capacity(scenarios.len());
         let mut agg = AggSnapshot::new(StabilityVerdict::Borderline);
         let mut failures: Vec<ReplicationFailure> = Vec::new();
         let keep_snaps = self.checkpoint.is_some();
@@ -940,7 +935,7 @@ impl Session {
             }
             let completed = start / reps;
             for (s, snap) in data.snapshots.iter().enumerate().take(completed) {
-                outcomes.push(scenarios[s].outcome(snap, config.confidence));
+                outcomes.push(scenario_outcome(&scenarios[s], snap));
             }
             if keep_snaps {
                 completed_snaps = data.snapshots[..completed].to_vec();
@@ -1016,7 +1011,7 @@ impl Session {
                     if keep_snaps {
                         completed_snaps.push(agg.clone());
                     }
-                    outcomes.push(scenarios[s].outcome(&agg, config.confidence));
+                    outcomes.push(scenario_outcome(&scenarios[s], &agg));
                 }
                 if let Some(spec) = &self.checkpoint {
                     write_checkpoint(
@@ -1043,22 +1038,43 @@ impl Session {
 /// One replication's result as every workload kind reports it: the
 /// classified run plus its telemetry (agent replications with
 /// [`EngineConfig::metrics`] set; `None` otherwise).
-type Replication = (AgentReplication, Option<ReplicationTelemetry>);
+type Replication = (ReplicationOutcome, Option<ReplicationTelemetry>);
 
 /// What the replication loop needs from a scenario of either kind: its
-/// stream key and label, its theory verdict, and how a finished aggregate
-/// becomes the kind's outcome.
+/// stream key, label and theory verdict.
 trait Replicable: Sync {
-    type Outcome: Send;
     fn id(&self) -> u64;
     fn label(&self) -> &str;
     fn theory(&self) -> StabilityVerdict;
-    fn outcome(&self, agg: &AggSnapshot, confidence: f64) -> Self::Outcome;
+}
+
+/// Confidence level of every reported interval.
+const CONFIDENCE: f64 = 0.95;
+
+/// A scenario's outcome from its aggregate, for either workload kind.
+fn scenario_outcome(scenario: &impl Replicable, agg: &AggSnapshot) -> ScenarioOutcome {
+    let majority = agg.votes.majority();
+    ScenarioOutcome {
+        scenario_id: scenario.id(),
+        label: scenario.label().to_owned(),
+        theory: agg.theory,
+        votes: agg.votes,
+        majority,
+        tail_slope: agg.slope.estimate(CONFIDENCE),
+        tail_average: agg.average.estimate(CONFIDENCE),
+        agreement: if agg.count == 0 {
+            1.0
+        } else {
+            f64::from(agg.agreeing) / f64::from(agg.count)
+        },
+        agrees: verdict_agrees(agg.theory, majority),
+        truncated_replications: agg.truncated,
+        mean_events: agg.events.mean(),
+        failed_replications: agg.failed,
+    }
 }
 
 impl Replicable for Scenario {
-    type Outcome = ScenarioOutcome;
-
     fn id(&self) -> u64 {
         self.id
     }
@@ -1070,31 +1086,9 @@ impl Replicable for Scenario {
     fn theory(&self) -> StabilityVerdict {
         stability::classify(&self.params).verdict
     }
-
-    fn outcome(&self, agg: &AggSnapshot, confidence: f64) -> ScenarioOutcome {
-        let majority = agg.votes.majority();
-        ScenarioOutcome {
-            scenario_id: self.id,
-            label: self.label.clone(),
-            theory: agg.theory,
-            votes: agg.votes,
-            majority,
-            tail_slope: agg.slope.estimate(confidence),
-            tail_average: agg.average.estimate(confidence),
-            agreement: if agg.count == 0 {
-                1.0
-            } else {
-                f64::from(agg.agreeing) / f64::from(agg.count)
-            },
-            agrees: verdict_agrees(agg.theory, majority),
-            failed_replications: agg.failed,
-        }
-    }
 }
 
 impl Replicable for AgentScenario {
-    type Outcome = AgentOutcome;
-
     fn id(&self) -> u64 {
         self.id
     }
@@ -1105,23 +1099,6 @@ impl Replicable for AgentScenario {
 
     fn theory(&self) -> StabilityVerdict {
         crate::agent::scenario_theory(self)
-    }
-
-    fn outcome(&self, agg: &AggSnapshot, confidence: f64) -> AgentOutcome {
-        let majority = agg.votes.majority();
-        AgentOutcome {
-            scenario_id: self.id,
-            label: self.label.clone(),
-            theory: agg.theory,
-            votes: agg.votes,
-            majority,
-            tail_slope: agg.slope.estimate(confidence),
-            tail_average: agg.average.estimate(confidence),
-            agrees: verdict_agrees(agg.theory, majority),
-            truncated_replications: agg.truncated,
-            mean_events: agg.events.mean(),
-            failed_replications: agg.failed,
-        }
     }
 }
 
@@ -1136,7 +1113,7 @@ const NON_FINITE_MARKER: &str = "non-finite statistic";
 /// is still a vote). The error becomes a typed quarantined failure — or a
 /// panic under [`FailurePolicy::FailFast`] — never a silently-NaN
 /// artifact.
-fn check_finite(outcome: &AgentReplication, label: &str) -> Result<(), String> {
+fn check_finite(outcome: &ReplicationOutcome, label: &str) -> Result<(), String> {
     for (name, value) in [
         ("tail_slope", outcome.tail_slope),
         ("tail_average", outcome.tail_average),

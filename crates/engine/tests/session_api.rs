@@ -108,27 +108,17 @@ fn duplicate_stream_keys_are_rejected_at_build_time() {
 #[test]
 fn invalid_configurations_are_rejected_at_build_time() {
     let workload = || Workload::ctmc(vec![Scenario::new(0, "x", example1(1.0))]);
-    let bad_horizon = EngineConfig {
-        horizon: 0.0,
-        ..EngineConfig::default()
-    };
-    let error = Session::builder()
-        .config(bad_horizon)
-        .workload(workload())
-        .build()
-        .expect_err("zero horizon");
-    assert!(matches!(error, Error::InvalidConfig(_)), "{error:?}");
-
-    let bad_confidence = EngineConfig {
-        confidence: 1.0,
-        ..EngineConfig::default()
-    };
-    let error = Session::builder()
-        .config(bad_confidence)
-        .workload(workload())
-        .build()
-        .expect_err("confidence 1.0");
-    assert!(matches!(error, Error::InvalidConfig(_)), "{error:?}");
+    // A zero horizon, an endless one, and NaN: each is a typed error that
+    // names the horizon, never a panic and never a run without end.
+    for horizon in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+        let error = Session::builder()
+            .config(EngineConfig::default().with_horizon(horizon))
+            .workload(workload())
+            .build()
+            .expect_err("horizon must be finite and positive");
+        assert!(matches!(error, Error::InvalidConfig(_)), "{error:?}");
+        assert!(error.to_string().contains("horizon"), "{error}");
+    }
 }
 
 #[test]

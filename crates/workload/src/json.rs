@@ -5,10 +5,12 @@
 //! recursive-descent reader: the full JSON grammar (objects, arrays,
 //! strings with escapes, numbers, booleans, null), error messages with byte
 //! offsets, and nothing else. Writing goes through [`Json::render`], which
-//! prints floats with Rust's shortest-round-trip `Display` so emitted files
+//! renders scalars with the engine's artifact writers
+//! ([`engine::artifact::json_f64`], [`engine::artifact::json_escape`]):
+//! floats print with Rust's shortest-round-trip `Display`, so emitted files
 //! are canonical and byte-stable.
 
-use std::fmt::Write as _;
+use engine::artifact::{json_escape, json_f64};
 
 /// A parsed JSON value. Object member order is preserved.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,28 +58,10 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => {
-                if x.is_finite() {
-                    let _ = write!(out, "{x}");
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Num(x) => out.push_str(&json_f64(*x)),
             Json::Str(s) => {
                 out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
+                out.push_str(&json_escape(s));
                 out.push('"');
             }
             Json::Arr(items) => {

@@ -40,9 +40,9 @@ use crate::error::SpecError;
 use crate::json::{self, Json};
 use crate::report::fmt_num;
 use engine::{
-    AgentOutcome, AgentScenario, CheckpointSpec, EngineConfig, FailurePolicy, FaultPlan, NullSink,
-    ReplicationFailure, ReplicationRecord, ReplicationSink, Session, StreamPlan, StreamStats,
-    Workload,
+    AgentScenario, CheckpointSpec, EngineConfig, FailurePolicy, FaultPlan, NullSink,
+    ReplicationFailure, ReplicationRecord, ReplicationSink, ScenarioOutcome, Session, StreamPlan,
+    StreamStats, Workload,
 };
 use pieceset::{PieceId, PieceSet};
 use swarm::coded::CodedParams;
@@ -238,12 +238,12 @@ pub struct ScenarioSpec {
     /// [`KernelKind::Coded`] or [`KernelKind::CodedTurbo`].
     pub coding: Option<CodingSpec>,
     /// Intra-replication shard count (`"shards"` in files; turbo kernel
-    /// only). `None` inherits the engine-wide setting; a value above 1
-    /// splits each replication's population across shard workers.
+    /// only). `None` runs unsharded; a value above 1 splits each
+    /// replication's population across shard workers.
     pub shards: Option<u32>,
     /// Synchronization window of the sharded driver (`"sync_window"` in
     /// files, simulated time between cross-shard exchange rounds). `None`
-    /// inherits the engine-wide default.
+    /// uses 0.25.
     pub sync_window: Option<f64>,
 }
 
@@ -1034,7 +1034,7 @@ pub struct ScenarioRunOptions {
     pub kernel_override: Option<KernelKind>,
     /// Overrides the spec's intra-replication shard count when set (the
     /// CLI's `--shards` flag). Precedence: CLI flag > scenario file >
-    /// engine default (unsharded).
+    /// unsharded.
     pub shards_override: Option<u32>,
     /// Overrides the spec's sharded synchronization window when set (the
     /// CLI's `--sync-window` flag).
@@ -1085,10 +1085,10 @@ pub struct ScenarioRunReport {
     /// The executed spec.
     pub spec: ScenarioSpec,
     /// The engine's aggregated outcome.
-    pub outcome: AgentOutcome,
+    pub outcome: ScenarioOutcome,
     /// The horizon actually used.
     pub horizon: f64,
-    /// The replication count used.
+    /// The replication count the session ran (at least 1).
     pub replications: u32,
     /// Every quarantined replication, in stream-key order (empty under
     /// `FailFast`, which aborts instead).
@@ -1244,7 +1244,7 @@ pub fn run_with_sink<S: ReplicationSink + Send>(
         spec,
         outcome: outcomes.into_iter().next().expect("one scenario in"),
         horizon,
-        replications: options.replications,
+        replications: session.config().replications,
         failures,
     })
 }
@@ -1507,5 +1507,27 @@ mod tests {
         let b = run(spec, &ScenarioRunOptions { jobs: 4, ..options }).unwrap();
         assert_eq!(a.outcome, b.outcome, "jobs never change the numbers");
         assert_eq!(a.render(), b.render());
+    }
+
+    #[test]
+    fn the_report_states_the_replication_count_that_ran() {
+        // The engine runs at least one replication; the budget line and the
+        // warnings' denominators must say so, not echo the request.
+        let registry = Registry::builtin();
+        let options = ScenarioRunOptions {
+            replications: 0,
+            jobs: 1,
+            seed: 5,
+            horizon_override: Some(40.0),
+            ..Default::default()
+        };
+        let report = run(registry.get("example1-stable").unwrap(), &options).unwrap();
+        assert_eq!(report.replications, 1);
+        assert_eq!(report.outcome.votes.total(), 1);
+        assert!(
+            report.render().contains(", 1 replications"),
+            "{}",
+            report.render()
+        );
     }
 }

@@ -1,10 +1,11 @@
 //! Error-path coverage for the scenario file format: malformed documents
 //! must come back as typed [`SpecError`] values whose rendered messages
-//! name the offending field — never as panics — from both the parser
-//! (`ScenarioSpec::from_json`) and the compiler (`ScenarioSpec::compile`).
+//! name the offending field — never as panics — from the parser
+//! (`ScenarioSpec::from_json`), the compiler (`ScenarioSpec::compile`) and
+//! the run (`registry::run`).
 
 use workload::ndjson;
-use workload::registry::{Registry, ScenarioSpec};
+use workload::registry::{self, Registry, ScenarioRunOptions, ScenarioSpec};
 use workload::SpecError;
 
 /// Parses and asserts the error message mentions `needle`.
@@ -100,6 +101,32 @@ fn peer_counts_past_the_index_range_are_structured_errors() {
             "flash_crowds":[{"time":5,"count":1,"pieces":"empty"}]}"#,
         "flash_crowds[0].count",
     );
+}
+
+#[test]
+fn zero_and_endless_horizons_are_engine_errors_not_panics_or_hangs() {
+    let options = ScenarioRunOptions {
+        replications: 1,
+        jobs: 1,
+        ..Default::default()
+    };
+    for horizon in ["0", r#""inf""#] {
+        let doc = format!(
+            r#"{{"name":"x","num_pieces":1,"seed_rate":1,"horizon":{horizon},
+                "max_events":1000,"arrivals":[{{"pieces":"empty","rate":1}}]}}"#
+        );
+        let spec = ScenarioSpec::from_json(&doc).expect("parses");
+        match registry::run(&spec, &options) {
+            Ok(report) => panic!("horizon {horizon} ran: {}", report.render()),
+            Err(error) => {
+                assert!(
+                    matches!(error, SpecError::Engine(_)),
+                    "a typed engine error, got {error:?}"
+                );
+                assert!(error.to_string().contains("horizon"), "{error}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -16,11 +16,13 @@
 //! Flags:
 //!
 //! * `quick` — use the reduced simulation budget,
-//! * `--replications N` — Monte-Carlo replications per sweep point,
+//! * `--replications N` — Monte-Carlo replications per sweep point (at
+//!   least 1),
 //! * `--jobs N` — worker threads (0 = one per core),
 //! * `--seed S` — master seed (decimal or `0x…`),
-//! * `--horizon T` — simulated horizon per replication (for `--scenario`
-//!   this overrides the horizon written in the scenario),
+//! * `--horizon T` — simulated horizon per replication, finite and
+//!   positive (for `--scenario` this overrides the horizon written in the
+//!   scenario),
 //! * `--scenario FILE|NAME` — instead of the E1–E12 reports, execute one
 //!   scenario from the registry: a JSON scenario file (see `EXPERIMENTS.md`
 //!   for the format) or a built-in name,
@@ -36,12 +38,9 @@
 //!   fixed `(seed, shards, sync-window)` the result is byte-identical at
 //!   any `--jobs`,
 //! * `--sync-window W` — (with `--scenario`) the simulated-time length of
-//!   a sharded synchronization round (default from the engine config),
+//!   a sharded synchronization round (default 0.25),
 //! * `--progress` — report replication progress on stderr through the
 //!   engine's built-in `ProgressSink`,
-//! * `--stream` — (with `--scenario`) execute through the streaming
-//!   `Session::stream` path with an explicit sink; reports and artifacts
-//!   are byte-identical to the default batch path, which CI asserts,
 //! * `--metrics[=FILE]` — (with `--scenario`) meter every replication
 //!   (kernel counters, wall times, scheduler histograms) and export the
 //!   telemetry as NDJSON to `FILE` (default `metrics.ndjson`), plus a
@@ -87,8 +86,7 @@
 //! stderr with their stream keys and payloads).
 
 use p2p_stability::engine::{
-    self, Axis, CheckpointSpec, FailurePolicy, FaultPlan, MetricsSink, NullSink, ProgressSink,
-    ReplicationFailure, ReplicationSink,
+    self, Axis, CheckpointSpec, FailurePolicy, FaultPlan, MetricsSink, NullSink, ReplicationFailure,
 };
 use p2p_stability::swarm::sim::KernelKind;
 use p2p_stability::workload::experiments::{self, ExperimentConfig};
@@ -103,10 +101,6 @@ struct Cli {
     out_dir: Option<PathBuf>,
     scenario: Option<String>,
     list_scenarios: bool,
-    /// Stream scenario replication results through an explicit
-    /// `ReplicationSink` (`--stream`); output is byte-identical to the
-    /// batch path, which is the point: batch is streaming underneath.
-    stream: bool,
     /// Set only when `--horizon` was given explicitly (a scenario's own
     /// horizon must win otherwise).
     explicit_horizon: Option<f64>,
@@ -183,7 +177,7 @@ const USAGE: &str = "usage: run_experiments [quick] [--replications N] [--jobs N
 [--seed S] [--horizon T] [--scenario FILE|NAME] \
 [--kernel turbo|scan|coded|coded-turbo] \
 [--shards N] [--sync-window W] \
-[--progress] [--stream] [--metrics[=FILE]] [--check-metrics FILE] \
+[--progress] [--metrics[=FILE]] [--check-metrics FILE] \
 [--allow-truncated] [--failure-policy failfast|quarantine[:N]|retry[:N[:MS]]] \
 [--chaos SPEC] [--checkpoint[=FILE]] [--resume FILE] \
 [--list-scenarios] [--out-dir DIR]";
@@ -226,7 +220,6 @@ fn parse_cli() -> Result<Cli, CliError> {
     let mut out_dir = None;
     let mut scenario = None;
     let mut list_scenarios = false;
-    let mut stream = false;
     let mut explicit_horizon = None;
     let mut kernel = None;
     let mut shards = None;
@@ -244,9 +237,15 @@ fn parse_cli() -> Result<Cli, CliError> {
         match arg.as_str() {
             "quick" => {}
             "--replications" => {
-                config.replications = value_of("--replications")?
+                let n: u32 = value_of("--replications")?
                     .parse()
                     .map_err(|e| format!("--replications: {e}"))?;
+                if n == 0 {
+                    return Err(CliError::Invalid(
+                        "--replications: must be at least 1".into(),
+                    ));
+                }
+                config.replications = n;
             }
             "--jobs" => {
                 config.threads = value_of("--jobs")?
@@ -261,9 +260,9 @@ fn parse_cli() -> Result<Cli, CliError> {
                 let horizon: f64 = value_of("--horizon")?
                     .parse()
                     .map_err(|e| format!("--horizon: {e}"))?;
-                if horizon.is_nan() || horizon <= 0.0 {
+                if !(horizon.is_finite() && horizon > 0.0) {
                     return Err(CliError::Invalid(format!(
-                        "--horizon: must be positive, got {horizon}"
+                        "--horizon: must be finite and positive, got {horizon}"
                     )));
                 }
                 config.horizon = horizon;
@@ -305,7 +304,6 @@ fn parse_cli() -> Result<Cli, CliError> {
                 sync_window = Some(window);
             }
             "--progress" => config.progress = true,
-            "--stream" => stream = true,
             "--metrics" => metrics = Some(PathBuf::from("metrics.ndjson")),
             "--check-metrics" => {
                 check_metrics = Some(PathBuf::from(value_of("--check-metrics")?));
@@ -348,11 +346,6 @@ fn parse_cli() -> Result<Cli, CliError> {
             "--kernel applies to scenario runs only; combine it with --scenario".into(),
         ));
     }
-    if stream && scenario.is_none() && !list_scenarios {
-        return Err(CliError::Invalid(
-            "--stream applies to scenario runs only; combine it with --scenario".into(),
-        ));
-    }
     if metrics.is_some() && scenario.is_none() && !list_scenarios && check_metrics.is_none() {
         return Err(CliError::Invalid(
             "--metrics applies to scenario runs only; combine it with --scenario".into(),
@@ -389,7 +382,6 @@ fn parse_cli() -> Result<Cli, CliError> {
         out_dir,
         scenario,
         list_scenarios,
-        stream,
         explicit_horizon,
         kernel,
         shards,
@@ -491,17 +483,16 @@ fn check_metrics_file(path: &std::path::Path, allow_truncated: bool) -> ExitCode
 }
 
 /// Runs a scenario with its replication stream wrapped in a [`MetricsSink`]:
-/// `inner` still sees every record (progress keeps working), while the NDJSON
-/// telemetry export lands in `path` and a human summary on stderr.
-fn run_metered<S: ReplicationSink + Send>(
+/// the NDJSON telemetry export lands in `path` and a human summary on
+/// stderr.
+fn run_metered(
     spec: &ScenarioSpec,
     options: &ScenarioRunOptions,
-    inner: S,
     path: &std::path::Path,
 ) -> Result<ScenarioRunReport, String> {
     let file = std::fs::File::create(path)
         .map_err(|error| format!("cannot create {}: {error}", path.display()))?;
-    let mut sink = MetricsSink::new(inner, std::io::BufWriter::new(file));
+    let mut sink = MetricsSink::new(NullSink, std::io::BufWriter::new(file));
     let report = registry::run_with_sink(spec, options, &mut sink)
         .map_err(|error| format!("scenario `{}` failed: {error}", spec.name))?;
     let (_, writer) = sink.into_parts();
@@ -546,38 +537,11 @@ fn run_scenario(which: &str, cli: &Cli) -> ExitCode {
         options.jobs,
         options.seed
     );
-    // `--stream` routes the run through an explicit replication sink (the
-    // engine's built-in progress counter); the batch path is the same
-    // streaming machinery with a null sink, so the report is byte-identical
-    // either way — CI diffs the two. The explicit sink already reports, so
-    // the session's internal progress counter is switched off to avoid
-    // doubled lines under `--progress --stream`. `--metrics` wraps either
-    // sink in a `MetricsSink`, which meters replications into an NDJSON
-    // file without touching the run itself.
-    let result = match (&cli.metrics, cli.stream) {
-        (Some(path), true) => run_metered(
-            &spec,
-            &ScenarioRunOptions {
-                progress: false,
-                ..options
-            },
-            ProgressSink::new(format!("scenario {}", spec.name)),
-            path,
-        ),
-        (Some(path), false) => run_metered(&spec, &options, NullSink, path),
-        (None, true) => {
-            let mut sink = ProgressSink::new(format!("scenario {}", spec.name));
-            registry::run_with_sink(
-                &spec,
-                &ScenarioRunOptions {
-                    progress: false,
-                    ..options
-                },
-                &mut sink,
-            )
-            .map_err(|error| format!("scenario `{}` failed: {error}", spec.name))
-        }
-        (None, false) => registry::run(&spec, &options)
+    // `--metrics` streams the run into a `MetricsSink`, which meters
+    // replications into an NDJSON file without touching the run itself.
+    let result = match &cli.metrics {
+        Some(path) => run_metered(&spec, &options, path),
+        None => registry::run(&spec, &options)
             .map_err(|error| format!("scenario `{}` failed: {error}", spec.name)),
     };
     let report = match result {
