@@ -1,10 +1,10 @@
 //! The swarm CTMC: the generator matrix `Q` of Section III.
 
-use crate::rates::transfer_rate;
+use crate::rates::transfer_rate_among;
 use crate::{SwarmParams, SwarmState};
-use markov::gillespie::{Simulator, StopRule};
+use markov::poisson::{sample_exp, sample_weighted_index_by};
 use markov::{Ctmc, SamplePath};
-use pieceset::TypeSpace;
+use pieceset::{PieceSet, TypeSpace};
 use rand::Rng;
 
 /// The Zhu–Hajek swarm model as a continuous-time Markov chain over type
@@ -76,14 +76,56 @@ impl SwarmModel {
 
     /// Simulates the chain for `horizon` time units and returns the sample
     /// path of the total peer count.
+    ///
+    /// This is `markov::Simulator::run` with the total peer count observed
+    /// and `StopRule::at_time(horizon)`, draw for draw and point for point,
+    /// but it steps one state in place over a reused jump buffer instead of
+    /// cloning the state once per candidate jump.
     pub fn simulate_peer_count<R: Rng + ?Sized>(
         &self,
         initial: SwarmState,
         horizon: f64,
         rng: &mut R,
     ) -> SamplePath {
-        let sim = Simulator::new(self).observe(|s: &SwarmState| s.total_peers() as f64);
-        sim.run(initial, StopRule::at_time(horizon), rng).path
+        let mut state = initial;
+        let mut peers = state.total_peers();
+        let mut t = 0.0;
+        let mut path = SamplePath::new(0.0, peers as f64);
+        let mut jumps = Vec::new();
+        loop {
+            if t >= horizon {
+                break;
+            }
+            jumps.clear();
+            self.jumps(&state, peers, &mut jumps);
+            if jumps.is_empty() {
+                break;
+            }
+            let total: f64 = jumps.iter().map(|(_, r)| r).sum();
+            let dt = sample_exp(rng, total);
+            if t + dt > horizon {
+                t = horizon;
+                break;
+            }
+            t += dt;
+            let picked = sample_weighted_index_by(rng, total, &jumps, |(_, r)| *r);
+            // simlint: allow(E001, "total > 0 here: sample_exp just asserted it, and a positive sum has a positive term")
+            let (jump, _) = jumps[picked.expect("total rate positive")];
+            jump.apply(&mut state);
+            peers = match jump {
+                Jump::Arrive(_) => peers + 1,
+                Jump::Depart(_) => peers - 1,
+                Jump::Move(..) => peers,
+            };
+            path.record(t, peers as f64);
+        }
+        let final_time = t.min(horizon);
+        path.record(
+            final_time.max(path.times().last().copied().unwrap_or(0.0)),
+            peers as f64,
+        );
+        path.finish(final_time.max(path.end_time()));
+        path
     }
 
     /// Simulates and classifies the path of the peer count with
@@ -97,56 +139,93 @@ impl SwarmModel {
         let classifier = self.params.path_classifier(initial.total_peers() as usize);
         classifier.classify(&self.simulate_peer_count(initial, horizon, rng))
     }
-}
 
-impl Ctmc for SwarmModel {
-    type State = SwarmState;
-
-    fn transitions(&self, state: &SwarmState, out: &mut Vec<(SwarmState, f64)>) {
+    /// Appends the jumps out of `state`, which holds `n` peers, with their
+    /// positive rates: first the arrivals in [`SwarmParams::arrivals`] order,
+    /// then the peer-seed departure, then the transfers by ascending type
+    /// and, within a type, by ascending missing piece. This is the one
+    /// definition of the generator; the exact-jump loop and
+    /// [`Ctmc::transitions`] both read it.
+    fn jumps(&self, state: &SwarmState, n: u64, out: &mut Vec<(Jump, f64)>) {
+        debug_assert_eq!(n, state.total_peers());
+        let mut push = |jump, rate: f64| {
+            if rate > 0.0 {
+                out.push((jump, rate));
+            }
+        };
         let full = self.params.full_type();
         let gamma_finite = !self.params.departs_immediately();
 
-        // Exogenous arrivals.
+        // Exogenous arrivals. With γ = ∞ an arriving peer that already has
+        // everything would depart instantly; validation forbids λ_F > 0 in
+        // that case.
         for (c, rate) in self.params.arrivals() {
-            let mut next = state.clone();
-            // With γ = ∞ an arriving peer that already has everything would
-            // depart instantly; validation forbids λ_F > 0 in that case.
-            next.add_peer(c);
-            out.push((next, rate));
+            push(Jump::Arrive(c), rate);
         }
 
         // Peer-seed departures.
         if gamma_finite {
             let seeds = state.count(full);
             if seeds > 0 {
-                let mut next = state.clone();
-                next.remove_peer(full);
-                out.push((next, self.params.seed_departure_rate() * f64::from(seeds)));
+                let rate = self.params.seed_departure_rate() * f64::from(seeds);
+                push(Jump::Depart(full), rate);
             }
         }
 
         // Piece transfers.
-        let occupied: Vec<_> = state.occupied_types().collect();
-        for &(c, _) in &occupied {
+        for (c, _) in state.occupied_types() {
             if c == full {
                 continue;
             }
             for piece in full.difference(c).iter() {
-                let rate = transfer_rate(&self.params, state, c, piece);
-                if rate <= 0.0 {
-                    continue;
-                }
-                let target_type = c.with(piece);
-                let mut next = state.clone();
-                if target_type == full && !gamma_finite {
-                    // Completion is an immediate departure when γ = ∞.
-                    next.remove_peer(c);
+                let rate = transfer_rate_among(&self.params, state, n, c, piece);
+                let target = c.with(piece);
+                // Completion is an immediate departure when γ = ∞.
+                let jump = if target == full && !gamma_finite {
+                    Jump::Depart(c)
                 } else {
-                    next.move_peer(c, target_type);
-                }
-                out.push((next, rate));
+                    Jump::Move(c, target)
+                };
+                push(jump, rate);
             }
         }
+    }
+}
+
+/// One jump of the swarm chain.
+#[derive(Debug, Clone, Copy)]
+enum Jump {
+    /// A type-`C` peer arrives.
+    Arrive(PieceSet),
+    /// A type-`C` peer leaves: a peer seed departing or, when `γ = ∞`, a
+    /// peer completing its collection.
+    Depart(PieceSet),
+    /// A type-`C` peer downloads a piece and becomes a type-`C ∪ {i}` peer.
+    Move(PieceSet, PieceSet),
+}
+
+impl Jump {
+    /// Applies the jump to `state` in place.
+    fn apply(self, state: &mut SwarmState) {
+        match self {
+            Jump::Arrive(c) => state.add_peer(c),
+            Jump::Depart(c) => state.remove_peer(c),
+            Jump::Move(from, to) => state.move_peer(from, to),
+        }
+    }
+}
+
+impl Ctmc for SwarmModel {
+    type State = SwarmState;
+
+    fn transitions(&self, state: &SwarmState, out: &mut Vec<(SwarmState, f64)>) {
+        let mut jumps = Vec::new();
+        self.jumps(state, state.total_peers(), &mut jumps);
+        out.extend(jumps.into_iter().map(|(jump, rate)| {
+            let mut next = state.clone();
+            jump.apply(&mut next);
+            (next, rate)
+        }));
     }
 }
 

@@ -32,10 +32,24 @@ pub enum MuInfinityState {
 
 /// The `µ = ∞` watched process for a `K`-piece symmetric flat network with
 /// per-piece arrival rate `λ`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq)]
 pub struct MuInfinityProcess {
     num_pieces: usize,
     lambda: f64,
+    /// `z_pmf(z)` for `z < MAX_Z_SUPPORT`, the part of the law of `Z` the
+    /// generator enumerates, computed once instead of on every top-layer
+    /// jump.
+    z_table: Vec<f64>,
+}
+
+impl core::fmt::Debug for MuInfinityProcess {
+    // The table is derived from `K`, so it is left out.
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("MuInfinityProcess")
+            .field("num_pieces", &self.num_pieces)
+            .field("lambda", &self.lambda)
+            .finish()
+    }
 }
 
 impl MuInfinityProcess {
@@ -56,7 +70,13 @@ impl MuInfinityProcess {
                 "λ = {lambda} must be finite and positive"
             )));
         }
-        Ok(MuInfinityProcess { num_pieces, lambda })
+        let mut process = MuInfinityProcess {
+            num_pieces,
+            lambda,
+            z_table: Vec::new(),
+        };
+        process.z_table = (0..MAX_Z_SUPPORT).map(|z| process.z_pmf(z)).collect();
+        Ok(process)
     }
 
     /// Number of pieces `K`.
@@ -169,8 +189,7 @@ impl Ctmc for MuInfinityProcess {
                 // Arrival holding the missing piece: resolve the coin-flip
                 // exchange. Departing old peers: Z ≤ n−1 → (n − Z, K−1).
                 let mut remaining = 1.0;
-                for z in 0..n.min(MAX_Z_SUPPORT) {
-                    let p = self.z_pmf(z);
+                for (z, &p) in (0..n).zip(&self.z_table) {
                     remaining -= p;
                     out.push((
                         MuInfinityState::Uniform {
@@ -307,6 +326,51 @@ mod tests {
             });
             assert!((rate - 4.5).abs() < 1e-9, "n = {n}: rate {rate}");
         }
+    }
+
+    #[test]
+    fn top_layer_rates_read_the_law_of_z_exactly() {
+        // The tabulated law must give the rates a fresh `z_pmf` gives, bit
+        // for bit, below, at and beyond the enumeration cap.
+        for (k, lambda) in [(3, 1.0), (5, 1.5)] {
+            let p = MuInfinityProcess::new(k, lambda).unwrap();
+            for n in [1u64, 2, 3, 511, 512, 513, 5000] {
+                let mut out = Vec::new();
+                p.transitions(
+                    &MuInfinityState::Uniform {
+                        peers: n,
+                        pieces: k - 1,
+                    },
+                    &mut out,
+                );
+                let departures = n.min(MAX_Z_SUPPORT);
+                assert!(out.len() > departures as usize, "K = {k}, n = {n}");
+                for z in 0..departures {
+                    let (target, rate) = out[1 + z as usize];
+                    assert_eq!(
+                        target,
+                        MuInfinityState::Uniform {
+                            peers: n - z,
+                            pieces: k - 1,
+                        }
+                    );
+                    assert_eq!(
+                        rate.to_bits(),
+                        (lambda * p.z_pmf(z)).to_bits(),
+                        "K = {k}, n = {n}, z = {z}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn debug_output_leaves_the_table_out() {
+        let p = MuInfinityProcess::new(3, 2.0).unwrap();
+        assert_eq!(
+            format!("{p:?}"),
+            "MuInfinityProcess { num_pieces: 3, lambda: 2.0 }"
+        );
     }
 
     #[test]

@@ -18,10 +18,22 @@ use pieceset::{PieceId, PieceSet};
 /// could offer.
 #[must_use]
 pub fn transfer_rate(params: &SwarmParams, state: &SwarmState, c: PieceSet, piece: PieceId) -> f64 {
+    transfer_rate_among(params, state, state.total_peers(), c, piece)
+}
+
+/// [`transfer_rate`] for a caller that already knows the population
+/// `n = state.total_peers()`, such as the swarm chain's jump enumeration,
+/// which counts it once per jump rather than once per rate.
+pub(crate) fn transfer_rate_among(
+    params: &SwarmParams,
+    state: &SwarmState,
+    n: u64,
+    c: PieceSet,
+    piece: PieceId,
+) -> f64 {
     if c.contains(piece) {
         return 0.0;
     }
-    let n = state.total_peers();
     if n == 0 {
         return 0.0;
     }

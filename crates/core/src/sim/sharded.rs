@@ -177,8 +177,9 @@ impl AgentSwarm {
         if self.config.kernel != KernelKind::Turbo {
             return Err(SwarmError::InvalidParameter(format!(
                 "sharded execution requires the turbo kernel (got {:?}); the \
-                 parity kernels are pinned to a draw sequence sharding cannot \
-                 preserve and the coded kernels are not sharded yet",
+                 scan reference kernel is pinned to its own draw sequence, \
+                 which sharding cannot preserve, and the coded kernels are \
+                 not sharded yet",
                 self.config.kernel
             )));
         }

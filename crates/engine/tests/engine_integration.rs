@@ -3,13 +3,16 @@
 //! across commits, √n confidence-interval shrinkage, and agreement with the
 //! Theorem 1 classifier.
 
+use engine::rng::replication_rng;
 use engine::{
     artifact, Axis, EngineConfig, GridSpec, PhaseDiagram, ReplicationRecord, ReplicationSink,
     Scenario, ScenarioOutcome, Session, Workload,
 };
+use markov::gillespie::{Simulator, StopRule};
 use markov::PathClass;
+use swarm::mu_infinity::{MuInfinityProcess, MuInfinityState};
 use swarm::sim::KernelKind;
-use swarm::{stability, StabilityVerdict, SwarmParams};
+use swarm::{stability, StabilityVerdict, SwarmModel, SwarmParams};
 use workload::experiments::{self, ExperimentConfig, EXAMPLE1_LOADS};
 use workload::{scenario, Registry, ScenarioRunOptions};
 
@@ -194,8 +197,7 @@ fn golden_master_holds_across_commits() {
         "CTMC classes (stable, near-boundary, transient)"
     );
 
-    // E1 and E5 at the experiments tests' `tiny()` budget, E1's points also
-    // through the engine exactly as E1 builds them.
+    // The experiments tests' `tiny()` budget.
     let tiny = ExperimentConfig {
         horizon: 150.0,
         seed: 42,
@@ -203,6 +205,54 @@ fn golden_master_holds_across_commits() {
         replications: 1,
         progress: false,
     };
+
+    // The exact CTMC's streams themselves, which a class can survive: E6's
+    // five points (jumps, final peer count) and E9's µ = ∞ run (jumps,
+    // maximum population) at the same budget, each on the stream E6 and E9
+    // key it to.
+    let e6: Vec<(usize, u64)> = [0.5, 0.8, 0.95, 1.5, 3.0]
+        .iter()
+        .enumerate()
+        .map(|(i, &ratio)| {
+            let params = scenario::one_extra_piece(3, 20.0, ratio).expect("valid point");
+            let model = SwarmModel::new(params);
+            let mut rng = replication_rng(tiny.seed, i as u64, 0);
+            let path = model.simulate_peer_count(model.empty_state(), tiny.horizon, &mut rng);
+            // The initial point, one point per jump, and the closing point.
+            (path.len() - 2, path.last_value() as u64)
+        })
+        .collect();
+    assert_eq!(
+        e6,
+        [
+            (15022, 134),
+            (14462, 123),
+            (8568, 2857),
+            (8998, 3002),
+            (12443, 1170),
+        ],
+        "E6 CTMC paths (jumps, final peer count)"
+    );
+    let process = MuInfinityProcess::new(3, 1.0).expect("valid process");
+    let mut rng = replication_rng(tiny.seed, 0xE9, 0);
+    let run = Simulator::new(&process)
+        .observe(|s| match s {
+            MuInfinityState::Empty => 0.0,
+            MuInfinityState::Uniform { peers, .. } => *peers as f64,
+        })
+        .run(
+            MuInfinityState::Empty,
+            StopRule::time_or_events(tiny.horizon * 50.0, 2_000_000),
+            &mut rng,
+        );
+    assert_eq!(
+        (run.events, run.path.max_value() as u64),
+        (20581, 420),
+        "E9 µ = ∞ run (jumps, maximum population)"
+    );
+
+    // E1 and E5 at the experiments tests' `tiny()` budget, E1's points also
+    // through the engine exactly as E1 builds them.
     let e1_points: Vec<Scenario> = EXAMPLE1_LOADS
         .iter()
         .enumerate()

@@ -161,6 +161,10 @@ fn a_sharded_non_turbo_scenario_is_rejected_at_build_time() {
         message.contains("turbo"),
         "the error names the kernel constraint: {message}"
     );
+    assert!(
+        message.contains("scan reference kernel") && !message.contains("parity"),
+        "the error names the scan kernel, not the deleted parity kernels: {message}"
+    );
 }
 
 #[test]

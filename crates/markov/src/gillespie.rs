@@ -1,6 +1,6 @@
 //! Exact-jump (Gillespie) simulation of a [`Ctmc`].
 
-use crate::poisson::{sample_exp, sample_weighted_index};
+use crate::poisson::{sample_exp, sample_weighted_index_by};
 use crate::Ctmc;
 use rand::Rng;
 
@@ -138,7 +138,6 @@ impl<'a, M: Ctmc> Simulator<'a, M> {
         let mut events: u64 = 0;
         let mut path = crate::path::ScalarPath::new(0.0, (self.observable)(&state));
         let mut buf: Vec<(M::State, f64)> = Vec::new();
-        let mut weights: Vec<f64> = Vec::new();
         let stop_reason;
 
         loop {
@@ -165,9 +164,8 @@ impl<'a, M: Ctmc> Simulator<'a, M> {
                 break;
             }
             t += dt;
-            weights.clear();
-            weights.extend(buf.iter().map(|(_, r)| *r));
-            let idx = sample_weighted_index(rng, &weights).expect("total rate positive");
+            let idx = sample_weighted_index_by(rng, total, &buf, |(_, r)| *r)
+                .expect("total rate positive");
             state = buf.swap_remove(idx).0;
             events += 1;
             if events.is_multiple_of(self.record_every) {

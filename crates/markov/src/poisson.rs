@@ -177,8 +177,27 @@ pub fn sample_weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> O
     if total.is_nan() || total <= 0.0 {
         return None;
     }
+    sample_weighted_index_by(rng, total, weights, |&w| w)
+}
+
+/// The walk behind [`sample_weighted_index`], for a caller that has already
+/// summed the weights: `items[i]` weighs `weight(&items[i])`, and `total`
+/// must be their positive left-to-right sum.
+///
+/// Consumes one uniform draw, scales it by `total` and walks the items in
+/// order, skipping zero weights. If rounding carries the walk past the end,
+/// the last positive-weight index is returned; `None` only if no weight is
+/// positive. On the same stream it returns exactly what
+/// [`sample_weighted_index`] returns for the same weights.
+pub fn sample_weighted_index_by<T, R: Rng + ?Sized>(
+    rng: &mut R,
+    total: f64,
+    items: &[T],
+    weight: impl Fn(&T) -> f64,
+) -> Option<usize> {
     let mut target = rng.gen::<f64>() * total;
-    for (i, &w) in weights.iter().enumerate() {
+    for (i, item) in items.iter().enumerate() {
+        let w = weight(item);
         if w <= 0.0 {
             continue;
         }
@@ -188,7 +207,7 @@ pub fn sample_weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> O
         target -= w;
     }
     // Floating-point slack: return the last positive-weight index.
-    weights.iter().rposition(|&w| w > 0.0)
+    items.iter().rposition(|item| weight(item) > 0.0)
 }
 
 #[cfg(test)]
@@ -290,6 +309,28 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         assert_eq!(sample_weighted_index(&mut rng, &[0.0, 0.0]), None);
         assert_eq!(sample_weighted_index(&mut rng, &[]), None);
+    }
+
+    #[test]
+    fn walk_over_summed_items_matches_the_weight_slice_walk() {
+        // The same draws pick the same indices whether the walk reads a
+        // weight slice or `(item, weight)` pairs with their total supplied.
+        let weights = [0.5, 0.0, 2.5, 1.0, 0.0, 0.25];
+        let pairs: Vec<(char, f64)> = weights.iter().map(|&w| ('x', w)).collect();
+        let total: f64 = weights.iter().sum();
+        let mut a = StdRng::seed_from_u64(12);
+        let mut b = StdRng::seed_from_u64(12);
+        for _ in 0..20_000 {
+            assert_eq!(
+                sample_weighted_index_by(&mut a, total, &pairs, |(_, w)| *w),
+                sample_weighted_index(&mut b, &weights)
+            );
+        }
+        // A total rounded above the weights' sum lands on the last positive
+        // weight, not on the trailing zero.
+        let mut rng = StdRng::seed_from_u64(13);
+        let slack = sample_weighted_index_by(&mut rng, 1e300, &pairs, |(_, w)| *w);
+        assert_eq!(slack, Some(5));
     }
 
     #[test]

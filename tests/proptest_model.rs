@@ -1,16 +1,18 @@
 //! Property-based integration tests on the model invariants, spanning the
 //! `pieceset`, `markov`, and `swarm` crates.
 
+use p2p_stability::markov::gillespie::{Simulator, StopRule};
 use p2p_stability::markov::Ctmc;
 use p2p_stability::pieceset::{PieceId, PieceSet, TypeSpace};
-use p2p_stability::swarm::{stability, SwarmModel, SwarmParams, SwarmState};
+use p2p_stability::swarm::{rates, stability, SwarmModel, SwarmParams, SwarmState};
 use proptest::prelude::*;
+use rand::{RngCore, SeedableRng};
 
 /// Random but valid parameters for a small file.
 fn arb_params() -> impl Strategy<Value = SwarmParams> {
     (
         1usize..=4,                                      // K
-        0.0f64..3.0,                                     // U_s
+        prop_oneof![Just(0.0), (0.0f64..3.0)],           // U_s
         0.1f64..3.0,                                     // µ
         prop_oneof![Just(f64::INFINITY), (0.2f64..5.0)], // γ
         0.05f64..4.0,                                    // λ_∅
@@ -42,6 +44,60 @@ fn arb_state(k: usize) -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(0u32..6, 1 << k)
 }
 
+/// The state holding `raw[bits]` peers of each type, except that `γ = ∞`
+/// states never hold full-collection peers.
+fn state_from(params: &SwarmParams, raw: &[u32]) -> SwarmState {
+    let space = TypeSpace::new(params.num_pieces()).unwrap();
+    let mut state = SwarmState::empty(&space);
+    for (bits, count) in raw.iter().enumerate().take(space.num_types()) {
+        let c = PieceSet::from_bits(bits as u64);
+        if params.departs_immediately() && c == params.full_type() {
+            continue;
+        }
+        state.set_count(c, *count);
+    }
+    state
+}
+
+/// The Section III generator row of `state`, written out from the eq. (1)
+/// rate function, `γ·x_F` and `λ_C`, in the order the chain enumerates its
+/// jumps: arrivals, the peer-seed departure, then transfers by ascending
+/// type and ascending missing piece, keeping positive rates only.
+fn eq1_row(params: &SwarmParams, state: &SwarmState) -> Vec<(SwarmState, f64)> {
+    let full = params.full_type();
+    let mut row = Vec::new();
+    for (c, _) in params.arrivals() {
+        let mut next = state.clone();
+        next.add_peer(c);
+        row.push((next, params.arrival_rate(c)));
+    }
+    let seeds = state.count(full);
+    if !params.departs_immediately() && seeds > 0 {
+        let mut next = state.clone();
+        next.remove_peer(full);
+        row.push((next, params.seed_departure_rate() * f64::from(seeds)));
+    }
+    for (c, _) in state.occupied_types().filter(|&(c, _)| c != full) {
+        for piece in full.difference(c).iter() {
+            let rate = rates::transfer_rate(params, state, c, piece);
+            if rate > 0.0 {
+                let mut next = state.clone();
+                if c.with(piece) == full && params.departs_immediately() {
+                    next.remove_peer(c);
+                } else {
+                    next.move_peer(c, c.with(piece));
+                }
+                row.push((next, rate));
+            }
+        }
+    }
+    row
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -49,16 +105,7 @@ proptest! {
     fn generator_rows_are_well_formed(params in arb_params(), raw in arb_state(4), seed in any::<u64>()) {
         let _ = seed;
         let model = SwarmModel::new(params.clone());
-        let space = TypeSpace::new(params.num_pieces()).unwrap();
-        let mut state = SwarmState::empty(&space);
-        for (bits, count) in raw.iter().enumerate().take(space.num_types()) {
-            let c = PieceSet::from_bits(bits as u64);
-            // γ = ∞ states never hold full-collection peers.
-            if params.departs_immediately() && c == params.full_type() {
-                continue;
-            }
-            state.set_count(c, *count);
-        }
+        let state = state_from(&params, &raw);
         let n = state.total_peers();
         let mut out = Vec::new();
         model.transitions(&state, &mut out);
@@ -82,6 +129,58 @@ proptest! {
             + gamma_term
             + 1e-9;
         prop_assert!(total_rate <= bound, "total rate {total_rate} exceeds bound {bound}");
+    }
+
+    #[test]
+    fn generator_rows_are_eq1_bit_for_bit(params in arb_params(), raw in arb_state(4), club in 1u32..40) {
+        // Every jump the chain enumerates carries the eq. (1) rate, γ·x_F or
+        // λ_C to the last bit, in the documented order, and no other jump
+        // has a positive rate. (A one club with U_s = 0 has zero-rate
+        // transfers, which must not appear.)
+        let model = SwarmModel::new(params.clone());
+        let club = model.one_club_state(PieceId::new(0), club);
+        for state in [model.empty_state(), state_from(&params, &raw), club] {
+            let mut row = Vec::new();
+            model.transitions(&state, &mut row);
+            let expected = eq1_row(&params, &state);
+            prop_assert_eq!(row.len(), expected.len(), "state {:?}", state);
+            for ((next, rate), (want, want_rate)) in row.iter().zip(&expected) {
+                prop_assert_eq!(next, want);
+                prop_assert_eq!(rate.to_bits(), want_rate.to_bits(), "{} vs {}", rate, want_rate);
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_stepping_matches_the_generic_loop_bit_for_bit(
+        params in arb_params(),
+        raw in arb_state(4),
+        start in 0u32..3,
+        club in 1u32..40,
+        horizon in 0.0f64..50.0,
+        seed in any::<u64>()
+    ) {
+        // `simulate_peer_count` steps one state in place; the generic
+        // Gillespie loop clones a state per candidate jump. From the same
+        // stream they must draw the same numbers and record the same path.
+        let model = SwarmModel::new(params.clone());
+        let initial = match start {
+            0 => model.empty_state(),
+            1 => state_from(&params, &raw),
+            _ => model.one_club_state(PieceId::new(0), club),
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let in_place = model.simulate_peer_count(initial.clone(), horizon, &mut rng);
+        let mut reference_rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let reference = Simulator::new(&model)
+            .observe(|s: &SwarmState| s.total_peers() as f64)
+            .run(initial, StopRule::at_time(horizon), &mut reference_rng)
+            .path;
+        prop_assert_eq!(bits(in_place.times()), bits(reference.times()));
+        prop_assert_eq!(bits(in_place.values()), bits(reference.values()));
+        prop_assert_eq!(in_place.end_time().to_bits(), reference.end_time().to_bits());
+        // Both consumed the same number of draws.
+        prop_assert_eq!(rng.next_u64(), reference_rng.next_u64());
     }
 
     #[test]
