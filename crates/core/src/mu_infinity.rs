@@ -12,7 +12,10 @@
 //! null recurrent — the borderline case Theorem 1 leaves open.
 
 use crate::SwarmError;
-use markov::Ctmc;
+use markov::gillespie::{SimulatorRun, StopReason, StopRule};
+use markov::poisson::{sample_exp, sample_weighted_index_of};
+use markov::{Ctmc, SamplePath};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A state of the watched process: `Empty` is `(0,0)`; `Uniform { peers, pieces }`
@@ -30,6 +33,17 @@ pub enum MuInfinityState {
     },
 }
 
+impl MuInfinityState {
+    /// The number of peers: 0 for `Empty`.
+    #[must_use]
+    pub fn peers(&self) -> u64 {
+        match self {
+            MuInfinityState::Empty => 0,
+            MuInfinityState::Uniform { peers, .. } => *peers,
+        }
+    }
+}
+
 /// The `µ = ∞` watched process for a `K`-piece symmetric flat network with
 /// per-piece arrival rate `λ`.
 #[derive(Clone, PartialEq)]
@@ -40,10 +54,15 @@ pub struct MuInfinityProcess {
     /// generator enumerates, computed once instead of on every top-layer
     /// jump.
     z_table: Vec<f64>,
+    /// Entry `m ≤ MAX_Z_SUPPORT`: the left-to-right sum of the first `m`
+    /// top-layer rate slots (see [`MuInfinityProcess::top_rate`]), and
+    /// `1 − p_0 − … − p_{m−1}` subtracted in the generator's order. The
+    /// top-layer state `(n, K−1)` reads entry `min(n, MAX_Z_SUPPORT)`.
+    top_sums: Vec<(f64, f64)>,
 }
 
 impl core::fmt::Debug for MuInfinityProcess {
-    // The table is derived from `K`, so it is left out.
+    // The tables are derived from `K` and `λ`, so they are left out.
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("MuInfinityProcess")
             .field("num_pieces", &self.num_pieces)
@@ -74,8 +93,16 @@ impl MuInfinityProcess {
             num_pieces,
             lambda,
             z_table: Vec::new(),
+            top_sums: Vec::new(),
         };
         process.z_table = (0..MAX_Z_SUPPORT).map(|z| process.z_pmf(z)).collect();
+        let (mut total, mut remaining) = (0.0, 1.0);
+        process.top_sums.push((total, remaining));
+        for (z, p) in process.z_table.iter().enumerate() {
+            total += process.top_rate(z);
+            remaining -= p;
+            process.top_sums.push((total, remaining));
+        }
         Ok(process)
     }
 
@@ -118,6 +145,153 @@ impl MuInfinityProcess {
             return 0.0;
         }
         binomial(n - 1 + t as u64, t as u64) * 0.5_f64.powi((n + t as u64) as i32)
+    }
+
+    /// Simulates the process from `initial` until `stop` triggers, with the
+    /// peer count observed.
+    ///
+    /// This is `markov::Simulator::new(self)` observing
+    /// [`MuInfinityState::peers`] and run with `stop`, draw for draw and
+    /// point for point, but a top-layer jump no longer lists its up to 513
+    /// candidates: the total rate is read from sums tabulated in
+    /// [`MuInfinityProcess::new`], and the walk reads the law of `Z` only as
+    /// far as the draw reaches.
+    pub fn simulate_peer_count<R: Rng + ?Sized>(
+        &self,
+        initial: MuInfinityState,
+        stop: StopRule,
+        rng: &mut R,
+    ) -> SimulatorRun<MuInfinityState> {
+        let top = self.num_pieces - 1;
+        let mut state = initial;
+        let mut t = 0.0;
+        let mut events: u64 = 0;
+        let mut path = SamplePath::new(0.0, state.peers() as f64);
+        // The jumps that are not tabulated: every jump below the top layer,
+        // and the takeover block on it.
+        let mut listed = Vec::new();
+        let stop_reason = loop {
+            if t >= stop.max_time {
+                break StopReason::TimeHorizon;
+            }
+            if events >= stop.max_events {
+                break StopReason::EventBudget;
+            }
+            listed.clear();
+            // A top-layer state's first `tabled` jumps are its rate slots.
+            let tabled = match state {
+                MuInfinityState::Uniform { peers, pieces } if pieces == top => {
+                    let tabled = peers.min(MAX_Z_SUPPORT) as usize;
+                    let remaining = self.top_sums[tabled].1;
+                    if remaining > 1e-15 {
+                        self.push_takeover(peers, remaining, &mut listed);
+                    }
+                    tabled
+                }
+                _ => {
+                    self.transitions(&state, &mut listed);
+                    0
+                }
+            };
+            listed.retain(|(s, r)| *r > 0.0 && *s != state);
+            if tabled == 0 && listed.is_empty() {
+                break StopReason::Absorbed;
+            }
+            let total = listed
+                .iter()
+                .fold(self.top_sums[tabled].0, |sum, (_, r)| sum + r);
+            let dt = sample_exp(rng, total);
+            if t + dt > stop.max_time {
+                t = stop.max_time;
+                break StopReason::TimeHorizon;
+            }
+            t += dt;
+            let rates = (0..tabled)
+                .map(|z| self.top_rate(z))
+                .chain(listed.iter().map(|(_, r)| *r));
+            // simlint: allow(E001, "total > 0 here: sample_exp just asserted it, and a positive sum has a positive term")
+            let picked = sample_weighted_index_of(rng, total, rates).expect("total rate positive");
+            state = match picked {
+                z if z >= tabled => listed[z - tabled].0,
+                0 => MuInfinityState::Uniform {
+                    peers: state.peers() + 1,
+                    pieces: top,
+                },
+                z => MuInfinityState::Uniform {
+                    peers: state.peers() - z as u64,
+                    pieces: top,
+                },
+            };
+            events += 1;
+            path.record(t, state.peers() as f64);
+        };
+        let final_time = t.min(stop.max_time);
+        path.record(
+            final_time.max(path.times().last().copied().unwrap_or(0.0)),
+            state.peers() as f64,
+        );
+        path.finish(final_time.max(path.end_time()));
+        SimulatorRun {
+            final_state: state,
+            final_time,
+            events,
+            stop_reason,
+            path,
+        }
+    }
+
+    /// Rate slot `z` of a top-layer state `(n, K−1)` with `z < min(n, 512)`,
+    /// as the exact-jump loop keeps it after [`Ctmc::transitions`]: slot 0
+    /// is the arrival that keeps the club, `(K−1)λ`, because `Z = 0` is a
+    /// self-loop; slot `z ≥ 1` is the departure of `z` old peers, `λ·p_z`,
+    /// or 0 where the loop would drop that rate as not positive.
+    fn top_rate(&self, z: usize) -> f64 {
+        let rate = if z == 0 {
+            (self.num_pieces - 1) as f64 * self.lambda
+        } else {
+            self.lambda * self.z_table[z]
+        };
+        if rate > 0.0 {
+            rate
+        } else {
+            0.0
+        }
+    }
+
+    /// Appends the takeover jumps out of the top-layer state `(n, K−1)`,
+    /// where the old population is wiped out (`Z ≥ n`, or beyond the
+    /// enumeration cap) with probability `remaining`, so that their rates
+    /// sum to `λ · remaining`.
+    fn push_takeover(&self, n: u64, remaining: f64, out: &mut Vec<(MuInfinityState, f64)>) {
+        let start = out.len();
+        let mut takeover_total = 0.0;
+        for t in 0..=(self.num_pieces - 2) {
+            let p = self.takeover_pmf(n, t);
+            takeover_total += p;
+            out.push((
+                MuInfinityState::Uniform {
+                    peers: 1,
+                    pieces: 1 + t,
+                },
+                p,
+            ));
+        }
+        if takeover_total > 0.0 {
+            for (_, rate) in &mut out[start..] {
+                // Normalise within the takeover block so the total
+                // transition rate is exactly λ · remaining.
+                *rate = self.lambda * remaining * *rate / takeover_total;
+            }
+        } else {
+            out.truncate(start);
+            out.push((
+                MuInfinityState::Uniform {
+                    peers: 1,
+                    pieces: 1,
+                },
+                self.lambda * remaining,
+            ));
+        }
     }
 }
 
@@ -202,34 +376,7 @@ impl Ctmc for MuInfinityProcess {
                 // Z ≥ n (or beyond the enumeration cap): the old population is
                 // wiped out and the newcomer remains alone with 1 + t pieces.
                 if remaining > 1e-15 {
-                    let mut takeover_total = 0.0;
-                    let mut takeover = Vec::with_capacity(k - 1);
-                    for t in 0..=(k - 2) {
-                        let p = self.takeover_pmf(n, t);
-                        takeover_total += p;
-                        takeover.push(p);
-                    }
-                    if takeover_total > 0.0 {
-                        for (t, p) in takeover.into_iter().enumerate() {
-                            // Normalise within the takeover block so the total
-                            // transition rate is exactly λ · remaining.
-                            out.push((
-                                MuInfinityState::Uniform {
-                                    peers: 1,
-                                    pieces: 1 + t,
-                                },
-                                lambda * remaining * p / takeover_total,
-                            ));
-                        }
-                    } else {
-                        out.push((
-                            MuInfinityState::Uniform {
-                                peers: 1,
-                                pieces: 1,
-                            },
-                            lambda * remaining,
-                        ));
-                    }
+                    self.push_takeover(n, remaining, out);
                 }
             }
         }
@@ -242,13 +389,6 @@ mod tests {
     use markov::gillespie::{Simulator, StopRule};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn peers_of(state: &MuInfinityState) -> u64 {
-        match state {
-            MuInfinityState::Empty => 0,
-            MuInfinityState::Uniform { peers, .. } => *peers,
-        }
-    }
 
     #[test]
     fn construction_validation() {
@@ -383,7 +523,7 @@ mod tests {
             peers: n,
             pieces: 3,
         };
-        let drift = markov::drift::drift(&p, &state, |s| peers_of(s) as f64);
+        let drift = markov::drift::drift(&p, &state, |s| s.peers() as f64);
         assert!(drift.abs() < 1e-6, "drift {drift}");
     }
 
@@ -408,7 +548,7 @@ mod tests {
         // populations, yet its running maximum keeps growing.
         let p = MuInfinityProcess::new(3, 1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        let sim = Simulator::new(&p).observe(|s| peers_of(s) as f64);
+        let sim = Simulator::new(&p).observe(|s| s.peers() as f64);
         let run = sim.run(
             MuInfinityState::Empty,
             StopRule::time_or_events(200_000.0, 2_000_000),

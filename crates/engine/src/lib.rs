@@ -41,6 +41,8 @@
 //! Parallelism is data parallelism over the flat `(scenario, replication)`
 //! task list with in-order result delivery behind a bounded reorder
 //! window; the worker count only changes the schedule, never the numbers.
+//! [`ordered_map`] puts the same scheduler behind a plain map over a list,
+//! for work that is not a replication batch.
 //!
 //! # Example
 //!
@@ -104,7 +106,7 @@ pub use replicate::{
 };
 pub use rng::{derive_seed, replication_rng};
 pub use session::{
-    NullSink, ReplicationFailure, ReplicationRecord, ReplicationSink, Session, SessionBuilder,
-    SessionOutput, StreamPlan, StreamStats, Workload,
+    ordered_map, NullSink, ReplicationFailure, ReplicationRecord, ReplicationSink, Session,
+    SessionBuilder, SessionOutput, StreamPlan, StreamStats, Workload,
 };
 pub use stats::{Estimate, Welford};

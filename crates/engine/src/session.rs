@@ -1477,6 +1477,41 @@ fn lock_clean<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Maps `task` over `items` on `jobs` workers (`0` = one per core) and
+/// returns the results in item order, whatever order the workers finish
+/// in. This is the scheduler behind every [`Session`], for work that is
+/// not a replication batch, such as a report's demo trajectories.
+///
+/// Workers take the next item off an atomic counter; no more workers start
+/// than there are items, and one worker runs the tasks inline on the
+/// calling thread. If a task panics, the other workers stop taking items
+/// and the first panic is re-raised on the calling thread with its own
+/// payload.
+///
+/// ```
+/// let squares = engine::ordered_map(2, &[1u64, 2, 3], |&x| x * x);
+/// assert_eq!(squares, [1, 4, 9]);
+/// ```
+pub fn ordered_map<I, T, F>(jobs: usize, items: &[I], task: F) -> Vec<T>
+where
+    I: Sync,
+    T: Send,
+    F: Fn(&I) -> T + Sync,
+{
+    let jobs = effective_jobs(jobs);
+    let mut results = Vec::with_capacity(items.len());
+    run_ordered(
+        0,
+        items.len(),
+        jobs,
+        reorder_window(jobs),
+        || (),
+        |index, (): &mut ()| task(&items[index]),
+        |_, value| results.push(value),
+    );
+    results
+}
+
 /// Runs indexed tasks `start..total` over `jobs` workers, delivering each
 /// result through `deliver` in strict index order, and returns the
 /// scheduler's self-observation (reorder high-water mark, per-worker load,
@@ -1770,5 +1805,63 @@ mod tests {
         );
         assert_eq!(delivered, 64);
         assert!(contexts.load(Ordering::Relaxed) <= 4);
+    }
+
+    #[test]
+    fn ordered_map_returns_results_in_item_order_with_uneven_task_costs() {
+        let items: Vec<u64> = (0..23).collect();
+        for jobs in [0usize, 1, 2, 7] {
+            // With two or more workers, item 0 waits until every other item
+            // has finished, so it completes last.
+            let finished = (Mutex::new(0usize), Condvar::new());
+            let results = ordered_map(jobs, &items, |&i| {
+                let (count, changed) = &finished;
+                if i == 0 && jobs >= 2 {
+                    let mut count = count.lock().unwrap();
+                    while *count < items.len() - 1 {
+                        count = changed.wait(count).unwrap();
+                    }
+                }
+                let spins = (23 - i) % 6 * 20_000;
+                let value = (0..spins).fold(i * 10, |acc, k| std::hint::black_box(acc ^ k) ^ k);
+                if i != 0 {
+                    *count.lock().unwrap() += 1;
+                    changed.notify_all();
+                }
+                value
+            });
+            let expected: Vec<u64> = items.iter().map(|i| i * 10).collect();
+            assert_eq!(results, expected, "jobs = {jobs}");
+        }
+    }
+
+    #[test]
+    fn ordered_map_of_no_items_is_empty() {
+        let calls = AtomicU64::new(0);
+        let results = ordered_map(4, &[] as &[u32], |&x| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            x
+        });
+        assert!(results.is_empty());
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn ordered_map_re_raises_a_panicking_task_with_its_own_payload() {
+        let items: Vec<u32> = (0..8).collect();
+        for jobs in [1usize, 2, 3] {
+            let payload = std::panic::catch_unwind(|| {
+                ordered_map(jobs, &items, |&i| {
+                    assert!(i != 5, "demo run 5 failed");
+                    i
+                })
+            })
+            .expect_err("task 5 panics");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied());
+            assert_eq!(message, Some("demo run 5 failed"), "jobs = {jobs}");
+        }
     }
 }

@@ -8,7 +8,7 @@ use engine::{
     artifact, Axis, EngineConfig, GridSpec, PhaseDiagram, ReplicationRecord, ReplicationSink,
     Scenario, ScenarioOutcome, Session, Workload,
 };
-use markov::gillespie::{Simulator, StopRule};
+use markov::gillespie::StopRule;
 use markov::PathClass;
 use swarm::mu_infinity::{MuInfinityProcess, MuInfinityState};
 use swarm::sim::KernelKind;
@@ -154,6 +154,38 @@ fn flash_crowd_replications(kernel: KernelKind) -> Vec<(u64, u64, PathClass)> {
         .collect()
 }
 
+/// What the E-reports print of their demo runs at `config`, integers and
+/// classes only: every column of E4's two group tables but time, E7's
+/// eight classes (stable point, transient point, per policy) with each
+/// policy's onset time (a snapshot-grid time `i · 5`, as exact as a
+/// count), E8's four departure counts, and E12's unsuccessful contacts and
+/// transfers.
+fn demo_run_pins(config: &ExperimentConfig) -> [Vec<String>; 4] {
+    fn columns(table: &workload::Table, picked: &[usize]) -> Vec<String> {
+        table
+            .rows()
+            .iter()
+            .map(|row| {
+                let cells: Vec<&str> = picked.iter().map(|&c| row[c].as_str()).collect();
+                cells.join(" ")
+            })
+            .collect()
+    }
+    let e4 = experiments::one_club_growth(config);
+    [
+        e4.tables
+            .iter()
+            .flat_map(|t| columns(t, &[1, 2, 3, 4, 5, 6, 7, 8]))
+            .collect(),
+        columns(
+            &experiments::policy_insensitivity(config).tables[0],
+            &[1, 2, 3],
+        ),
+        columns(&experiments::network_coding(config).tables[1], &[4]),
+        columns(&experiments::faster_retry(config).tables[0], &[4, 5]),
+    ]
+}
+
 #[test]
 fn golden_master_holds_across_commits() {
     // Every other determinism check compares two runs of one build; these
@@ -235,16 +267,11 @@ fn golden_master_holds_across_commits() {
     );
     let process = MuInfinityProcess::new(3, 1.0).expect("valid process");
     let mut rng = replication_rng(tiny.seed, 0xE9, 0);
-    let run = Simulator::new(&process)
-        .observe(|s| match s {
-            MuInfinityState::Empty => 0.0,
-            MuInfinityState::Uniform { peers, .. } => *peers as f64,
-        })
-        .run(
-            MuInfinityState::Empty,
-            StopRule::time_or_events(tiny.horizon * 50.0, 2_000_000),
-            &mut rng,
-        );
+    let run = process.simulate_peer_count(
+        MuInfinityState::Empty,
+        StopRule::time_or_events(tiny.horizon * 50.0, 2_000_000),
+        &mut rng,
+    );
     assert_eq!(
         (run.events, run.path.max_value() as u64),
         (20581, 420),
@@ -318,6 +345,63 @@ fn golden_master_holds_across_commits() {
     );
     let note = "region map: 28 of 30 cells agree with Theorem 1 (2 mismatches)";
     assert!(e5.notes.iter().any(|n| n == note), "{:?}", e5.notes);
+
+    // The demo runs, each on its own `(tag, variant)` stream: a run handed
+    // another run's stream moves its row here. At one worker and at three,
+    // which completes E7's eight runs and E12's four in another order.
+    for threads in [1, 3] {
+        let [e4, e7, e8, e12] = demo_run_pins(&ExperimentConfig { threads, ..tiny });
+        assert_eq!(
+            e4,
+            [
+                // The transient configuration.
+                "150 150 0 0 0 0 0 0",
+                "191 185 0 0 0 6 3 44",
+                "221 218 0 0 1 2 9 79",
+                "258 252 0 0 0 6 13 121",
+                "262 257 0 0 0 5 34 146",
+                "290 281 0 0 0 9 44 184",
+                "310 303 0 0 0 7 65 225",
+                "335 332 1 0 0 2 76 260",
+                "369 359 0 0 0 10 90 309",
+                "404 394 0 0 0 10 93 347",
+                "439 433 0 0 0 6 99 388",
+                // The stable configuration.
+                "150 150 0 0 0 0 0 0",
+                "66 41 14 3 0 8 132 31",
+                "21 8 6 1 0 6 211 75",
+                "8 0 1 3 0 4 253 107",
+                "11 0 0 5 0 6 290 146",
+                "5 0 0 2 0 3 318 171",
+                "9 1 1 1 0 6 349 206",
+                "12 2 1 3 0 6 382 240",
+                "11 0 1 5 0 5 423 278",
+                "14 3 3 3 1 4 461 318",
+                "9 2 1 1 0 5 503 360",
+            ],
+            "E4 (N, one-club, former, infected, gifted, young, D_t, A_t) at {threads} threads"
+        );
+        assert_eq!(
+            e7,
+            [
+                "Stable Growing 30.00",
+                "Stable Growing 30.00",
+                "Stable Growing 35.00",
+                "Stable Growing 30.00",
+            ],
+            "E7 (stable class, transient class, onset) per policy at {threads} threads"
+        );
+        assert_eq!(
+            e8,
+            ["35", "102", "154", "156"],
+            "E8 departures at {threads} threads"
+        );
+        assert_eq!(
+            e12,
+            ["32023 703", "307433 705", "15092 968", "260134 865"],
+            "E12 (unsuccessful contacts, transfers) at {threads} threads"
+        );
+    }
 }
 
 #[test]

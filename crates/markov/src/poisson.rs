@@ -210,6 +210,33 @@ pub fn sample_weighted_index_by<T, R: Rng + ?Sized>(
     items.iter().rposition(|item| weight(item) > 0.0)
 }
 
+/// [`sample_weighted_index_by`]'s walk over weights computed one at a
+/// time: the walk stops at the index it picks, so the weights after it are
+/// never computed. `total` must be the positive left-to-right sum of all
+/// of them. The slice walk keeps its own loop: the agent driver calls it
+/// on every event, and the `replication-batch` benchmark ran about 2%
+/// slower when it went through this one.
+pub fn sample_weighted_index_of<R: Rng + ?Sized>(
+    rng: &mut R,
+    total: f64,
+    weights: impl IntoIterator<Item = f64>,
+) -> Option<usize> {
+    let mut target = rng.gen::<f64>() * total;
+    let mut last_positive = None;
+    for (i, w) in weights.into_iter().enumerate() {
+        if w <= 0.0 {
+            continue;
+        }
+        if target < w {
+            return Some(i);
+        }
+        target -= w;
+        last_positive = Some(i);
+    }
+    // Floating-point slack: return the last positive-weight index.
+    last_positive
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,6 +358,23 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let slack = sample_weighted_index_by(&mut rng, 1e300, &pairs, |(_, w)| *w);
         assert_eq!(slack, Some(5));
+    }
+
+    #[test]
+    fn walk_over_weights_one_at_a_time_matches_the_slice_walk() {
+        let weights = [0.0, 0.5, 0.0, 2.5, 1.0, 0.0, 0.25, 0.0];
+        let total: f64 = weights.iter().sum();
+        let mut a = StdRng::seed_from_u64(14);
+        let mut b = StdRng::seed_from_u64(14);
+        for _ in 0..20_000 {
+            assert_eq!(
+                sample_weighted_index_of(&mut a, total, weights),
+                sample_weighted_index_by(&mut b, total, &weights, |&w| w)
+            );
+        }
+        let mut rng = StdRng::seed_from_u64(15);
+        assert_eq!(sample_weighted_index_of(&mut rng, 1e300, weights), Some(6));
+        assert_eq!(sample_weighted_index_of(&mut rng, 1.0, [0.0, 0.0]), None);
     }
 
     #[test]

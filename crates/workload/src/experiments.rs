@@ -32,7 +32,7 @@ pub struct ExperimentConfig {
     /// Master RNG seed (sweeps derive per-point, per-replication streams
     /// from it through the engine).
     pub seed: u64,
-    /// Worker threads for sweeps.
+    /// Worker threads for sweeps and demo runs.
     pub threads: usize,
     /// Replications per sweep point, combined by majority vote.
     pub replications: u32,
@@ -102,6 +102,9 @@ fn truncation_note(run: &str, sim: &AgentSwarm, result: &SimResult) -> Option<St
 /// share a stream. Each experiment passes a distinct `tag` and numbers its
 /// variants; the earlier ad-hoc `seed ^ CONST` scheme reused one stream
 /// across loop iterations and collided for equal-length policy names.
+/// Since a run draws from its own stream alone, E4, E7, E8 and E12 map
+/// their variants over `config.threads` workers with
+/// [`engine::ordered_map`], and the worker count moves no number.
 fn demo_rng(config: &ExperimentConfig, tag: u64, variant: u64) -> impl rand::Rng {
     engine::rng::replication_rng(config.seed, tag, variant)
 }
@@ -361,15 +364,10 @@ pub fn one_club_growth(config: &ExperimentConfig) -> ExperimentReport {
         .build()
         .expect("valid parameters");
 
-    for (variant, (name, params)) in [("transient", transient), ("stable", stable)]
-        .into_iter()
-        .enumerate()
-    {
-        let verdict = stability::classify(&params).verdict;
-        let delta = stability::delta(&params, params.full_type().without(PieceId::new(0)))
-            .expect("µ < γ in both configurations");
+    let configurations = [("transient", transient), ("stable", stable)];
+    let runs = engine::ordered_map(config.threads, &[0, 1], |&variant| {
         let sim = AgentSwarm::with_config(
-            params.clone(),
+            configurations[variant].1.clone(),
             AgentConfig {
                 snapshot_interval: (config.horizon / 40.0).max(1.0),
                 ..Default::default()
@@ -379,10 +377,16 @@ pub fn one_club_growth(config: &ExperimentConfig) -> ExperimentReport {
         .expect("valid simulator configuration");
         let mut rng = demo_rng(config, 0xE4, variant as u64);
         let result = sim.run_from_one_club(initial_club, config.horizon, &mut rng);
+        (sim, result)
+    });
+    for ((name, params), (sim, result)) in configurations.iter().zip(&runs) {
+        let verdict = stability::classify(params).verdict;
+        let delta = stability::delta(params, params.full_type().without(PieceId::new(0)))
+            .expect("µ < γ in both configurations");
         report.notes.extend(truncation_note(
             &format!("the {name} configuration"),
-            &sim,
-            &result,
+            sim,
+            result,
         ));
 
         let mut table = Table::new(
@@ -546,26 +550,30 @@ pub fn policy_insensitivity(config: &ExperimentConfig) -> ExperimentReport {
             "one-club onset time (transient)",
         ],
     );
+    let points = [("stable", &stable_params), ("transient", &transient_params)];
+    // Run `pi * 2 + wi` is policy `pi` at point `wi`.
+    let runs = engine::ordered_map(config.threads, &[0, 1, 2, 3, 4, 5, 6, 7], |&variant| {
+        let (name, (_, params)) = (policies[variant / 2], points[variant % 2]);
+        let sim = AgentSwarm::with_config(
+            params.clone(),
+            AgentConfig {
+                snapshot_interval: 5.0,
+                ..Default::default()
+            },
+            policy::by_name(name).expect("known policy"),
+        )
+        .expect("valid configuration");
+        let mut rng = demo_rng(config, 0xE7, variant as u64);
+        let result = sim.run(&[], config.horizon, &mut rng);
+        (sim, result)
+    });
     for (pi, name) in policies.iter().enumerate() {
         let mut cells = vec![(*name).to_owned()];
         let mut onset = f64::NAN;
-        for (wi, (which, params)) in [("stable", &stable_params), ("transient", &transient_params)]
-            .into_iter()
-            .enumerate()
-        {
-            let sim = AgentSwarm::with_config(
-                params.clone(),
-                AgentConfig {
-                    snapshot_interval: 5.0,
-                    ..Default::default()
-                },
-                policy::by_name(name).expect("known policy"),
-            )
-            .expect("valid configuration");
-            let mut rng = demo_rng(config, 0xE7, (pi * 2 + wi) as u64);
-            let result = sim.run(&[], config.horizon, &mut rng);
+        for (wi, (which, params)) in points.into_iter().enumerate() {
+            let (sim, result) = &runs[pi * 2 + wi];
             let run = format!("the {name} run at the {which} point");
-            report.notes.extend(truncation_note(&run, &sim, &result));
+            report.notes.extend(truncation_note(&run, sim, result));
             let classifier = PathClassifier::new(params.total_arrival_rate(), 40.0);
             let class = classifier.classify(&result.peer_count_path()).class;
             cells.push(format!("{class:?}"));
@@ -639,16 +647,19 @@ pub fn network_coding(config: &ExperimentConfig) -> ExperimentReport {
             "departures",
         ],
     );
-    for (variant, f) in [lo * 0.3, lo * 0.8, (hi * 1.5).min(1.0), (hi * 4.0).min(1.0)]
-        .into_iter()
-        .enumerate()
-    {
+    let points = [lo * 0.3, lo * 0.8, (hi * 1.5).min(1.0), (hi * 4.0).min(1.0)].map(|f| {
         let params = coded::CodedParams::gift_example(k, q, 1.0, f, 0.0, 1.0, f64::INFINITY)
             .expect("valid coded parameters");
-        let theory = coded::theorem15_classify(&params).expect("d ∈ {0,1} arrival model");
-        let sim = coded::CodedSwarmSim::new(params).snapshot_interval(config.horizon / 200.0);
+        (f, params)
+    });
+    let runs = engine::ordered_map(config.threads, &[0, 1, 2, 3], |&variant| {
+        let sim = coded::CodedSwarmSim::new(points[variant].1.clone())
+            .snapshot_interval(config.horizon / 200.0);
         let mut rng = demo_rng(config, 0xE8, variant as u64);
-        let result = sim.run(config.horizon, &mut rng);
+        sim.run(config.horizon, &mut rng)
+    });
+    for ((f, params), result) in points.into_iter().zip(&runs) {
+        let theory = coded::theorem15_classify(&params).expect("d ∈ {0,1} arrival model");
         let classifier = PathClassifier::new(1.0, 40.0);
         let verdict = classifier.classify(&result.peer_count_path());
         sim_table.row(&[
@@ -685,10 +696,7 @@ pub fn borderline(config: &ExperimentConfig) -> ExperimentReport {
             peers: n,
             pieces: k - 1,
         };
-        let d = markov::drift::drift(&process, &state, |s| match s {
-            MuInfinityState::Empty => 0.0,
-            MuInfinityState::Uniform { peers, .. } => *peers as f64,
-        });
+        let d = markov::drift::drift(&process, &state, |s| s.peers() as f64);
         drift_table.row(&[n.to_string(), fmt_num(d)]);
     }
     report.push_table(drift_table);
@@ -699,11 +707,7 @@ pub fn borderline(config: &ExperimentConfig) -> ExperimentReport {
 
     // Excursion statistics of the simulated µ = ∞ process.
     let mut rng = demo_rng(config, 0xE9, 0);
-    let sim = markov::Simulator::new(&process).observe(|s| match s {
-        MuInfinityState::Empty => 0.0,
-        MuInfinityState::Uniform { peers, .. } => *peers as f64,
-    });
-    let run = sim.run(
+    let run = process.simulate_peer_count(
         MuInfinityState::Empty,
         markov::StopRule::time_or_events(config.horizon * 50.0, 2_000_000),
         &mut rng,
@@ -945,7 +949,7 @@ pub fn faster_retry(config: &ExperimentConfig) -> ExperimentReport {
             "transfers",
         ],
     );
-    for (gi, gifted) in [false, true].into_iter().enumerate() {
+    let params = [false, true].map(|gifted| {
         let mut builder = SwarmParams::builder(3)
             .seed_rate(0.3)
             .contact_rate(1.0)
@@ -954,23 +958,31 @@ pub fn faster_retry(config: &ExperimentConfig) -> ExperimentReport {
         if gifted {
             builder = builder.arrival(PieceSet::singleton(PieceId::new(0)), 0.4);
         }
-        let params = builder.build().expect("valid parameters");
-        for (ei, eta) in [1.0, 10.0].into_iter().enumerate() {
-            let sim = AgentSwarm::with_config(
-                params.clone(),
-                AgentConfig {
-                    retry_speedup: eta,
-                    snapshot_interval: 5.0,
-                    ..Default::default()
-                },
-                Box::new(policy::RandomUseful),
-            )
-            .expect("valid configuration");
-            let mut rng = demo_rng(config, 0x12, (gi * 2 + ei) as u64);
-            let result = sim.run_from_one_club(80, config.horizon, &mut rng);
+        builder.build().expect("valid parameters")
+    });
+    let etas = [1.0, 10.0];
+    // Run `gi * 2 + ei` is η = `etas[ei]` with (`gi` = 1) or without gifts.
+    let runs = engine::ordered_map(config.threads, &[0, 1, 2, 3], |&variant| {
+        let sim = AgentSwarm::with_config(
+            params[variant / 2].clone(),
+            AgentConfig {
+                retry_speedup: etas[variant % 2],
+                snapshot_interval: 5.0,
+                ..Default::default()
+            },
+            Box::new(policy::RandomUseful),
+        )
+        .expect("valid configuration");
+        let mut rng = demo_rng(config, 0x12, variant as u64);
+        let result = sim.run_from_one_club(80, config.horizon, &mut rng);
+        (sim, result)
+    });
+    for (gi, gifted) in [false, true].into_iter().enumerate() {
+        for (ei, eta) in etas.into_iter().enumerate() {
+            let (sim, result) = &runs[gi * 2 + ei];
             let gifts = if gifted { "with" } else { "without" };
             let run = format!("the η = {eta} run {gifts} gifted arrivals");
-            report.notes.extend(truncation_note(&run, &sim, &result));
+            report.notes.extend(truncation_note(&run, sim, result));
             let trend = result.peer_count_path().trend(0.5);
             table.row(&[
                 gifted.to_string(),

@@ -4,6 +4,7 @@
 use p2p_stability::markov::gillespie::{Simulator, StopRule};
 use p2p_stability::markov::Ctmc;
 use p2p_stability::pieceset::{PieceId, PieceSet, TypeSpace};
+use p2p_stability::swarm::mu_infinity::{MuInfinityProcess, MuInfinityState};
 use p2p_stability::swarm::{rates, stability, SwarmModel, SwarmParams, SwarmState};
 use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
@@ -264,6 +265,51 @@ proptest! {
             // With γ = ∞ no peer seeds remain in the system.
             if params.departs_immediately() {
                 prop_assert_eq!(snap.peer_seeds, 0);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn mu_infinity_in_place_run_matches_the_generic_loop_bit_for_bit(
+        lambda in 0.2f64..3.0,
+        horizon in 0.0f64..400.0,
+        max_events in 0u64..2000,
+        seed in any::<u64>()
+    ) {
+        // `MuInfinityProcess::simulate_peer_count` reads a top-layer jump's
+        // total from tables and walks the law of `Z` lazily; the generic
+        // Gillespie loop lists every candidate jump. From the same stream
+        // they must draw the same numbers and stop in the same way, from
+        // the empty state and from top layers below, at and beyond the
+        // 512-entry enumeration cap.
+        let stop = StopRule::time_or_events(horizon, max_events);
+        for k in [3usize, 5] {
+            let process = MuInfinityProcess::new(k, lambda).unwrap();
+            let starts = [1u64, 2, 60, 512, 513, 5000]
+                .map(|peers| MuInfinityState::Uniform { peers, pieces: k - 1 });
+            for initial in std::iter::once(MuInfinityState::Empty).chain(starts) {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let in_place = process.simulate_peer_count(initial, stop, &mut rng);
+                let mut reference_rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let reference = Simulator::new(&process)
+                    .observe(|s: &MuInfinityState| s.peers() as f64)
+                    .run(initial, stop, &mut reference_rng);
+                prop_assert_eq!(bits(in_place.path.times()), bits(reference.path.times()));
+                prop_assert_eq!(bits(in_place.path.values()), bits(reference.path.values()));
+                prop_assert_eq!(
+                    in_place.path.end_time().to_bits(),
+                    reference.path.end_time().to_bits()
+                );
+                prop_assert_eq!(in_place.final_time.to_bits(), reference.final_time.to_bits());
+                prop_assert_eq!(in_place.final_state, reference.final_state);
+                prop_assert_eq!(in_place.events, reference.events);
+                prop_assert_eq!(in_place.stop_reason, reference.stop_reason);
+                // Both consumed the same number of draws.
+                prop_assert_eq!(rng.next_u64(), reference_rng.next_u64());
             }
         }
     }
