@@ -1477,10 +1477,11 @@ fn lock_clean<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Maps `task` over `items` on `jobs` workers (`0` = one per core) and
-/// returns the results in item order, whatever order the workers finish
-/// in. This is the scheduler behind every [`Session`], for work that is
-/// not a replication batch, such as a report's demo trajectories.
+/// Calls `task(index, &items[index])` for every item on `jobs` workers
+/// (`0` = one per core) and returns the results in item order, whatever
+/// order the workers finish in. This is the scheduler behind every
+/// [`Session`], for work that is not a replication batch, such as a
+/// report's demo trajectories.
 ///
 /// Workers take the next item off an atomic counter; no more workers start
 /// than there are items, and one worker runs the tasks inline on the
@@ -1489,14 +1490,14 @@ fn lock_clean<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// payload.
 ///
 /// ```
-/// let squares = engine::ordered_map(2, &[1u64, 2, 3], |&x| x * x);
-/// assert_eq!(squares, [1, 4, 9]);
+/// let labels = engine::ordered_map(2, &["a", "b", "c"], |i, name| format!("{i}:{name}"));
+/// assert_eq!(labels, ["0:a", "1:b", "2:c"]);
 /// ```
 pub fn ordered_map<I, T, F>(jobs: usize, items: &[I], task: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
-    F: Fn(&I) -> T + Sync,
+    F: Fn(usize, &I) -> T + Sync,
 {
     let jobs = effective_jobs(jobs);
     let mut results = Vec::with_capacity(items.len());
@@ -1506,7 +1507,7 @@ where
         jobs,
         reorder_window(jobs),
         || (),
-        |index, (): &mut ()| task(&items[index]),
+        |index, (): &mut ()| task(index, &items[index]),
         |_, value| results.push(value),
     );
     results
@@ -1814,7 +1815,8 @@ mod tests {
             // With two or more workers, item 0 waits until every other item
             // has finished, so it completes last.
             let finished = (Mutex::new(0usize), Condvar::new());
-            let results = ordered_map(jobs, &items, |&i| {
+            let results = ordered_map(jobs, &items, |index, &i| {
+                assert_eq!(index as u64, i);
                 let (count, changed) = &finished;
                 if i == 0 && jobs >= 2 {
                     let mut count = count.lock().unwrap();
@@ -1838,7 +1840,7 @@ mod tests {
     #[test]
     fn ordered_map_of_no_items_is_empty() {
         let calls = AtomicU64::new(0);
-        let results = ordered_map(4, &[] as &[u32], |&x| {
+        let results = ordered_map(4, &[] as &[u32], |_, &x| {
             calls.fetch_add(1, Ordering::Relaxed);
             x
         });
@@ -1851,7 +1853,7 @@ mod tests {
         let items: Vec<u32> = (0..8).collect();
         for jobs in [1usize, 2, 3] {
             let payload = std::panic::catch_unwind(|| {
-                ordered_map(jobs, &items, |&i| {
+                ordered_map(jobs, &items, |_, &i| {
                     assert!(i != 5, "demo run 5 failed");
                     i
                 })

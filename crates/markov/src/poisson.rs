@@ -180,42 +180,27 @@ pub fn sample_weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> O
     sample_weighted_index_by(rng, total, weights, |&w| w)
 }
 
-/// The walk behind [`sample_weighted_index`], for a caller that has already
-/// summed the weights: `items[i]` weighs `weight(&items[i])`, and `total`
-/// must be their positive left-to-right sum.
-///
-/// Consumes one uniform draw, scales it by `total` and walks the items in
-/// order, skipping zero weights. If rounding carries the walk past the end,
-/// the last positive-weight index is returned; `None` only if no weight is
-/// positive. On the same stream it returns exactly what
-/// [`sample_weighted_index`] returns for the same weights.
+/// [`sample_weighted_index`] for a caller that has already summed the
+/// weights: `items[i]` weighs `weight(&items[i])`, and `total` must be
+/// their positive left-to-right sum. On the same stream it returns exactly
+/// what [`sample_weighted_index`] returns for the same weights.
 pub fn sample_weighted_index_by<T, R: Rng + ?Sized>(
     rng: &mut R,
     total: f64,
     items: &[T],
     weight: impl Fn(&T) -> f64,
 ) -> Option<usize> {
-    let mut target = rng.gen::<f64>() * total;
-    for (i, item) in items.iter().enumerate() {
-        let w = weight(item);
-        if w <= 0.0 {
-            continue;
-        }
-        if target < w {
-            return Some(i);
-        }
-        target -= w;
-    }
-    // Floating-point slack: return the last positive-weight index.
-    items.iter().rposition(|item| weight(item) > 0.0)
+    sample_weighted_index_of(rng, total, items.iter().map(weight))
 }
 
-/// [`sample_weighted_index_by`]'s walk over weights computed one at a
-/// time: the walk stops at the index it picks, so the weights after it are
-/// never computed. `total` must be the positive left-to-right sum of all
-/// of them. The slice walk keeps its own loop: the agent driver calls it
-/// on every event, and the `replication-batch` benchmark ran about 2%
-/// slower when it went through this one.
+/// The walk behind [`sample_weighted_index`], over weights computed one at
+/// a time: `total` must be the positive left-to-right sum of all of them.
+///
+/// Consumes one uniform draw, scales it by `total` and walks the weights in
+/// order, skipping zero weights; the walk stops at the index it picks, so
+/// the weights after it are never computed. If rounding carries the walk
+/// past the end, the last positive-weight index is returned; `None` only if
+/// no weight is positive.
 pub fn sample_weighted_index_of<R: Rng + ?Sized>(
     rng: &mut R,
     total: f64,
@@ -361,18 +346,26 @@ mod tests {
     }
 
     #[test]
-    fn walk_over_weights_one_at_a_time_matches_the_slice_walk() {
+    fn walk_over_weights_one_at_a_time_stops_at_its_pick() {
+        // The walk computes no weight after the index it picks, and never
+        // picks a zero weight.
         let weights = [0.0, 0.5, 0.0, 2.5, 1.0, 0.0, 0.25, 0.0];
         let total: f64 = weights.iter().sum();
-        let mut a = StdRng::seed_from_u64(14);
-        let mut b = StdRng::seed_from_u64(14);
+        let mut rng = StdRng::seed_from_u64(14);
+        let mut picked_ever = [false; 8];
         for _ in 0..20_000 {
-            assert_eq!(
-                sample_weighted_index_of(&mut a, total, weights),
-                sample_weighted_index_by(&mut b, total, &weights, |&w| w)
-            );
+            let mut computed = 0;
+            let lazy = weights.iter().map(|&w| {
+                computed += 1;
+                w
+            });
+            let picked = sample_weighted_index_of(&mut rng, total, lazy).expect("positive total");
+            assert_eq!(computed, picked + 1);
+            picked_ever[picked] = true;
         }
-        let mut rng = StdRng::seed_from_u64(15);
+        assert_eq!(picked_ever, weights.map(|w| w > 0.0));
+        // A total rounded above the weights' sum lands on the last positive
+        // weight, not on the trailing zero; no positive weight gives `None`.
         assert_eq!(sample_weighted_index_of(&mut rng, 1e300, weights), Some(6));
         assert_eq!(sample_weighted_index_of(&mut rng, 1.0, [0.0, 0.0]), None);
     }

@@ -103,8 +103,9 @@ fn truncation_note(run: &str, sim: &AgentSwarm, result: &SimResult) -> Option<St
 /// variants; the earlier ad-hoc `seed ^ CONST` scheme reused one stream
 /// across loop iterations and collided for equal-length policy names.
 /// Since a run draws from its own stream alone, E4, E7, E8 and E12 map
-/// their variants over `config.threads` workers with
-/// [`engine::ordered_map`], and the worker count moves no number.
+/// their lists of runs over `config.threads` workers with
+/// [`engine::ordered_map`], a run's index in its list being its variant,
+/// and the worker count moves no number.
 fn demo_rng(config: &ExperimentConfig, tag: u64, variant: u64) -> impl rand::Rng {
     engine::rng::replication_rng(config.seed, tag, variant)
 }
@@ -365,9 +366,9 @@ pub fn one_club_growth(config: &ExperimentConfig) -> ExperimentReport {
         .expect("valid parameters");
 
     let configurations = [("transient", transient), ("stable", stable)];
-    let runs = engine::ordered_map(config.threads, &[0, 1], |&variant| {
+    let runs = engine::ordered_map(config.threads, &configurations, |variant, (_, params)| {
         let sim = AgentSwarm::with_config(
-            configurations[variant].1.clone(),
+            params.clone(),
             AgentConfig {
                 snapshot_interval: (config.horizon / 40.0).max(1.0),
                 ..Default::default()
@@ -551,9 +552,12 @@ pub fn policy_insensitivity(config: &ExperimentConfig) -> ExperimentReport {
         ],
     );
     let points = [("stable", &stable_params), ("transient", &transient_params)];
-    // Run `pi * 2 + wi` is policy `pi` at point `wi`.
-    let runs = engine::ordered_map(config.threads, &[0, 1, 2, 3, 4, 5, 6, 7], |&variant| {
-        let (name, (_, params)) = (policies[variant / 2], points[variant % 2]);
+    // Every policy at both points, policy by policy.
+    let demos: Vec<_> = policies
+        .iter()
+        .flat_map(|&name| points.map(|(_, params)| (name, params)))
+        .collect();
+    let runs = engine::ordered_map(config.threads, &demos, |variant, &(name, params)| {
         let sim = AgentSwarm::with_config(
             params.clone(),
             AgentConfig {
@@ -567,11 +571,10 @@ pub fn policy_insensitivity(config: &ExperimentConfig) -> ExperimentReport {
         let result = sim.run(&[], config.horizon, &mut rng);
         (sim, result)
     });
-    for (pi, name) in policies.iter().enumerate() {
+    for (name, runs) in policies.iter().zip(runs.chunks(points.len())) {
         let mut cells = vec![(*name).to_owned()];
         let mut onset = f64::NAN;
-        for (wi, (which, params)) in points.into_iter().enumerate() {
-            let (sim, result) = &runs[pi * 2 + wi];
+        for ((which, params), (sim, result)) in points.into_iter().zip(runs) {
             let run = format!("the {name} run at the {which} point");
             report.notes.extend(truncation_note(&run, sim, result));
             let classifier = PathClassifier::new(params.total_arrival_rate(), 40.0);
@@ -652,9 +655,9 @@ pub fn network_coding(config: &ExperimentConfig) -> ExperimentReport {
             .expect("valid coded parameters");
         (f, params)
     });
-    let runs = engine::ordered_map(config.threads, &[0, 1, 2, 3], |&variant| {
-        let sim = coded::CodedSwarmSim::new(points[variant].1.clone())
-            .snapshot_interval(config.horizon / 200.0);
+    let runs = engine::ordered_map(config.threads, &points, |variant, (_, params)| {
+        let sim =
+            coded::CodedSwarmSim::new(params.clone()).snapshot_interval(config.horizon / 200.0);
         let mut rng = demo_rng(config, 0xE8, variant as u64);
         sim.run(config.horizon, &mut rng)
     });
@@ -960,13 +963,17 @@ pub fn faster_retry(config: &ExperimentConfig) -> ExperimentReport {
         }
         builder.build().expect("valid parameters")
     });
-    let etas = [1.0, 10.0];
-    // Run `gi * 2 + ei` is η = `etas[ei]` with (`gi` = 1) or without gifts.
-    let runs = engine::ordered_map(config.threads, &[0, 1, 2, 3], |&variant| {
+    // η = 1 and η = 10, first without gifted arrivals, then with them.
+    let demos: Vec<_> = [false, true]
+        .into_iter()
+        .zip(&params)
+        .flat_map(|(gifted, params)| [1.0, 10.0].map(|eta| (gifted, params, eta)))
+        .collect();
+    let runs = engine::ordered_map(config.threads, &demos, |variant, &(_, params, eta)| {
         let sim = AgentSwarm::with_config(
-            params[variant / 2].clone(),
+            params.clone(),
             AgentConfig {
-                retry_speedup: etas[variant % 2],
+                retry_speedup: eta,
                 snapshot_interval: 5.0,
                 ..Default::default()
             },
@@ -977,22 +984,19 @@ pub fn faster_retry(config: &ExperimentConfig) -> ExperimentReport {
         let result = sim.run_from_one_club(80, config.horizon, &mut rng);
         (sim, result)
     });
-    for (gi, gifted) in [false, true].into_iter().enumerate() {
-        for (ei, eta) in etas.into_iter().enumerate() {
-            let (sim, result) = &runs[gi * 2 + ei];
-            let gifts = if gifted { "with" } else { "without" };
-            let run = format!("the η = {eta} run {gifts} gifted arrivals");
-            report.notes.extend(truncation_note(&run, sim, result));
-            let trend = result.peer_count_path().trend(0.5);
-            table.row(&[
-                gifted.to_string(),
-                fmt_num(eta),
-                fmt_num(trend.slope),
-                result.final_snapshot().groups.one_club.to_string(),
-                result.unsuccessful_contacts.to_string(),
-                result.transfers.to_string(),
-            ]);
-        }
+    for (&(gifted, _, eta), (sim, result)) in demos.iter().zip(&runs) {
+        let gifts = if gifted { "with" } else { "without" };
+        let run = format!("the η = {eta} run {gifts} gifted arrivals");
+        report.notes.extend(truncation_note(&run, sim, result));
+        let trend = result.peer_count_path().trend(0.5);
+        table.row(&[
+            gifted.to_string(),
+            fmt_num(eta),
+            fmt_num(trend.slope),
+            result.final_snapshot().groups.one_club.to_string(),
+            result.unsuccessful_contacts.to_string(),
+            result.transfers.to_string(),
+        ]);
     }
     report.push_table(table);
     report.note("faster retries multiply the number of unsuccessful contacts roughly by η");
