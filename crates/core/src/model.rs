@@ -2,7 +2,7 @@
 
 use crate::rates::transfer_rate_among;
 use crate::{SwarmParams, SwarmState};
-use markov::poisson::{sample_exp, sample_weighted_index_by};
+use markov::gillespie::{self, Jumps, StopRule};
 use markov::{Ctmc, SamplePath};
 use pieceset::{PieceSet, TypeSpace};
 use rand::Rng;
@@ -87,45 +87,14 @@ impl SwarmModel {
         horizon: f64,
         rng: &mut R,
     ) -> SamplePath {
-        let mut state = initial;
-        let mut peers = state.total_peers();
-        let mut t = 0.0;
-        let mut path = SamplePath::new(0.0, peers as f64);
-        let mut jumps = Vec::new();
-        loop {
-            if t >= horizon {
-                break;
-            }
-            jumps.clear();
-            self.jumps(&state, peers, &mut jumps);
-            if jumps.is_empty() {
-                break;
-            }
-            let total: f64 = jumps.iter().map(|(_, r)| r).sum();
-            let dt = sample_exp(rng, total);
-            if t + dt > horizon {
-                t = horizon;
-                break;
-            }
-            t += dt;
-            let picked = sample_weighted_index_by(rng, total, &jumps, |(_, r)| *r);
-            // simlint: allow(E001, "total > 0 here: sample_exp just asserted it, and a positive sum has a positive term")
-            let (jump, _) = jumps[picked.expect("total rate positive")];
-            jump.apply(&mut state);
-            peers = match jump {
-                Jump::Arrive(_) => peers + 1,
-                Jump::Depart(_) => peers - 1,
-                Jump::Move(..) => peers,
-            };
-            path.record(t, peers as f64);
-        }
-        let final_time = t.min(horizon);
-        path.record(
-            final_time.max(path.times().last().copied().unwrap_or(0.0)),
-            peers as f64,
-        );
-        path.finish(final_time.max(path.end_time()));
-        path
+        let peers = initial.total_peers();
+        let mut jumps = InPlace {
+            model: self,
+            jumps: Vec::new(),
+            peers,
+        };
+        let stop = StopRule::at_time(horizon);
+        gillespie::run(&mut jumps, initial, peers as f64, stop, rng).path
     }
 
     /// Simulates and classifies the path of the peer count with
@@ -144,7 +113,7 @@ impl SwarmModel {
     /// positive rates: first the arrivals in [`SwarmParams::arrivals`] order,
     /// then the peer-seed departure, then the transfers by ascending type
     /// and, within a type, by ascending missing piece. This is the one
-    /// definition of the generator; the exact-jump loop and
+    /// definition of the generator; the in-place steps and
     /// [`Ctmc::transitions`] both read it.
     fn jumps(&self, state: &SwarmState, n: u64, out: &mut Vec<(Jump, f64)>) {
         debug_assert_eq!(n, state.total_peers());
@@ -212,6 +181,40 @@ impl Jump {
             Jump::Depart(c) => state.remove_peer(c),
             Jump::Move(from, to) => state.move_peer(from, to),
         }
+    }
+}
+
+/// [`SwarmModel::simulate_peer_count`]'s [`Jumps`]: the jumps out of the
+/// current state, and its peer count, kept up to date jump by jump because
+/// [`SwarmState::total_peers`] reads all `2^K` type counts.
+struct InPlace<'a> {
+    model: &'a SwarmModel,
+    jumps: Vec<(Jump, f64)>,
+    peers: u64,
+}
+
+impl Jumps for InPlace<'_> {
+    type State = SwarmState;
+
+    fn sum_rates(&mut self, state: &SwarmState) -> f64 {
+        self.jumps.clear();
+        self.model.jumps(state, self.peers, &mut self.jumps);
+        self.jumps.iter().map(|(_, r)| r).sum()
+    }
+
+    fn rates(&self) -> impl Iterator<Item = f64> {
+        self.jumps.iter().map(|&(_, r)| r)
+    }
+
+    fn apply(&mut self, state: &mut SwarmState, index: usize) -> f64 {
+        let (jump, _) = self.jumps[index];
+        jump.apply(state);
+        self.peers = match jump {
+            Jump::Arrive(_) => self.peers + 1,
+            Jump::Depart(_) => self.peers - 1,
+            Jump::Move(..) => self.peers,
+        };
+        self.peers as f64
     }
 }
 
@@ -332,7 +335,7 @@ mod tests {
         let m = model(1.0, 1.0, 2.0, 1.0);
         let mut s = m.empty_state();
         s.set_count(PieceSet::empty(), 5);
-        let rate = m.total_rate(&s);
+        let rate: f64 = transitions_of(&m, &s).iter().map(|(_, r)| r).sum();
         assert!(rate.is_finite() && rate > 0.0);
     }
 

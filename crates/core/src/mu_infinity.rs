@@ -12,9 +12,8 @@
 //! null recurrent — the borderline case Theorem 1 leaves open.
 
 use crate::SwarmError;
-use markov::gillespie::{SimulatorRun, StopReason, StopRule};
-use markov::poisson::{sample_exp, sample_weighted_index_of};
-use markov::{Ctmc, SamplePath};
+use markov::gillespie::{self, Jumps, SimulatorRun, StopRule};
+use markov::Ctmc;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -162,89 +161,19 @@ impl MuInfinityProcess {
         stop: StopRule,
         rng: &mut R,
     ) -> SimulatorRun<MuInfinityState> {
-        let top = self.num_pieces - 1;
-        let mut state = initial;
-        let mut t = 0.0;
-        let mut events: u64 = 0;
-        let mut path = SamplePath::new(0.0, state.peers() as f64);
-        // The jumps that are not tabulated: every jump below the top layer,
-        // and the takeover block on it.
-        let mut listed = Vec::new();
-        let stop_reason = loop {
-            if t >= stop.max_time {
-                break StopReason::TimeHorizon;
-            }
-            if events >= stop.max_events {
-                break StopReason::EventBudget;
-            }
-            listed.clear();
-            // A top-layer state's first `tabled` jumps are its rate slots.
-            let tabled = match state {
-                MuInfinityState::Uniform { peers, pieces } if pieces == top => {
-                    let tabled = peers.min(MAX_Z_SUPPORT) as usize;
-                    let remaining = self.top_sums[tabled].1;
-                    if remaining > 1e-15 {
-                        self.push_takeover(peers, remaining, &mut listed);
-                    }
-                    tabled
-                }
-                _ => {
-                    self.transitions(&state, &mut listed);
-                    0
-                }
-            };
-            listed.retain(|(s, r)| *r > 0.0 && *s != state);
-            if tabled == 0 && listed.is_empty() {
-                break StopReason::Absorbed;
-            }
-            let total = listed
-                .iter()
-                .fold(self.top_sums[tabled].0, |sum, (_, r)| sum + r);
-            let dt = sample_exp(rng, total);
-            if t + dt > stop.max_time {
-                t = stop.max_time;
-                break StopReason::TimeHorizon;
-            }
-            t += dt;
-            let rates = (0..tabled)
-                .map(|z| self.top_rate(z))
-                .chain(listed.iter().map(|(_, r)| *r));
-            // simlint: allow(E001, "total > 0 here: sample_exp just asserted it, and a positive sum has a positive term")
-            let picked = sample_weighted_index_of(rng, total, rates).expect("total rate positive");
-            state = match picked {
-                z if z >= tabled => listed[z - tabled].0,
-                0 => MuInfinityState::Uniform {
-                    peers: state.peers() + 1,
-                    pieces: top,
-                },
-                z => MuInfinityState::Uniform {
-                    peers: state.peers() - z as u64,
-                    pieces: top,
-                },
-            };
-            events += 1;
-            path.record(t, state.peers() as f64);
+        let mut jumps = Tabulated {
+            process: self,
+            tabled: 0,
+            listed: Vec::new(),
         };
-        let final_time = t.min(stop.max_time);
-        path.record(
-            final_time.max(path.times().last().copied().unwrap_or(0.0)),
-            state.peers() as f64,
-        );
-        path.finish(final_time.max(path.end_time()));
-        SimulatorRun {
-            final_state: state,
-            final_time,
-            events,
-            stop_reason,
-            path,
-        }
+        gillespie::run(&mut jumps, initial, initial.peers() as f64, stop, rng)
     }
 
     /// Rate slot `z` of a top-layer state `(n, K−1)` with `z < min(n, 512)`,
-    /// as the exact-jump loop keeps it after [`Ctmc::transitions`]: slot 0
+    /// as [`markov::Simulator`] keeps it after [`Ctmc::transitions`]: slot 0
     /// is the arrival that keeps the club, `(K−1)λ`, because `Z = 0` is a
     /// self-loop; slot `z ≥ 1` is the departure of `z` old peers, `λ·p_z`,
-    /// or 0 where the loop would drop that rate as not positive.
+    /// or 0 where `Simulator` would drop that rate as not positive.
     fn top_rate(&self, z: usize) -> f64 {
         let rate = if z == 0 {
             (self.num_pieces - 1) as f64 * self.lambda
@@ -292,6 +221,66 @@ impl MuInfinityProcess {
                 self.lambda * remaining,
             ));
         }
+    }
+}
+
+/// [`MuInfinityProcess::simulate_peer_count`]'s [`Jumps`]. A top-layer
+/// state's first `tabled` jumps are its rate slots, summed in
+/// [`MuInfinityProcess::new`]'s tables; the jumps that are not tabulated,
+/// every jump below the top layer and the takeover block on it, are listed
+/// after them.
+struct Tabulated<'a> {
+    process: &'a MuInfinityProcess,
+    tabled: usize,
+    listed: Vec<(MuInfinityState, f64)>,
+}
+
+impl Jumps for Tabulated<'_> {
+    type State = MuInfinityState;
+
+    fn sum_rates(&mut self, state: &MuInfinityState) -> f64 {
+        let process = self.process;
+        self.listed.clear();
+        self.tabled = match *state {
+            MuInfinityState::Uniform { peers, pieces } if pieces == process.num_pieces - 1 => {
+                let tabled = peers.min(MAX_Z_SUPPORT) as usize;
+                let remaining = process.top_sums[tabled].1;
+                if remaining > 1e-15 {
+                    process.push_takeover(peers, remaining, &mut self.listed);
+                }
+                tabled
+            }
+            _ => {
+                process.transitions(state, &mut self.listed);
+                0
+            }
+        };
+        self.listed.retain(|(s, r)| *r > 0.0 && s != state);
+        self.listed
+            .iter()
+            .fold(process.top_sums[self.tabled].0, |sum, (_, r)| sum + r)
+    }
+
+    fn rates(&self) -> impl Iterator<Item = f64> {
+        (0..self.tabled)
+            .map(|z| self.process.top_rate(z))
+            .chain(self.listed.iter().map(|&(_, r)| r))
+    }
+
+    fn apply(&mut self, state: &mut MuInfinityState, index: usize) -> f64 {
+        let top = self.process.num_pieces - 1;
+        *state = match index {
+            z if z >= self.tabled => self.listed[z - self.tabled].0,
+            0 => MuInfinityState::Uniform {
+                peers: state.peers() + 1,
+                pieces: top,
+            },
+            z => MuInfinityState::Uniform {
+                peers: state.peers() - z as u64,
+                pieces: top,
+            },
+        };
+        state.peers() as f64
     }
 }
 
@@ -457,13 +446,19 @@ mod tests {
 
     #[test]
     fn top_layer_row_sum_is_k_lambda() {
-        // Total outgoing rate from any top-layer state is (K−1)λ + λ = Kλ.
+        // The generator row of any top-layer state, the `Z = 0` self-loop
+        // included, sums to (K−1)λ + λ = Kλ.
         let p = MuInfinityProcess::new(3, 1.5).unwrap();
         for n in [1u64, 2, 5, 40] {
-            let rate = p.total_rate(&MuInfinityState::Uniform {
-                peers: n,
-                pieces: 2,
-            });
+            let mut out = Vec::new();
+            p.transitions(
+                &MuInfinityState::Uniform {
+                    peers: n,
+                    pieces: 2,
+                },
+                &mut out,
+            );
+            let rate: f64 = out.iter().map(|(_, r)| r).sum();
             assert!((rate - 4.5).abs() < 1e-9, "n = {n}: rate {rate}");
         }
     }

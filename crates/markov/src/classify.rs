@@ -9,7 +9,7 @@
 //! return-frequency statistic, and reports its confidence inputs so callers
 //! can inspect borderline outcomes.
 
-use crate::path::ScalarPath;
+use crate::path::SamplePath;
 use serde::{Deserialize, Serialize};
 
 /// Classification outcome for a sample path of the population size.
@@ -88,7 +88,7 @@ impl PathClassifier {
 
     /// Classifies a sample path of the population size.
     #[must_use]
-    pub fn classify(&self, path: &ScalarPath) -> PathVerdict {
+    pub fn classify(&self, path: &SamplePath) -> PathVerdict {
         let trend = path.trend(self.tail_fraction);
         let t0 = path.times()[0];
         let t1 = path.end_time();
@@ -142,8 +142,8 @@ impl PathClassifier {
 mod tests {
     use super::*;
 
-    fn linear_path(slope: f64, horizon: f64) -> ScalarPath {
-        let mut p = ScalarPath::new(0.0, 0.0);
+    fn linear_path(slope: f64, horizon: f64) -> SamplePath {
+        let mut p = SamplePath::new(0.0, 0.0);
         let steps = 200;
         for i in 1..=steps {
             let t = horizon * i as f64 / steps as f64;
@@ -153,8 +153,8 @@ mod tests {
         p
     }
 
-    fn bounded_noisy_path(level: f64, horizon: f64) -> ScalarPath {
-        let mut p = ScalarPath::new(0.0, 0.0);
+    fn bounded_noisy_path(level: f64, horizon: f64) -> SamplePath {
+        let mut p = SamplePath::new(0.0, 0.0);
         let steps = 400;
         for i in 1..=steps {
             let t = horizon * i as f64 / steps as f64;
@@ -187,7 +187,7 @@ mod tests {
         // Constant population of 100 with return level 30: never visits the
         // low region, but the plateau (growth ratio ≈ 1) marks it stable.
         let classifier = PathClassifier::new(1.0, 30.0);
-        let mut p = ScalarPath::new(0.0, 100.0);
+        let mut p = SamplePath::new(0.0, 100.0);
         p.record(500.0, 100.0);
         p.finish(1_000.0);
         let verdict = classifier.classify(&p);
@@ -200,7 +200,7 @@ mod tests {
         // A path that doubles from the second quarter to the tail should not
         // be called stable even if the linear fit is poor.
         let classifier = PathClassifier::new(1000.0, 30.0);
-        let mut p = ScalarPath::new(0.0, 0.0);
+        let mut p = SamplePath::new(0.0, 0.0);
         for i in 1..=100 {
             let t = 10.0 * i as f64;
             let v = 2.0 * t + if i % 2 == 0 { 300.0 } else { 0.0 };

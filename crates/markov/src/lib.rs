@@ -9,8 +9,9 @@
 //!
 //! * [`Ctmc`] — the generator abstraction: a model enumerates out-going
 //!   transitions `(state, rate)` from any state.
-//! * [`gillespie`] — an exact-jump (Gillespie / stochastic simulation
-//!   algorithm) simulator with observers and stopping rules.
+//! * [`gillespie`] — the exact-jump (Gillespie / stochastic simulation
+//!   algorithm) loop with its stopping rules, which a chain plugs into by
+//!   listing its transitions or by stepping its state in place.
 //! * [`alias`] — Walker/Vose alias tables for `O(1)` categorical sampling
 //!   (the turbo simulation kernel's arrival draws).
 //! * [`path`] — sample-path recording, time averages, linear-trend
@@ -87,26 +88,6 @@ pub trait Ctmc {
     /// `out` is cleared by the caller before the call. Rates must be finite
     /// and non-negative; zero-rate entries are allowed and ignored.
     fn transitions(&self, state: &Self::State, out: &mut Vec<(Self::State, f64)>);
-
-    /// Total out-going rate of `state` (the uniformization constant
-    /// contribution). The default implementation sums the transition rates.
-    fn total_rate(&self, state: &Self::State) -> f64 {
-        let mut buf = Vec::new();
-        self.transitions(state, &mut buf);
-        buf.iter().map(|(_, r)| r).sum()
-    }
-}
-
-impl<M: Ctmc + ?Sized> Ctmc for &M {
-    type State = M::State;
-
-    fn transitions(&self, state: &Self::State, out: &mut Vec<(Self::State, f64)>) {
-        (**self).transitions(state, out);
-    }
-
-    fn total_rate(&self, state: &Self::State) -> f64 {
-        (**self).total_rate(state)
-    }
 }
 
 /// Errors produced by the numeric routines in this crate.

@@ -21,17 +21,17 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.max_value(), 4.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScalarPath {
+pub struct SamplePath {
     times: Vec<f64>,
     values: Vec<f64>,
     end_time: f64,
 }
 
-impl ScalarPath {
+impl SamplePath {
     /// Creates a path with the given initial value at time `t0`.
     #[must_use]
     pub fn new(t0: f64, initial: f64) -> Self {
-        ScalarPath {
+        SamplePath {
             times: vec![t0],
             values: vec![initial],
             end_time: t0,
@@ -231,9 +231,6 @@ impl ScalarPath {
     }
 }
 
-/// Alias kept for the public API: a scalar sample path.
-pub type SamplePath = ScalarPath;
-
 /// Result of a least-squares linear fit `value ≈ intercept + slope · t`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrendEstimate {
@@ -301,8 +298,8 @@ impl TrendEstimate {
 mod tests {
     use super::*;
 
-    fn example_path() -> ScalarPath {
-        let mut p = ScalarPath::new(0.0, 2.0);
+    fn example_path() -> SamplePath {
+        let mut p = SamplePath::new(0.0, 2.0);
         p.record(1.0, 4.0);
         p.record(3.0, 0.0);
         p.finish(5.0);
@@ -349,14 +346,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-decreasing")]
     fn record_rejects_time_going_backwards() {
-        let mut p = ScalarPath::new(0.0, 1.0);
+        let mut p = SamplePath::new(0.0, 1.0);
         p.record(2.0, 1.0);
         p.record(1.0, 1.0);
     }
 
     #[test]
     fn trend_of_linear_path_recovers_slope() {
-        let mut p = ScalarPath::new(0.0, 0.0);
+        let mut p = SamplePath::new(0.0, 0.0);
         for i in 1..=100 {
             let t = i as f64;
             p.record(t, 3.0 * t + 1.0);
@@ -369,7 +366,7 @@ mod tests {
 
     #[test]
     fn trend_of_flat_path_is_zero() {
-        let mut p = ScalarPath::new(0.0, 5.0);
+        let mut p = SamplePath::new(0.0, 5.0);
         p.record(10.0, 5.0);
         p.finish(100.0);
         let trend = p.trend(0.5);

@@ -12,6 +12,7 @@ use crate::scenario;
 use engine::{
     Axis, EngineConfig, GridSpec, PhaseDiagram, Scenario, ScenarioOutcome, Session, Workload,
 };
+use markov::gillespie::{SimulatorRun, StopReason, StopRule};
 use markov::PathClassifier;
 use pieceset::{PieceId, PieceSet};
 use swarm::branching_analysis;
@@ -85,14 +86,25 @@ impl ExperimentConfig {
 /// valve stopped before its horizon (`None` when the run finished): a
 /// clipped trajectory must never pass for a full one.
 fn truncation_note(run: &str, sim: &AgentSwarm, result: &SimResult) -> Option<String> {
-    result.truncated.then(|| {
-        format!(
-            "truncated: {run} stopped at t = {t:.1} on reaching the {}-event cap \
-             (max_events), so its numbers cover [0, {t:.1}] only",
-            sim.config().max_events,
-            t = result.horizon,
-        )
-    })
+    result
+        .truncated
+        .then(|| cap_note(run, result.horizon, sim.config().max_events))
+}
+
+/// [`truncation_note`] for an exact-CTMC run, which the event budget of
+/// its `stop` rule may end before its horizon.
+fn budget_note<S>(run: &str, stop: StopRule, result: &SimulatorRun<S>) -> Option<String> {
+    (result.stop_reason == StopReason::EventBudget)
+        .then(|| cap_note(run, result.final_time, stop.max_events))
+}
+
+/// The words of both notes: `run` stopped at `t` on reaching a `cap`-event
+/// budget.
+fn cap_note(run: &str, t: f64, cap: u64) -> String {
+    format!(
+        "truncated: {run} stopped at t = {t:.1} on reaching the {cap}-event cap \
+         (max_events), so its numbers cover [0, {t:.1}] only"
+    )
 }
 
 /// Derives the random stream for one illustrative demo trajectory.
@@ -710,11 +722,8 @@ pub fn borderline(config: &ExperimentConfig) -> ExperimentReport {
 
     // Excursion statistics of the simulated µ = ∞ process.
     let mut rng = demo_rng(config, 0xE9, 0);
-    let run = process.simulate_peer_count(
-        MuInfinityState::Empty,
-        markov::StopRule::time_or_events(config.horizon * 50.0, 2_000_000),
-        &mut rng,
-    );
+    let stop = StopRule::time_or_events(config.horizon * 50.0, 2_000_000);
+    let run = process.simulate_peer_count(MuInfinityState::Empty, stop, &mut rng);
     let mut excursions = Table::new(
         "µ = ∞ process sample-path statistics",
         &["quantity", "value"],
@@ -746,6 +755,9 @@ pub fn borderline(config: &ExperimentConfig) -> ExperimentReport {
         fmt_num(stats.max_to_median()),
     ]);
     report.push_table(excursions);
+    report
+        .notes
+        .extend(budget_note("the µ = ∞ run", stop, &run));
     report.note("null recurrence signature: excursions keep completing (returns are certain) but their lengths are heavy-tailed — the max/median ratio grows with the horizon instead of settling");
 
     // Conjecture 17: finite µ/λ sweep for the symmetric flat network.
@@ -1069,6 +1081,30 @@ mod tests {
     #[test]
     fn truncation_note_is_silent_for_a_run_that_reaches_its_horizon() {
         assert_eq!(capped_demo(AgentConfig::default().max_events), None);
+    }
+
+    /// E9's µ = ∞ run over `horizon` under a `max_events` budget.
+    fn capped_mu_infinity(horizon: f64, max_events: u64) -> Option<String> {
+        let process = MuInfinityProcess::new(3, 1.0).unwrap();
+        let stop = StopRule::time_or_events(horizon, max_events);
+        let mut rng = demo_rng(&tiny(), 0xE9, 0);
+        let run = process.simulate_peer_count(MuInfinityState::Empty, stop, &mut rng);
+        budget_note("the µ = ∞ run", stop, &run)
+    }
+
+    #[test]
+    fn budget_note_names_a_clipped_ctmc_run_its_stop_time_and_the_cap() {
+        let note = capped_mu_infinity(1_000.0, 50).expect("50 jumps cannot cover 1000 time units");
+        assert!(
+            note.starts_with("truncated: the µ = ∞ run stopped at t = "),
+            "{note}"
+        );
+        assert!(note.contains("the 50-event cap"), "{note}");
+    }
+
+    #[test]
+    fn budget_note_is_silent_when_the_horizon_binds() {
+        assert_eq!(capped_mu_infinity(100.0, 2_000_000), None);
     }
 
     #[test]

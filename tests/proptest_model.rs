@@ -161,9 +161,10 @@ proptest! {
         horizon in 0.0f64..50.0,
         seed in any::<u64>()
     ) {
-        // `simulate_peer_count` steps one state in place; the generic
-        // Gillespie loop clones a state per candidate jump. From the same
-        // stream they must draw the same numbers and record the same path.
+        // `simulate_peer_count`'s hook steps one state in place; the
+        // listed `Simulator` clones a state per candidate jump. Through the
+        // one Gillespie loop, from the same stream, they must draw the same
+        // numbers and record the same path.
         let model = SwarmModel::new(params.clone());
         let initial = match start {
             0 => model.empty_state(),
@@ -280,12 +281,12 @@ proptest! {
         max_events in 0u64..2000,
         seed in any::<u64>()
     ) {
-        // `MuInfinityProcess::simulate_peer_count` reads a top-layer jump's
-        // total from tables and walks the law of `Z` lazily; the generic
-        // Gillespie loop lists every candidate jump. From the same stream
-        // they must draw the same numbers and stop in the same way, from
-        // the empty state and from top layers below, at and beyond the
-        // 512-entry enumeration cap.
+        // `MuInfinityProcess::simulate_peer_count`'s hook reads a top-layer
+        // jump's total from tables and walks the law of `Z` lazily;
+        // `Simulator` lists every candidate jump. Through the one Gillespie
+        // loop, from the same stream, they must draw the same numbers and
+        // stop in the same way, from the empty state and from top layers
+        // below, at and beyond the 512-entry enumeration cap.
         let stop = StopRule::time_or_events(horizon, max_events);
         for k in [3usize, 5] {
             let process = MuInfinityProcess::new(k, lambda).unwrap();
