@@ -133,29 +133,11 @@ impl GroupCounts {
         self.normal_young + self.infected + self.gifted + self.one_club + self.former_one_club
     }
 
-    /// The quantity `Y^e + Y^f` tracked by the proof: one-club peers plus
-    /// former one-club peers.
-    #[must_use]
-    pub fn club_and_former(&self) -> u64 {
-        self.one_club + self.former_one_club
-    }
-
     /// The quantity `Y^a + Y^b + Y^g` bounded by the M/GI/∞ comparison
     /// (Lemma 5): peers outside the one club that have not passed through it.
     #[must_use]
     pub fn young_infected_gifted(&self) -> u64 {
         self.normal_young + self.infected + self.gifted
-    }
-
-    /// Fraction of peers in the one club (zero for an empty system).
-    #[must_use]
-    pub fn one_club_fraction(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.one_club as f64 / total as f64
-        }
     }
 }
 
@@ -248,11 +230,7 @@ mod tests {
         g.add(PeerGroup::OneClub);
         g.add(PeerGroup::FormerOneClub);
         assert_eq!(g.total(), 8);
-        assert_eq!(g.club_and_former(), 4);
         assert_eq!(g.young_infected_gifted(), 4);
-        assert!((g.one_club_fraction() - 3.0 / 8.0).abs() < 1e-12);
-        let empty = GroupCounts::default();
-        assert_eq!(empty.one_club_fraction(), 0.0);
     }
 
     #[test]

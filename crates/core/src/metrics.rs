@@ -174,18 +174,6 @@ impl SimResult {
         path
     }
 
-    /// Fraction of contacts that carried a piece (the paper's efficiency
-    /// intuition: unsuccessful contacts dominate when the one club is large).
-    #[must_use]
-    pub fn contact_success_fraction(&self) -> f64 {
-        let total = self.transfers + self.unsuccessful_contacts;
-        if total == 0 {
-            0.0
-        } else {
-            self.transfers as f64 / total as f64
-        }
-    }
-
     /// Mean of the final dimension histogram (zero when the run did not use
     /// the coded kernel or the final population is empty).
     #[must_use]
@@ -297,18 +285,6 @@ mod tests {
         let club = r.one_club_path();
         assert_eq!(club.value_at(10.0), 25.0);
         assert_eq!(r.final_snapshot().total_peers, 30);
-    }
-
-    #[test]
-    fn contact_success_fraction_computed() {
-        let r = result();
-        assert!((r.contact_success_fraction() - 0.75).abs() < 1e-12);
-        let empty = SimResult {
-            transfers: 0,
-            unsuccessful_contacts: 0,
-            ..result()
-        };
-        assert_eq!(empty.contact_success_fraction(), 0.0);
     }
 
     #[test]

@@ -126,13 +126,6 @@ impl MuInfinityProcess {
         binomial(z + k - 2, z) * 0.5_f64.powi((z + k - 1) as i32)
     }
 
-    /// `E[Z] = K − 1`: the top layer has zero drift, the source of null
-    /// recurrence.
-    #[must_use]
-    pub fn z_mean(&self) -> f64 {
-        (self.num_pieces - 1) as f64
-    }
-
     /// Probability that the missing-piece arrival empties the old population
     /// of `n` peers before completing, ending with the new peer alone holding
     /// `1 + t` pieces (it downloaded `t ≤ K−2` pieces): the probability of
@@ -394,7 +387,6 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-9, "total {total}");
         let mean: f64 = (0..2_000).map(|z| z as f64 * p.z_pmf(z)).sum();
         assert!((mean - 3.0).abs() < 1e-6, "mean {mean}");
-        assert!((p.z_mean() - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -123,23 +123,6 @@ impl SwarmState {
             .map(|(bits, &c)| (PieceSet::from_bits(bits as u64), c))
     }
 
-    /// Number of peers holding piece `piece` (summed over types).
-    #[must_use]
-    pub fn peers_with_piece(&self, piece: pieceset::PieceId) -> u64 {
-        self.occupied_types()
-            .filter(|(c, _)| c.contains(piece))
-            .map(|(_, n)| u64::from(n))
-            .sum()
-    }
-
-    /// Number of copies of piece `piece` held across the swarm, counting one
-    /// per holding peer (identical to [`SwarmState::peers_with_piece`] but
-    /// kept separate for readability at call sites about piece rarity).
-    #[must_use]
-    pub fn piece_copies(&self, piece: pieceset::PieceId) -> u64 {
-        self.peers_with_piece(piece)
-    }
-
     /// `E_S = Σ_{C ⊆ S} x_C` — the number of peers that are, or can become,
     /// type-`S` peers (used by the Lyapunov function).
     #[must_use]
@@ -154,28 +137,6 @@ impl SwarmState {
     #[must_use]
     pub fn count_helpers_of(&self, s: PieceSet) -> u64 {
         self.total_peers() - self.count_subsets_of(s)
-    }
-
-    /// The fraction of peers that are of type `s` (zero for an empty system).
-    #[must_use]
-    pub fn fraction_of_type(&self, s: PieceSet) -> f64 {
-        let n = self.total_peers();
-        if n == 0 {
-            0.0
-        } else {
-            f64::from(self.count(s)) / n as f64
-        }
-    }
-
-    /// Size of the largest "one club": the maximum, over pieces `k`, of the
-    /// number of peers of type `F − {k}`.
-    #[must_use]
-    pub fn largest_one_club(&self, space: &TypeSpace) -> u32 {
-        space
-            .one_club_types()
-            .map(|c| self.count(c))
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -229,20 +190,6 @@ mod tests {
         let s = SwarmState::one_club(&space, PieceId::new(0), 10);
         assert_eq!(s.total_peers(), 10);
         assert_eq!(s.count(set(&[1, 2])), 10);
-        assert_eq!(s.largest_one_club(&space), 10);
-        assert_eq!(s.fraction_of_type(set(&[1, 2])), 1.0);
-    }
-
-    #[test]
-    fn piece_counts() {
-        let mut s = SwarmState::empty(&space3());
-        s.set_count(set(&[0]), 3);
-        s.set_count(set(&[0, 1]), 2);
-        s.set_count(set(&[2]), 4);
-        assert_eq!(s.peers_with_piece(PieceId::new(0)), 5);
-        assert_eq!(s.peers_with_piece(PieceId::new(1)), 2);
-        assert_eq!(s.piece_copies(PieceId::new(2)), 4);
-        assert_eq!(s.total_peers(), 9);
     }
 
     #[test]
@@ -256,12 +203,6 @@ mod tests {
         // subsets of {1,2}: ∅, {1}, {1,2} → 1 + 2 + 3 = 6
         assert_eq!(s.count_subsets_of(target), 6);
         assert_eq!(s.count_helpers_of(target), 4);
-    }
-
-    #[test]
-    fn fraction_of_type_handles_empty() {
-        let s = SwarmState::empty(&space3());
-        assert_eq!(s.fraction_of_type(set(&[0])), 0.0);
     }
 
     #[test]

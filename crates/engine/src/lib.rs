@@ -26,7 +26,7 @@
 //!   `(master seed, scenario id, replication id)`, so results are
 //!   bit-for-bit reproducible at *any* worker count,
 //! * [`stats`] — Welford mean/variance, min/max, and normal-approximation
-//!   confidence intervals, merged in a fixed order independent of thread
+//!   confidence intervals, pushed in replication order whatever the thread
 //!   scheduling,
 //! * [`grid`] / [`coded`] — phase-diagram rectangle and diagram types,
 //! * [`labels`] — the one canonical verdict/class naming and glyph map,

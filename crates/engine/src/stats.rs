@@ -111,44 +111,6 @@ impl Welford {
         self.max
     }
 
-    /// Merges another accumulator (Chan's parallel update). The engine's
-    /// hot path aggregates sequentially in replication order; `merge` is
-    /// for callers combining already-aggregated batches.
-    ///
-    /// # Merge order is part of the contract
-    ///
-    /// Chan's update is **not** bit-identical to pushing the same values in
-    /// order, and it is not associative-in-bits either: `a.merge(b)` and
-    /// `b.merge(a)` generally differ in the last ulps of mean/m2 (both are
-    /// correct to floating-point accuracy; neither reproduces in-order
-    /// `push` exactly). Deterministic callers must therefore fix a canonical
-    /// merge order — the sharded simulator merges shard-local accumulators
-    /// in ascending shard index — while the engine's artifact aggregation
-    /// never merges at all: it stays on the in-order `push` path, which is
-    /// what keeps artifacts byte-identical at any `--jobs`. The
-    /// `merge_is_order_sensitive_but_push_path_is_canonical` regression test
-    /// pins both halves of this contract.
-    pub fn merge(&mut self, other: &Welford) {
-        self.non_finite += other.non_finite;
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            let non_finite = self.non_finite;
-            *self = *other;
-            self.non_finite = non_finite;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Decomposes the accumulator into `(count, non_finite, mean, m2, min,
     /// max)` for bit-exact external serialization (checkpoint files
     /// round-trip the floats through [`f64::to_bits`]). Inverse of
@@ -228,20 +190,6 @@ pub struct Estimate {
     pub ci_half_width: f64,
 }
 
-impl Estimate {
-    /// Lower edge of the confidence interval.
-    #[must_use]
-    pub fn lo(&self) -> f64 {
-        self.mean - self.ci_half_width
-    }
-
-    /// Upper edge of the confidence interval.
-    #[must_use]
-    pub fn hi(&self) -> f64 {
-        self.mean + self.ci_half_width
-    }
-}
-
 /// Standard-normal quantile (inverse CDF) via Acklam's rational
 /// approximation — absolute error below `1.2e-9`, far tighter than any
 /// Monte-Carlo interval reported here.
@@ -318,28 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_agrees_with_sequential_push() {
-        let mut all = Welford::new();
-        let mut left = Welford::new();
-        let mut right = Welford::new();
-        for i in 0..100 {
-            let v = (i as f64).sin() * 10.0;
-            all.push(v);
-            if i < 37 {
-                left.push(v);
-            } else {
-                right.push(v);
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), all.count());
-        assert!((left.mean() - all.mean()).abs() < 1e-12);
-        assert!((left.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(left.min(), all.min());
-        assert_eq!(left.max(), all.max());
-    }
-
-    #[test]
     fn normal_quantile_hits_known_values() {
         assert!((normal_quantile(0.5)).abs() < 1e-9);
         assert!((normal_quantile(0.975) - 1.959_964).abs() < 1e-5);
@@ -366,7 +292,6 @@ mod tests {
             l.ci_half_width,
             s.ci_half_width
         );
-        assert!(s.lo() < s.mean && s.mean < s.hi());
     }
 
     #[test]
@@ -400,83 +325,6 @@ mod tests {
         assert_eq!(w.min(), 2.0);
         assert_eq!(w.max(), 4.0);
         assert!(w.estimate(0.95).mean.is_finite());
-        // Merging carries the rejection count along, in both directions.
-        let mut other = Welford::new();
-        other.push(f64::NAN);
-        other.push(6.0);
-        w.merge(&other);
-        assert_eq!(w.count(), 3);
-        assert_eq!(w.non_finite(), 4);
-        let mut empty = Welford::new();
-        empty.push(f64::NAN);
-        empty.merge(&w);
-        assert_eq!(empty.non_finite(), 5);
-        assert_eq!(empty.count(), 3);
-    }
-
-    /// Pins the merge-order contract documented on [`Welford::merge`]:
-    /// Chan's update is order-sensitive in the last bits, so (a) a fixed
-    /// canonical merge order is deterministic and statistically equal to
-    /// the in-order push path, and (b) nothing may assume `merge` commutes
-    /// bit-for-bit — the engine's artifact aggregation therefore stays on
-    /// in-order `push`, and shard merges fix ascending shard order.
-    #[test]
-    fn merge_is_order_sensitive_but_push_path_is_canonical() {
-        // Three shard-like batches with deliberately mismatched scales so
-        // the floating-point non-associativity is actually visible.
-        let batches: [Vec<f64>; 3] = [
-            (0..31).map(|i| (i as f64).sin() * 1e8).collect(),
-            (0..17).map(|i| (i as f64).cos() * 1e-3).collect(),
-            (0..53).map(|i| ((i * i) as f64).sin() * 42.0).collect(),
-        ];
-        let mut in_order = Welford::new();
-        let mut parts: Vec<Welford> = Vec::new();
-        for batch in &batches {
-            let mut w = Welford::new();
-            for &v in batch {
-                in_order.push(v);
-                w.push(v);
-            }
-            parts.push(w);
-        }
-        // Canonical order: ascending shard index. Deterministic — merging
-        // the same parts in the same order twice is bit-identical.
-        let canonical = |order: &[usize]| {
-            let mut acc = Welford::new();
-            for &i in order {
-                acc.merge(&parts[i]);
-            }
-            acc
-        };
-        let forward = canonical(&[0, 1, 2]);
-        let again = canonical(&[0, 1, 2]);
-        assert_eq!(forward.mean().to_bits(), again.mean().to_bits());
-        assert_eq!(forward.variance().to_bits(), again.variance().to_bits());
-        // Order dependence: some permutation disagrees in the last bits
-        // with the canonical order (if merge were bit-commutative this
-        // regression test would fail and the docs would be wrong).
-        let permutations: [[usize; 3]; 5] = [[0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
-        let some_order_differs = permutations.iter().any(|order| {
-            let w = canonical(order);
-            w.mean().to_bits() != forward.mean().to_bits()
-                || w.variance().to_bits() != forward.variance().to_bits()
-        });
-        let push_path_differs = forward.mean().to_bits() != in_order.mean().to_bits()
-            || forward.variance().to_bits() != in_order.variance().to_bits();
-        assert!(
-            some_order_differs || push_path_differs,
-            "Chan merge unexpectedly bit-identical across orders and to in-order push"
-        );
-        // Statistically they all agree to floating-point accuracy.
-        for order in &permutations {
-            let w = canonical(order);
-            assert_eq!(w.count(), in_order.count());
-            assert!((w.mean() - in_order.mean()).abs() <= 1e-6 * in_order.mean().abs() + 1e-9);
-            assert!(
-                (w.variance() - in_order.variance()).abs()
-                    <= 1e-6 * in_order.variance().abs() + 1e-9
-            );
-        }
     }
 
     #[test]

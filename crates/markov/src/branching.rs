@@ -17,19 +17,6 @@ pub struct BranchingProcess {
     mean_offspring: Matrix,
 }
 
-/// Criticality classification of a branching process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Criticality {
-    /// Spectral radius < 1: extinction is certain and total progeny has
-    /// finite mean.
-    Subcritical,
-    /// Spectral radius ≈ 1.
-    Critical,
-    /// Spectral radius > 1: the process survives with positive probability
-    /// and the expected total progeny is infinite.
-    Supercritical,
-}
-
 impl BranchingProcess {
     /// Creates a branching process from its mean offspring matrix (row `i`:
     /// expected offspring counts of a type-`i` parent, by offspring type).
@@ -87,22 +74,6 @@ impl BranchingProcess {
         self.mean_offspring.spectral_radius(100_000)
     }
 
-    /// Classifies the process (with tolerance `tol` around criticality).
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`BranchingProcess::spectral_radius`].
-    pub fn criticality(&self, tol: f64) -> Result<Criticality, MarkovError> {
-        let r = self.spectral_radius()?;
-        Ok(if r < 1.0 - tol {
-            Criticality::Subcritical
-        } else if r > 1.0 + tol {
-            Criticality::Supercritical
-        } else {
-            Criticality::Critical
-        })
-    }
-
     /// For a subcritical process, returns the vector `m` where `m[i]` is one
     /// plus the expected total number of descendants of a single type-`i`
     /// individual (the individual itself counts as the "one plus").
@@ -133,46 +104,14 @@ impl BranchingProcess {
     }
 }
 
-/// Expected total progeny (including the root) of a *single-type* branching
-/// process with mean offspring `m`, i.e. `1 / (1 − m)`.
-///
-/// Returns `f64::INFINITY` if `m >= 1`. This is the quantity used throughout
-/// the paper's heuristics: each seed upload ultimately causes about
-/// `1 / (1 − µ/γ)` departures from the one club.
-///
-/// # Panics
-///
-/// Panics if `m` is negative or not finite.
-#[must_use]
-pub fn single_type_total_progeny(m: f64) -> f64 {
-    assert!(
-        m >= 0.0 && m.is_finite(),
-        "mean offspring must be finite and non-negative"
-    );
-    if m >= 1.0 {
-        f64::INFINITY
-    } else {
-        1.0 / (1.0 - m)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn single_type_progeny_formula() {
-        assert_eq!(single_type_total_progeny(0.0), 1.0);
-        assert!((single_type_total_progeny(0.5) - 2.0).abs() < 1e-12);
-        assert_eq!(single_type_total_progeny(1.0), f64::INFINITY);
-        assert_eq!(single_type_total_progeny(2.0), f64::INFINITY);
-    }
-
-    #[test]
     fn subcritical_two_type_progeny() {
         // M = [[0.2, 0.3], [0.1, 0.4]]
         let bp = BranchingProcess::from_rows(&[vec![0.2, 0.3], vec![0.1, 0.4]]).unwrap();
-        assert_eq!(bp.criticality(1e-9).unwrap(), Criticality::Subcritical);
         let m = bp.expected_total_progeny().unwrap();
         // Solve (I - M) m = 1 by hand: [0.8, -0.3; -0.1, 0.6] m = [1,1]
         // det = 0.45; m0 = (0.6 + 0.3)/0.45 = 2, m1 = (0.8+0.1)/0.45 = 2
@@ -183,14 +122,7 @@ mod tests {
     #[test]
     fn supercritical_progeny_is_error() {
         let bp = BranchingProcess::from_rows(&[vec![1.5]]).unwrap();
-        assert_eq!(bp.criticality(1e-9).unwrap(), Criticality::Supercritical);
         assert!(bp.expected_total_progeny().is_err());
-    }
-
-    #[test]
-    fn critical_classification() {
-        let bp = BranchingProcess::from_rows(&[vec![1.0]]).unwrap();
-        assert_eq!(bp.criticality(1e-6).unwrap(), Criticality::Critical);
     }
 
     #[test]

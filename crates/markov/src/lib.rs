@@ -1,28 +1,28 @@
 //! Continuous-time Markov chain (CTMC) infrastructure for the P2P stability
 //! reproduction.
 //!
-//! The Zhu–Hajek model is a countable-state CTMC; the paper's proofs lean on
-//! a toolbox of classical results (Foster–Lyapunov drift, multi-type
-//! branching processes, Kingman's moment bound, an `M/GI/∞` maximal bound,
-//! birth–death chains). This crate provides exactly that toolbox, independent
-//! of the P2P model itself:
+//! The Zhu–Hajek model is a countable-state CTMC. This crate holds the CTMC
+//! machinery the reproduction uses (exact-jump simulation, Foster–Lyapunov
+//! drift, multi-type branching means, truncated stationary laws),
+//! independent of the P2P model itself:
 //!
 //! * [`Ctmc`] — the generator abstraction: a model enumerates out-going
 //!   transitions `(state, rate)` from any state.
 //! * [`gillespie`] — the exact-jump (Gillespie / stochastic simulation
 //!   algorithm) loop with its stopping rules, which a chain plugs into by
 //!   listing its transitions or by stepping its state in place.
+//! * [`poisson`] — exponential waiting times and weighted categorical
+//!   draws.
 //! * [`alias`] — Walker/Vose alias tables for `O(1)` categorical sampling
 //!   (the turbo simulation kernel's arrival draws).
 //! * [`path`] — sample-path recording, time averages, linear-trend
 //!   estimation.
+//! * [`hitting`] — excursion statistics of a recorded sample path.
 //! * [`drift`] — numeric Foster–Lyapunov drift `QV(x)` evaluation.
 //! * [`branching`] — multi-type branching process means: subcriticality and
 //!   expected total progeny.
-//! * [`queueing`] — Kingman's maximal bound for compound Poisson processes
-//!   (Proposition 20) and the `M/GI/∞` maximal bound (Lemma 21).
-//! * [`birth_death`] — classification and stationary distribution of
-//!   birth–death chains.
+//! * [`linalg`] — small dense matrices: Gaussian elimination and spectral
+//!   radii.
 //! * [`stationary`] — stationary distribution of a truncated CTMC by
 //!   uniformization and power iteration.
 //! * [`classify`] — heuristic transience / stability classification of
@@ -57,7 +57,6 @@
 #![forbid(unsafe_code)]
 
 pub mod alias;
-pub mod birth_death;
 pub mod branching;
 pub mod classify;
 pub mod drift;
@@ -66,7 +65,6 @@ pub mod hitting;
 pub mod linalg;
 pub mod path;
 pub mod poisson;
-pub mod queueing;
 pub mod stationary;
 
 pub use classify::{PathClass, PathClassifier};

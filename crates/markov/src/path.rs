@@ -105,12 +105,6 @@ impl SamplePath {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// The smallest recorded value.
-    #[must_use]
-    pub fn min_value(&self) -> f64 {
-        self.values.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
     /// Time-average of the observable over the whole observation window.
     ///
     /// Returns the initial value if the window has zero length.
@@ -337,7 +331,6 @@ mod tests {
     fn min_max_last() {
         let p = example_path();
         assert_eq!(p.max_value(), 4.0);
-        assert_eq!(p.min_value(), 0.0);
         assert_eq!(p.last_value(), 0.0);
         assert_eq!(p.len(), 3);
         assert!(!p.is_empty());

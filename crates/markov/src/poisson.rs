@@ -1,8 +1,10 @@
-//! Sampling helpers for exponential waiting times and Poisson processes.
+//! Sampling helpers for exponential waiting times and weighted categorical
+//! draws.
 //!
 //! The `rand` crate alone (without `rand_distr`) does not ship an exponential
-//! distribution; the model only needs exponential and Poisson-process
-//! sampling, both of which are implemented here by inverse transform.
+//! distribution, so it is sampled here by inverse transform; the categorical
+//! samplers pick a jump or an arrival type with probability proportional to
+//! its rate.
 
 use rand::Rng;
 
@@ -19,82 +21,6 @@ pub fn sample_exp<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     // Use 1 - u to avoid ln(0); u in [0, 1).
     let u: f64 = rng.gen();
     -(1.0 - u).ln() / rate
-}
-
-/// Samples a `Poisson(mean)` count using Knuth's multiplication method for
-/// small means and a normal approximation for large means.
-///
-/// # Panics
-///
-/// Panics if `mean` is negative or not finite.
-pub fn sample_poisson<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
-    assert!(
-        mean.is_finite() && mean >= 0.0,
-        "Poisson mean must be non-negative and finite"
-    );
-    if mean == 0.0 {
-        return 0;
-    }
-    if mean < 30.0 {
-        let l = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= rng.gen::<f64>();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    } else {
-        // Normal approximation with continuity correction; adequate for the
-        // workload generators where mean is large.
-        let z = sample_standard_normal(rng);
-        let v = mean + mean.sqrt() * z + 0.5;
-        if v < 0.0 {
-            0
-        } else {
-            v.floor() as u64
-        }
-    }
-}
-
-/// Samples a standard normal variate via the Box–Muller transform.
-pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
-}
-
-/// Samples the jump times of a rate-`rate` Poisson process on `[0, horizon]`.
-///
-/// Returns the (sorted) jump times. If `rate == 0.0` the result is empty.
-///
-/// # Panics
-///
-/// Panics if `rate` is negative or `horizon` is negative / not finite.
-pub fn poisson_process_times<R: Rng + ?Sized>(rng: &mut R, rate: f64, horizon: f64) -> Vec<f64> {
-    assert!(
-        rate >= 0.0 && rate.is_finite(),
-        "rate must be non-negative and finite"
-    );
-    assert!(
-        horizon >= 0.0 && horizon.is_finite(),
-        "horizon must be non-negative and finite"
-    );
-    let mut times = Vec::new();
-    if rate == 0.0 {
-        return times;
-    }
-    let mut t = 0.0;
-    loop {
-        t += sample_exp(rng, rate);
-        if t > horizon {
-            break;
-        }
-        times.push(t);
-    }
-    times
 }
 
 /// Precomputed cumulative weights for repeated categorical sampling.
@@ -177,20 +103,7 @@ pub fn sample_weighted_index<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> O
     if total.is_nan() || total <= 0.0 {
         return None;
     }
-    sample_weighted_index_by(rng, total, weights, |&w| w)
-}
-
-/// [`sample_weighted_index`] for a caller that has already summed the
-/// weights: `items[i]` weighs `weight(&items[i])`, and `total` must be
-/// their positive left-to-right sum. On the same stream it returns exactly
-/// what [`sample_weighted_index`] returns for the same weights.
-pub fn sample_weighted_index_by<T, R: Rng + ?Sized>(
-    rng: &mut R,
-    total: f64,
-    items: &[T],
-    weight: impl Fn(&T) -> f64,
-) -> Option<usize> {
-    sample_weighted_index_of(rng, total, items.iter().map(weight))
+    sample_weighted_index_of(rng, total, weights.iter().copied())
 }
 
 /// The walk behind [`sample_weighted_index`], over weights computed one at
@@ -245,65 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_small_mean() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mean = 3.0;
-        let n = 100_000;
-        let avg: f64 = (0..n)
-            .map(|_| sample_poisson(&mut rng, mean) as f64)
-            .sum::<f64>()
-            / n as f64;
-        assert!((avg - mean).abs() < 0.05, "avg {avg}");
-    }
-
-    #[test]
-    fn poisson_large_mean_uses_normal_approx() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mean = 500.0;
-        let n = 20_000;
-        let avg: f64 = (0..n)
-            .map(|_| sample_poisson(&mut rng, mean) as f64)
-            .sum::<f64>()
-            / n as f64;
-        assert!((avg - mean).abs() < 2.0, "avg {avg}");
-    }
-
-    #[test]
-    fn poisson_zero_mean_is_zero() {
-        let mut rng = StdRng::seed_from_u64(4);
-        assert_eq!(sample_poisson(&mut rng, 0.0), 0);
-    }
-
-    #[test]
-    fn standard_normal_moments() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let n = 200_000;
-        let samples: Vec<f64> = (0..n).map(|_| sample_standard_normal(&mut rng)).collect();
-        let mean: f64 = samples.iter().sum::<f64>() / n as f64;
-        let var: f64 = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.01, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.02, "var {var}");
-    }
-
-    #[test]
-    fn poisson_process_count_matches_rate_times_horizon() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let rate = 4.0;
-        let horizon = 1000.0;
-        let times = poisson_process_times(&mut rng, rate, horizon);
-        let expected = rate * horizon;
-        assert!((times.len() as f64 - expected).abs() < 4.0 * expected.sqrt());
-        assert!(times.windows(2).all(|w| w[0] <= w[1]), "times sorted");
-        assert!(times.iter().all(|&t| t <= horizon));
-    }
-
-    #[test]
-    fn poisson_process_zero_rate_is_empty() {
-        let mut rng = StdRng::seed_from_u64(7);
-        assert!(poisson_process_times(&mut rng, 0.0, 100.0).is_empty());
-    }
-
-    #[test]
     fn weighted_index_respects_weights() {
         let mut rng = StdRng::seed_from_u64(8);
         let weights = [0.0, 1.0, 3.0];
@@ -321,28 +175,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         assert_eq!(sample_weighted_index(&mut rng, &[0.0, 0.0]), None);
         assert_eq!(sample_weighted_index(&mut rng, &[]), None);
-    }
-
-    #[test]
-    fn walk_over_summed_items_matches_the_weight_slice_walk() {
-        // The same draws pick the same indices whether the walk reads a
-        // weight slice or `(item, weight)` pairs with their total supplied.
-        let weights = [0.5, 0.0, 2.5, 1.0, 0.0, 0.25];
-        let pairs: Vec<(char, f64)> = weights.iter().map(|&w| ('x', w)).collect();
-        let total: f64 = weights.iter().sum();
-        let mut a = StdRng::seed_from_u64(12);
-        let mut b = StdRng::seed_from_u64(12);
-        for _ in 0..20_000 {
-            assert_eq!(
-                sample_weighted_index_by(&mut a, total, &pairs, |(_, w)| *w),
-                sample_weighted_index(&mut b, &weights)
-            );
-        }
-        // A total rounded above the weights' sum lands on the last positive
-        // weight, not on the trailing zero.
-        let mut rng = StdRng::seed_from_u64(13);
-        let slack = sample_weighted_index_by(&mut rng, 1e300, &pairs, |(_, w)| *w);
-        assert_eq!(slack, Some(5));
     }
 
     #[test]

@@ -247,11 +247,6 @@ impl GaloisField {
     pub fn random_element<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> u32 {
         rng.gen_range(0..self.order)
     }
-
-    /// Samples a uniformly random *non-zero* field element.
-    pub fn random_nonzero<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> u32 {
-        rng.gen_range(1..self.order)
-    }
 }
 
 impl core::fmt::Display for GaloisField {
@@ -373,7 +368,6 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         for _ in 0..1000 {
             assert!(f.contains(f.random_element(&mut rng)));
-            assert_ne!(f.random_nonzero(&mut rng), 0);
         }
     }
 

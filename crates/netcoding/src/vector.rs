@@ -167,29 +167,6 @@ impl CodingVector {
         }
         Ok(())
     }
-
-    /// Random linear combination of the given vectors with independent
-    /// uniform coefficients — the coded piece peer `B` sends when contacted
-    /// (Section VIII-B).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodingError::Mismatch`] if the vectors are incompatible or
-    /// the slice is empty.
-    pub fn random_combination<R: rand::Rng + ?Sized>(
-        vectors: &[Self],
-        rng: &mut R,
-    ) -> Result<Self, CodingError> {
-        let first = vectors
-            .first()
-            .ok_or_else(|| CodingError::Mismatch("no vectors to combine".into()))?;
-        let mut acc = Self::zero(first.field, first.len());
-        for v in vectors {
-            let coeff = first.field.random_element(rng);
-            acc = acc.add_scaled(v, coeff)?;
-        }
-        Ok(acc)
-    }
 }
 
 impl core::fmt::Display for CodingVector {
@@ -249,20 +226,6 @@ mod tests {
         let c = CodingVector::zero(GaloisField::new(8).unwrap(), 3);
         assert!(a.add(&c).is_err());
         assert!(a.scale(9).is_err());
-    }
-
-    #[test]
-    fn random_combination_stays_in_span() {
-        let f = GaloisField::new(16).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let basis = vec![CodingVector::unit(f, 4, 0), CodingVector::unit(f, 4, 2)];
-        for _ in 0..50 {
-            let combo = CodingVector::random_combination(&basis, &mut rng).unwrap();
-            // components 1 and 3 must remain zero
-            assert_eq!(combo.coeffs()[1], 0);
-            assert_eq!(combo.coeffs()[3], 0);
-        }
-        assert!(CodingVector::random_combination(&[], &mut rng).is_err());
     }
 
     #[test]

@@ -159,13 +159,6 @@ impl TypeSpace {
     pub fn helpers_of(&self, of: PieceSet) -> impl Iterator<Item = PieceSet> + '_ {
         self.iter().filter(move |c| !c.is_subset_of(of))
     }
-
-    /// Iterates over the types with exactly `K − 1` pieces (`F − {k}`); these
-    /// are the "one club" candidate types of the missing-piece syndrome.
-    pub fn one_club_types(&self) -> impl Iterator<Item = PieceSet> + '_ {
-        let full = self.full_type();
-        full.iter().map(move |k| full.without(k))
-    }
 }
 
 /// Iterator over all subsets of a given [`PieceSet`].
@@ -267,20 +260,8 @@ mod tests {
     }
 
     #[test]
-    fn one_club_types_have_k_minus_one_pieces() {
-        let space = TypeSpace::new(4).unwrap();
-        let clubs: Vec<PieceSet> = space.one_club_types().collect();
-        assert_eq!(clubs.len(), 4);
-        for c in clubs {
-            assert_eq!(c.len(), 3);
-        }
-    }
-
-    #[test]
     fn single_piece_space() {
         let space = TypeSpace::new(1).unwrap();
         assert_eq!(space.num_types(), 2);
-        let clubs: Vec<PieceSet> = space.one_club_types().collect();
-        assert_eq!(clubs, vec![PieceSet::empty()]);
     }
 }

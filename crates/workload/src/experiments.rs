@@ -783,8 +783,11 @@ pub fn borderline(config: &ExperimentConfig) -> ExperimentReport {
 }
 
 /// E10 — Section VI proof machinery: ABS branching means versus their ξ → 0
-/// limits, and the Kingman / M-GI-∞ envelope bounds checked against an
-/// agent-based run started from a large one club.
+/// limits, and linear envelopes of the shape of Proposition 20 (Kingman)
+/// and Lemma 21 (M/GI/∞) at a fixed `B = 50`, checked against an
+/// agent-based run started from a large one club: `D ≤ 50 + 1.1·D̂·t`,
+/// `A ≥ −50 + 0.9·a·t` and `Y ≤ 50 + 0.5·λt + λ(K + 1)`. No probability
+/// bound is evaluated.
 #[must_use]
 pub fn abs_bounds(config: &ExperimentConfig) -> ExperimentReport {
     let mut report = ExperimentReport::new(

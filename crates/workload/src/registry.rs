@@ -983,15 +983,6 @@ impl Registry {
         self.specs.iter()
     }
 
-    /// Adds (or replaces, by name) a scenario.
-    pub fn insert(&mut self, spec: ScenarioSpec) {
-        if let Some(slot) = self.specs.iter_mut().find(|s| s.name == spec.name) {
-            *slot = spec;
-        } else {
-            self.specs.push(spec);
-        }
-    }
-
     /// Resolves `--scenario` CLI input: a path to a JSON scenario file, or
     /// the name of a built-in.
     ///

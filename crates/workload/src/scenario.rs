@@ -84,47 +84,6 @@ pub fn example3(lambda: [f64; 3], mu: f64, gamma: f64) -> Result<SwarmParams, Sw
     b.build()
 }
 
-/// A `K`-piece flash-crowd style workload: empty-handed arrivals at rate
-/// `lambda0`, a fixed seed at rate `us`, and a fraction `gift_fraction` of
-/// arrivals carrying one uniformly chosen data piece (split evenly across
-/// pieces). Used by the gifted-peer and network-coding-contrast experiments.
-///
-/// # Errors
-///
-/// Returns [`SwarmError::InvalidParameter`] if `gift_fraction ∉ [0, 1]`, and
-/// propagates parameter-validation errors.
-pub fn gifted_fraction(
-    num_pieces: usize,
-    lambda_total: f64,
-    gift_fraction: f64,
-    us: f64,
-    mu: f64,
-    gamma: f64,
-) -> Result<SwarmParams, SwarmError> {
-    if !(0.0..=1.0).contains(&gift_fraction) {
-        return Err(SwarmError::InvalidParameter(format!(
-            "gift fraction {gift_fraction} must lie in [0, 1]"
-        )));
-    }
-    let blank = lambda_total * (1.0 - gift_fraction);
-    let per_piece = lambda_total * gift_fraction / num_pieces as f64;
-    let mut b = SwarmParams::builder(num_pieces)
-        .seed_rate(us)
-        .contact_rate(mu);
-    if gamma.is_finite() {
-        b = b.seed_departure_rate(gamma);
-    }
-    if blank > 0.0 {
-        b = b.fresh_arrivals(blank);
-    }
-    if per_piece > 0.0 {
-        for i in 0..num_pieces {
-            b = b.arrival(PieceSet::singleton(PieceId::new(i)), per_piece);
-        }
-    }
-    b.build()
-}
-
 /// The "one extra piece" corollary scenario: a heavily loaded `K`-piece
 /// system with a tiny fixed seed, where the peer-seed departure rate is
 /// `gamma_over_mu · µ`. The corollary states that `γ ≤ µ` (dwelling long
@@ -221,18 +180,6 @@ mod tests {
         // Asymmetric rates with γ = ∞ are transient.
         let p = example3([1.0, 1.0, 0.2], 1.0, f64::INFINITY).unwrap();
         assert_eq!(stability::classify(&p).verdict, StabilityVerdict::Transient);
-    }
-
-    #[test]
-    fn gifted_fraction_splits_rates_correctly() {
-        let p = gifted_fraction(4, 2.0, 0.5, 0.1, 1.0, f64::INFINITY).unwrap();
-        assert!((p.total_arrival_rate() - 2.0).abs() < 1e-12);
-        assert!((p.arrival_rate(PieceSet::empty()) - 1.0).abs() < 1e-12);
-        assert!((p.arrival_rate(PieceSet::singleton(PieceId::new(2))) - 0.25).abs() < 1e-12);
-        assert!(gifted_fraction(4, 2.0, 1.5, 0.1, 1.0, f64::INFINITY).is_err());
-        // fraction 1.0: no blank arrivals
-        let p = gifted_fraction(2, 2.0, 1.0, 0.0, 1.0, 2.0).unwrap();
-        assert_eq!(p.arrival_rate(PieceSet::empty()), 0.0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the runnable examples only need one dependency:
 //!
 //! * [`pieceset`] — piece-subset types and type-space enumeration,
-//! * [`markov`] — the CTMC engine, drift / branching / queueing toolbox,
+//! * [`markov`] — the CTMC engine, drift / branching / stationary-law toolbox,
 //! * [`netcoding`] — `GF(q)` arithmetic and subspace types,
 //! * [`swarm`] — the paper's model, Theorem 1/14/15 analysis, Lyapunov and
 //!   branching machinery, and the two simulators,

@@ -1,14 +1,17 @@
 //! Integration tests: the type-count CTMC simulator and the peer-level
 //! agent-based simulator implement the same stochastic model, so on identical
 //! parameters they must agree on the qualitative behaviour and, for stable
-//! points, on the time-average population.
+//! points, on the time-average population. At `K = 1` both are also held to
+//! the exact stationary law of the chain, solved by `markov::stationary`.
 
-use p2p_stability::markov::{PathClass, PathClassifier};
+use p2p_stability::markov::stationary::{stationary_distribution, StationaryOptions};
+use p2p_stability::markov::{PathClass, PathClassifier, SamplePath};
 use p2p_stability::pieceset::PieceSet;
-use p2p_stability::swarm::sim::{AgentConfig, AgentSwarm};
+use p2p_stability::swarm::sim::{AgentConfig, AgentSwarm, KernelKind};
 use p2p_stability::swarm::{policy, SwarmModel, SwarmParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::OnceLock;
 
 fn agent_config() -> AgentConfig {
     AgentConfig {
@@ -149,4 +152,141 @@ fn peer_seed_population_behaves_like_mm_infinity() {
         mean_seeds > 0.3 && mean_seeds < 3.0,
         "mean peer seeds {mean_seeds:.2}"
     );
+}
+
+/// The `K = 1` stable point of the exact-law checks: `U_s = 1`, `µ = 1`,
+/// `γ = 2`, `λ = 1`.
+fn one_piece_params() -> SwarmParams {
+    SwarmParams::builder(1)
+        .seed_rate(1.0)
+        .contact_rate(1.0)
+        .seed_departure_rate(2.0)
+        .fresh_arrivals(1.0)
+        .build()
+        .unwrap()
+}
+
+/// Horizon, burn-in and replication count of each simulated side.
+const HORIZON: f64 = 2_000.0;
+const BURN_IN: f64 = 200.0;
+const REPLICATIONS: u64 = 64;
+
+/// Stationary `E[N]`, `P(N = 0)` and `E[x_F]` of the `K = 1` chain.
+struct ExactLaw {
+    mean_peers: f64,
+    p_empty: f64,
+    mean_seeds: f64,
+}
+
+/// The exact law of [`one_piece_params`], solved once on the chain
+/// truncated at `N ≤ 30` (496 states).
+fn exact_law() -> &'static ExactLaw {
+    static LAW: OnceLock<ExactLaw> = OnceLock::new();
+    LAW.get_or_init(|| {
+        let params = one_piece_params();
+        let full = params.full_type();
+        let model = SwarmModel::new(params);
+        // The solve converges in about 15,000 sweeps at this cap; the
+        // default budget of 20,000 runs out by cap 40 (about 22,000).
+        let options = StationaryOptions {
+            max_states: 1_000,
+            max_iterations: 20_000,
+            tolerance: 1e-10,
+        };
+        let law = stationary_distribution(
+            &model,
+            model.empty_state(),
+            |s| s.total_peers() <= 30,
+            options,
+        )
+        .unwrap();
+        assert!(!law.truncated);
+        assert_eq!(law.len(), 496);
+        let at_cap = law.expectation(|s| f64::from(u8::from(s.total_peers() == 30)));
+        assert!(at_cap < 1e-4, "the cap is not in the far tail: {at_cap:e}");
+        let exact = ExactLaw {
+            mean_peers: law.expectation(|s| s.total_peers() as f64),
+            p_empty: law.probability_of(&model.empty_state()),
+            mean_seeds: law.expectation(|s| f64::from(s.count(full))),
+        };
+        // Every arrival leaves as a peer seed after an Exp(γ) stay, so
+        // Little's law gives E[x_F] = λ/γ exactly.
+        assert!(
+            (exact.mean_seeds - 0.5).abs() < 1e-4,
+            "E[x_F] {}",
+            exact.mean_seeds
+        );
+        exact
+    })
+}
+
+/// Asserts that per-replication estimates average to `exact` within five
+/// standard errors.
+fn assert_matches(what: &str, exact: f64, estimates: &[f64]) {
+    let n = estimates.len() as f64;
+    let mean = estimates.iter().sum::<f64>() / n;
+    let var = estimates.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+    let se = (var / n).sqrt();
+    let z = (mean - exact) / se;
+    assert!(
+        z.abs() < 5.0,
+        "{what}: {mean:.4} ± {se:.4} against exact {exact:.4} (z = {z:.2})"
+    );
+}
+
+/// Share of `[from, to]` that `path` spends at value zero.
+fn share_at_zero(path: &SamplePath, from: f64, to: f64) -> f64 {
+    let times = path.times();
+    let mut zero = 0.0;
+    for (i, (&t, &v)) in times.iter().zip(path.values()).enumerate() {
+        let end = times.get(i + 1).copied().unwrap_or(path.end_time());
+        if v == 0.0 {
+            zero += (end.min(to) - t.max(from)).max(0.0);
+        }
+    }
+    zero / (to - from)
+}
+
+#[test]
+fn ctmc_matches_the_exact_stationary_law_at_k1() {
+    let exact = exact_law();
+    let model = SwarmModel::new(one_piece_params());
+    let (mut peers, mut empty) = (Vec::new(), Vec::new());
+    for r in 0..REPLICATIONS {
+        let mut rng = StdRng::seed_from_u64(100 + r);
+        let path = model.simulate_peer_count(model.empty_state(), HORIZON, &mut rng);
+        peers.push(path.time_average_over(BURN_IN, HORIZON));
+        empty.push(share_at_zero(&path, BURN_IN, HORIZON));
+    }
+    assert_matches("CTMC E[N]", exact.mean_peers, &peers);
+    assert_matches("CTMC P(N = 0)", exact.p_empty, &empty);
+}
+
+#[test]
+fn turbo_matches_the_exact_stationary_law_at_k1() {
+    let exact = exact_law();
+    let config = AgentConfig {
+        snapshot_interval: 1.0,
+        kernel: KernelKind::Turbo,
+        ..Default::default()
+    };
+    let sim = AgentSwarm::with_config(one_piece_params(), config, Box::new(policy::RandomUseful))
+        .unwrap();
+    let (mut peers, mut empty, mut seeds) = (Vec::new(), Vec::new(), Vec::new());
+    for r in 0..REPLICATIONS {
+        let mut rng = StdRng::seed_from_u64(200 + r);
+        let result = sim.run(&[], HORIZON, &mut rng);
+        let tail: Vec<_> = result
+            .snapshots
+            .iter()
+            .filter(|s| s.time >= BURN_IN)
+            .collect();
+        let n = tail.len() as f64;
+        peers.push(tail.iter().map(|s| s.total_peers as f64).sum::<f64>() / n);
+        empty.push(tail.iter().filter(|s| s.total_peers == 0).count() as f64 / n);
+        seeds.push(tail.iter().map(|s| s.peer_seeds as f64).sum::<f64>() / n);
+    }
+    assert_matches("turbo E[N]", exact.mean_peers, &peers);
+    assert_matches("turbo P(N = 0)", exact.p_empty, &empty);
+    assert_matches("turbo E[x_F]", exact.mean_seeds, &seeds);
 }
