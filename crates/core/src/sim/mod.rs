@@ -14,9 +14,9 @@
 //! Four interchangeable kernels implement the bookkeeping behind the shared
 //! event loop (see [`KernelKind`]):
 //!
-//! * **Turbo** (the default) — peer piece collections live in a packed
-//!   [`pieceset::PieceMatrix`] (one row of `u64` words per peer) beside one
-//!   packed metadata record per peer, and the Fig.-2 group decomposition
+//! * **Turbo** (the default) — each peer is one packed 32-byte record that
+//!   holds its piece collection (a one-word [`pieceset::PieceSet`]) beside
+//!   its pool positions, flags and group, and the Fig.-2 group decomposition
 //!   follows every arrival, transfer, and departure in `O(1)`, so snapshots
 //!   cost `O(1)`. Arrivals draw from alias tables ([`markov::alias`]),
 //!   swap-remove index pools make boosted-vs-normal uploader selection and

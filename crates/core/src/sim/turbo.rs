@@ -23,18 +23,18 @@
 //!   small.
 //! * **Seed departures** pick uniformly from a seed index pool: one draw,
 //!   `O(1)`, replacing the scan kernel's probes and population scan.
-//! * **Per-peer metadata lives in one packed [`PeerMeta`] record** (arrival
-//!   time, pool positions, cached piece count, flags, Fig.-2 group — 24
-//!   bytes), so touching a peer costs one cache line. The cached count also
-//!   makes completion checks `O(1)` at any `K` (no popcount over the row).
+//! * **Each peer lives in one packed [`PeerMeta`] record** (piece set,
+//!   arrival time, pool positions, cached piece count, flags, Fig.-2 group —
+//!   32 bytes, aligned to 32), so touching a peer costs one cache line and a
+//!   contact reads two. The cached count makes completion checks `O(1)`
+//!   without a popcount.
 //! * **The Fig.-2 groups follow every transition**: each peer's group is
 //!   cached and the aggregate counts move on every arrival, transfer, and
 //!   departure, so a snapshot is `O(1)` where the scan kernel reclassifies
 //!   every peer.
-//! * **Replication batches reuse a [`SimScratch`] arena**: the piece
-//!   matrix, metadata, sampling pools, and snapshot buffer all persist
-//!   across runs, so a warm replication loop performs no per-replication
-//!   allocation.
+//! * **Replication batches reuse a [`SimScratch`] arena**: the peer
+//!   records, sampling pools, and snapshot buffer all persist across runs,
+//!   so a warm replication loop performs no per-replication allocation.
 //!
 //! Because the draw *sequence* differs from the scan kernel's, validation
 //! is distributional rather than byte-wise:
@@ -45,7 +45,7 @@ use super::{AgentSwarm, KernelState};
 use crate::groups::{GroupCounts, PeerGroup};
 use crate::metrics::{SimResult, SimSnapshot, SojournStats};
 use markov::alias::AliasTable;
-use pieceset::{PieceId, PieceMatrix, PieceSet};
+use pieceset::{PieceId, PieceSet};
 use rand::Rng;
 use telemetry::{Counter, Recorder};
 
@@ -60,11 +60,14 @@ const ARRIVED_WITH_WATCH: u8 = 1 << 0;
 const WAS_ONE_CLUB: u8 = 1 << 1;
 const HAS_WATCH: u8 = 1 << 2;
 
-/// All per-peer bookkeeping of the turbo kernel in one 24-byte record, so
-/// the hot handlers touch a single cache line per peer instead of one line
-/// per parallel array.
+/// All per-peer state of the turbo kernel in one 32-byte record, aligned so
+/// that it never straddles a cache line: the hot handlers touch a single
+/// line per peer instead of one line per parallel array.
 #[derive(Debug, Clone, Copy)]
+#[repr(align(32))]
 struct PeerMeta {
+    /// The pieces the peer holds.
+    pieces: PieceSet,
     arrival_time: f64,
     /// Position inside `boosted_pool`, or [`NOT_BOOSTED`].
     boosted_pos: u32,
@@ -100,9 +103,7 @@ impl PeerMeta {
 /// returns the same result on a warm scratch as on a fresh one.
 #[derive(Debug)]
 pub struct SimScratch {
-    /// Peer piece collections, one packed row per peer.
-    pieces: PieceMatrix,
-    /// Per-peer metadata, indexed like the matrix rows.
+    /// One record per peer; a peer's index is its place here.
     meta: Vec<PeerMeta>,
     /// Peers with a boosted retry clock (swap-remove index pool). The
     /// (typically dominant) normal class needs no pool: it is sampled by
@@ -131,7 +132,6 @@ impl SimScratch {
     #[must_use]
     pub fn new() -> Self {
         SimScratch {
-            pieces: PieceMatrix::new(1),
             meta: Vec::new(),
             boosted_pool: Vec::new(),
             seed_pool: Vec::new(),
@@ -170,7 +170,6 @@ impl SimScratch {
     /// `sim`.
     fn reset_for(&mut self, sim: &AgentSwarm) {
         let k = sim.params.num_pieces();
-        self.pieces.reset(k);
         self.meta.clear();
         self.boosted_pool.clear();
         self.seed_pool.clear();
@@ -195,6 +194,8 @@ impl SimScratch {
 pub(super) struct State<'a, T: Recorder> {
     sim: &'a AgentSwarm,
     k: usize,
+    /// The complete collection `{1, …, K}`.
+    full: PieceSet,
     watch: PieceId,
     s: &'a mut SimScratch,
     /// Instrumentation hook; the [`telemetry::NullRecorder`] default
@@ -233,6 +234,7 @@ impl<'a, T: Recorder> State<'a, T> {
         let mut state = State {
             sim,
             k: sim.params.num_pieces(),
+            full: sim.params.full_type(),
             watch: sim.config.watch_piece,
             s: scratch,
             rec,
@@ -247,7 +249,6 @@ impl<'a, T: Recorder> State<'a, T> {
             unsuccessful: 0,
             sojourns: SojournStats::default(),
         };
-        state.s.pieces.reserve(initial.len());
         state.s.meta.reserve(initial.len());
         for &pieces in initial {
             debug_assert!(pieces.is_subset_of(sim.params.full_type()));
@@ -258,7 +259,7 @@ impl<'a, T: Recorder> State<'a, T> {
 
     /// Classifies a peer from its metadata alone (identical rules to
     /// [`crate::groups::classify_peer`], with the watch-piece membership
-    /// cached in [`HAS_WATCH`] so no matrix read is needed).
+    /// cached in [`HAS_WATCH`] so no set lookup is needed).
     fn classify(&self, meta: PeerMeta) -> PeerGroup {
         if meta.has(HAS_WATCH) {
             if meta.has(ARRIVED_WITH_WATCH) {
@@ -304,8 +305,8 @@ impl<'a, T: Recorder> State<'a, T> {
         } else if with_watch {
             self.watch_copies += 1;
         }
-        let row = self.s.pieces.push_set(pieces);
-        debug_assert!(row < NOT_A_SEED as usize, "population exceeds u32 range");
+        let index = self.s.meta.len();
+        debug_assert!(index < NOT_A_SEED as usize, "population exceeds u32 range");
         let holds = pieces.len() as u32;
         let mut flags = 0u8;
         if with_watch {
@@ -314,6 +315,7 @@ impl<'a, T: Recorder> State<'a, T> {
             flags |= WAS_ONE_CLUB;
         }
         let mut meta = PeerMeta {
+            pieces,
             arrival_time: time,
             boosted_pos: NOT_BOOSTED,
             seed_pos: NOT_A_SEED,
@@ -323,7 +325,7 @@ impl<'a, T: Recorder> State<'a, T> {
         };
         if holds as usize == self.k {
             meta.seed_pos = self.s.seed_pool.len() as u32;
-            self.s.seed_pool.push(row as u32);
+            self.s.seed_pool.push(index as u32);
             self.rec.incr(Counter::PoolOps);
         }
         meta.group = self.classify(meta);
@@ -361,8 +363,6 @@ impl<'a, T: Recorder> State<'a, T> {
     /// Delivers `piece` to peer `target`: counters, the Fig.-2 group
     /// transition, pool membership, and completion.
     fn give_piece(&mut self, target: usize, piece: PieceId, time: f64) {
-        debug_assert!(!self.s.pieces.contains(target, piece));
-        self.s.pieces.insert(target, piece);
         if self.track_copies {
             self.s.piece_copies[piece.index()] += 1;
         } else if piece == self.watch {
@@ -373,6 +373,8 @@ impl<'a, T: Recorder> State<'a, T> {
         // Receiving a piece invalidates any pending fast-retry boost.
         self.unboost(target);
         let meta = &mut self.s.meta[target];
+        debug_assert!(!meta.pieces.contains(piece));
+        meta.pieces.insert(piece);
         let old_group = meta.group;
         meta.holds += 1;
         if piece == self.watch {
@@ -400,7 +402,7 @@ impl<'a, T: Recorder> State<'a, T> {
     }
 
     fn depart(&mut self, index: usize, time: f64) {
-        let last = self.s.pieces.rows() - 1;
+        let last = self.s.meta.len() - 1;
         let meta = self.s.meta[index];
         self.rec.incr(Counter::Departures);
         // Drop the departing peer from its pools first, while pool entries
@@ -424,13 +426,12 @@ impl<'a, T: Recorder> State<'a, T> {
         self.groups.remove(meta.group);
         self.sojourns.record(time - meta.arrival_time);
         if self.track_copies {
-            for p in self.s.pieces.pieces(index) {
+            for p in meta.pieces.iter() {
                 self.s.piece_copies[p.index()] -= 1;
             }
         } else if meta.has(HAS_WATCH) {
             self.watch_copies -= 1;
         }
-        self.s.pieces.swap_remove_row(index);
         self.s.meta.swap_remove(index);
         // The old last peer now sits at `index`; its pool entries still say
         // `last`. Relabel them through its (moved) position metadata.
@@ -460,30 +461,30 @@ impl<'a, T: Recorder> State<'a, T> {
     /// the live peer-tick rate `µ·n` (zero for an empty shard), but the
     /// method stays total for safety.
     pub(super) fn offer_pieces<R: Rng>(&mut self, rng: &mut R) -> Option<PieceSet> {
-        let n = self.s.pieces.rows();
+        let n = self.s.meta.len();
         if n == 0 {
             return None;
         }
         let uploader = rng.gen_range(0..n);
-        Some(self.s.pieces.as_set(uploader))
+        Some(self.s.meta[uploader].pieces)
     }
 
     /// Applies a cross-shard offer at the exchange boundary: one contact
     /// against a uniformly drawn local peer, with the offered collection
-    /// standing in for the remote uploader's matrix row. Mirrors the
+    /// standing in for the remote uploader's piece set. Mirrors the
     /// useful/useless accounting of `handle_peer_tick` exactly — the whole
     /// cross-shard contact is attributed to the destination shard. The
     /// sharded driver rejects `η > 1`, so no boost bookkeeping applies
     /// here.
     pub(super) fn apply_offer<R: Rng>(&mut self, offer: PieceSet, time: f64, rng: &mut R) {
         self.rec.incr(Counter::Contacts);
-        let n = self.s.pieces.rows();
+        let n = self.s.meta.len();
         if n == 0 {
             self.rec.incr(Counter::UselessContacts);
             return;
         }
         let target = rng.gen_range(0..n);
-        let useful = offer.intersection(self.s.pieces.missing_set(target));
+        let useful = offer.difference(self.s.meta[target].pieces);
         if useful.is_empty() {
             self.unsuccessful += 1;
             self.rec.incr(Counter::UselessContacts);
@@ -500,7 +501,7 @@ impl<T: Recorder> KernelState for State<'_, T> {
     }
 
     fn population(&self) -> usize {
-        self.s.pieces.rows()
+        self.s.meta.len()
     }
 
     fn seed_count(&self) -> usize {
@@ -519,7 +520,7 @@ impl<T: Recorder> KernelState for State<'_, T> {
         // Every observable is a maintained aggregate: O(1) per snapshot.
         self.s.snapshots.push(SimSnapshot {
             time,
-            total_peers: self.s.pieces.rows() as u64,
+            total_peers: self.s.meta.len() as u64,
             peer_seeds: self.s.seed_pool.len() as u64,
             groups: self.groups,
             watch_piece_downloads: self.watch_downloads,
@@ -541,13 +542,13 @@ impl<T: Recorder> KernelState for State<'_, T> {
 
     fn handle_seed_tick<R: Rng>(&mut self, time: f64, rng: &mut R) {
         self.rec.incr(Counter::Contacts);
-        let n = self.s.pieces.rows();
+        let n = self.s.meta.len();
         if n == 0 {
             self.rec.incr(Counter::UselessContacts);
             return;
         }
         let target = rng.gen_range(0..n);
-        let useful = self.s.pieces.missing_set(target);
+        let useful = self.full.difference(self.s.meta[target].pieces);
         if useful.is_empty() {
             self.unsuccessful += 1;
             self.rec.incr(Counter::UselessContacts);
@@ -561,7 +562,7 @@ impl<T: Recorder> KernelState for State<'_, T> {
 
     fn handle_peer_tick<R: Rng>(&mut self, time: f64, rng: &mut R) {
         self.rec.incr(Counter::Contacts);
-        let n = self.s.pieces.rows();
+        let n = self.s.meta.len();
         if n == 0 {
             self.rec.incr(Counter::UselessContacts);
             return;
@@ -593,7 +594,9 @@ impl<T: Recorder> KernelState for State<'_, T> {
             }
         };
         let target = rng.gen_range(0..n);
-        let useful = self.s.pieces.useful_set(uploader, target);
+        let useful = self.s.meta[uploader]
+            .pieces
+            .difference(self.s.meta[target].pieces);
         if useful.is_empty() {
             self.unsuccessful += 1;
             self.rec.incr(Counter::UselessContacts);
@@ -619,7 +622,6 @@ impl<T: Recorder> KernelState for State<'_, T> {
     }
 
     fn inject(&mut self, time: f64, pieces: PieceSet, count: usize) {
-        self.s.pieces.reserve(count);
         self.s.meta.reserve(count);
         for _ in 0..count {
             self.add_peer(time, pieces, true);

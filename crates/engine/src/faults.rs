@@ -221,12 +221,6 @@ impl FaultPlan {
         }
         Ok(plan)
     }
-
-    /// Iterates over `((scenario_id, replication), kind)` entries in key
-    /// order.
-    pub fn iter(&self) -> impl Iterator<Item = (&(u64, u32), &FaultKind)> {
-        self.faults.iter()
-    }
 }
 
 /// A chaos specification entry that failed to parse.

@@ -128,12 +128,6 @@ impl<S: ReplicationSink, W: Write + Send> MetricsSink<S, W> {
         self
     }
 
-    /// Counter totals accumulated across every metered replication so far.
-    #[must_use]
-    pub fn totals(&self) -> &CounterSet {
-        &self.totals
-    }
-
     /// Unwraps the adapter, returning the inner sink and the writer.
     ///
     /// Disassembling skips the Drop closer: the caller now owns the writer

@@ -3,9 +3,8 @@
 //!
 //! Over `GF(2)` a coding vector is a bit pattern and vector addition is XOR,
 //! so a reduced-row-echelon basis fits in `dim` rows of `⌈K/64⌉` machine
-//! words (the [`pieceset::PieceMatrix`] packed-row idiom) and every
-//! [`Subspace`](crate::Subspace) operation the coded simulation kernel needs
-//! collapses to word arithmetic:
+//! words and every [`Subspace`](crate::Subspace) operation the coded
+//! simulation kernel needs collapses to word arithmetic:
 //!
 //! * **Reduction** of a row against the basis is one XOR per basis row whose
 //!   pivot bit the row carries — no field multiplies, no per-coefficient

@@ -10,12 +10,12 @@
 //!   algebra used throughout the model (useful pieces, subset tests, …),
 //! * [`TypeSpace`] — an enumeration of all `2^K` types with a canonical dense
 //!   index, used by the exact CTMC state vector and by the stability-region
-//!   computations,
-//! * [`PieceMatrix`] — every peer's piece collection as one row of packed
-//!   `u64` words in a single flat buffer, so the turbo simulator's hot
-//!   queries (membership, missing pieces, the useful pieces of a contact)
-//!   are allocation-free word operations and a departure is a row
-//!   `swap_remove`.
+//!   computations.
+//!
+//! A [`PieceSet`] is one `u64`, so the turbo simulator keeps each peer's
+//! collection inside the peer's own record, and its hot queries
+//! (membership, missing pieces, the useful pieces of a contact) are single
+//! word operations.
 //!
 //! # Examples
 //!
@@ -35,12 +35,10 @@
 #![forbid(unsafe_code)]
 
 mod enumerate;
-mod matrix;
 mod piece;
 mod set;
 
 pub use enumerate::{SubsetsIter, TypeIndex, TypeSpace, MAX_ENUMERABLE_PIECES};
-pub use matrix::PieceMatrix;
 pub use piece::PieceId;
 pub use set::{PieceSet, PieceSetIter, MAX_PIECES};
 

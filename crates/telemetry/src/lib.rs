@@ -374,13 +374,6 @@ impl Span {
     pub fn nanos(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
-
-    /// Time a closure, returning its result and the elapsed seconds.
-    pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
-        let span = Span::start();
-        let value = f();
-        (value, span.seconds())
-    }
 }
 
 impl fmt::Display for Span {
@@ -474,9 +467,6 @@ mod tests {
     #[test]
     fn span_reports_monotonic_nonnegative_time() {
         let span = Span::start();
-        let (sum, seconds) = Span::time(|| (0..1000u64).sum::<u64>());
-        assert_eq!(sum, 499_500);
-        assert!(seconds >= 0.0);
         assert!(span.seconds() >= 0.0);
         assert!(span.nanos() < u64::MAX);
     }
