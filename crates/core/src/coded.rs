@@ -361,7 +361,10 @@ impl CodedSimResult {
     /// The peer-count sample path.
     #[must_use]
     pub fn peer_count_path(&self) -> markov::SamplePath {
-        // simlint: allow(E001, "SimResult construction always records the t = 0 snapshot")
+        #[expect(
+            clippy::expect_used,
+            reason = "SimResult construction always records the t = 0 snapshot"
+        )]
         let first = self.snapshots.first().expect("at least one snapshot");
         let mut path = markov::SamplePath::new(first.time, first.total_peers as f64);
         for s in &self.snapshots[1..] {
@@ -487,12 +490,19 @@ impl CodedSwarmSim {
             time = new_time;
             events += 1;
 
-            // simlint: allow(E001, "total rate > 0 here: a zero-rate state takes the infinite-horizon break above")
-            match sample_weighted_index(rng, &rates).expect("positive total rate") {
+            #[expect(
+                clippy::expect_used,
+                reason = "total rate > 0 here: a zero-rate state takes the infinite-horizon break above"
+            )]
+            let event = sample_weighted_index(rng, &rates).expect("positive total rate");
+            match event {
                 0 => {
                     // Arrival with d random coded pieces (only reachable
                     // when the arrival rate — the table total — is positive).
-                    // simlint: allow(E001, "this branch is sampled only when the arrival rate (the table total) is positive, so the sampler was built")
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "this branch is sampled only when the arrival rate (the table total) is positive, so the sampler was built"
+                    )]
                     let sampler = arrival_sampler.as_ref().expect("arrival rate > 0");
                     let d = self.params.gift_dimensions[sampler.sample(rng)].0;
                     let mut space = Subspace::empty(field, full_dim);

@@ -47,6 +47,16 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::iter_over_hash_type, clippy::allow_attributes_without_reason)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "tests seed their own generators and may time themselves; the determinism contracts bind library code"
+    )
+)]
 
 pub mod branching_analysis;
 mod error;

@@ -25,21 +25,16 @@ pub struct SimSnapshot {
 
 /// Aggregate statistics of completed peer sojourns.
 ///
-/// Strictly *streaming*: every departure folds into four scalars (count,
-/// running mean, Welford `M2`, max) and no per-sojourn value is retained
-/// anywhere, so a long-horizon run with millions of departures costs the
-/// same memory as one with ten. Second-moment queries
-/// ([`SojournStats::variance_sojourn`]) come from the Welford accumulator,
-/// which stays accurate even when sojourns are large relative to their
-/// spread (a naive `E[X²] − mean²` cancels catastrophically there).
+/// Strictly *streaming*: every departure folds into three scalars (count,
+/// running mean, max) and no per-sojourn value is retained anywhere, so a
+/// long-horizon run with millions of departures costs the same memory as
+/// one with ten.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SojournStats {
     /// Number of peers that departed during the run.
     pub departures: u64,
     /// Running mean of the sojourn times (Welford).
     mean: f64,
-    /// Welford's `M2`: sum of squared deviations from the running mean.
-    m2: f64,
     /// Maximum sojourn time observed.
     pub max_sojourn: f64,
 }
@@ -50,7 +45,6 @@ impl SojournStats {
         self.departures += 1;
         let delta = sojourn - self.mean;
         self.mean += delta / self.departures as f64;
-        self.m2 += delta * (sojourn - self.mean);
         if sojourn > self.max_sojourn {
             self.max_sojourn = sojourn;
         }
@@ -66,18 +60,9 @@ impl SojournStats {
         }
     }
 
-    /// Population variance of the sojourn times (zero if fewer than two
-    /// peers departed), from the streaming Welford moments.
-    #[must_use]
-    pub fn variance_sojourn(&self) -> f64 {
-        if self.departures < 2 {
-            return 0.0;
-        }
-        (self.m2 / self.departures as f64).max(0.0)
-    }
-
-    /// Merges another accumulator (Chan's parallel moment combination),
-    /// used by the sharded driver to combine shard-local sojourn stats.
+    /// Merges another accumulator (the mean update of Chan's parallel
+    /// combination), used by the sharded driver to combine shard-local
+    /// sojourn stats.
     ///
     /// Chan's update is *not* bit-identical to recording the same sojourns
     /// in order, and it does not commute bit-for-bit either — so callers
@@ -95,8 +80,6 @@ impl SojournStats {
         let total = self.departures + other.departures;
         let delta = other.mean - self.mean;
         self.mean += delta * other.departures as f64 / total as f64;
-        self.m2 += other.m2
-            + delta * delta * (self.departures as f64 * other.departures as f64) / total as f64;
         self.departures = total;
         if other.max_sojourn > self.max_sojourn {
             self.max_sojourn = other.max_sojourn;
@@ -142,8 +125,11 @@ impl SimResult {
     /// Never panics: the simulator always records at least the initial
     /// snapshot.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "SimResult construction always records the t = 0 snapshot"
+    )]
     pub fn final_snapshot(&self) -> &SimSnapshot {
-        // simlint: allow(E001, "SimResult construction always records the t = 0 snapshot")
         self.snapshots.last().expect("at least one snapshot")
     }
 
@@ -151,7 +137,10 @@ impl SimResult {
     /// classification analysis.
     #[must_use]
     pub fn peer_count_path(&self) -> markov::SamplePath {
-        // simlint: allow(E001, "SimResult construction always records the t = 0 snapshot")
+        #[expect(
+            clippy::expect_used,
+            reason = "SimResult construction always records the t = 0 snapshot"
+        )]
         let first = self.snapshots.first().expect("at least one snapshot");
         let mut path = markov::SamplePath::new(first.time, first.total_peers as f64);
         for s in &self.snapshots[1..] {
@@ -164,7 +153,10 @@ impl SimResult {
     /// The one-club size sample path.
     #[must_use]
     pub fn one_club_path(&self) -> markov::SamplePath {
-        // simlint: allow(E001, "SimResult construction always records the t = 0 snapshot")
+        #[expect(
+            clippy::expect_used,
+            reason = "SimResult construction always records the t = 0 snapshot"
+        )]
         let first = self.snapshots.first().expect("at least one snapshot");
         let mut path = markov::SamplePath::new(first.time, first.groups.one_club as f64);
         for s in &self.snapshots[1..] {
@@ -237,12 +229,10 @@ mod tests {
         let mut s = SojournStats::default();
         assert_eq!(s.mean_sojourn(), 0.0);
         s.record(2.0);
-        assert_eq!(s.variance_sojourn(), 0.0, "one departure has no spread");
         s.record(4.0);
         assert_eq!(s.departures, 2);
         assert!((s.mean_sojourn() - 3.0).abs() < 1e-12);
         assert_eq!(s.max_sojourn, 4.0);
-        assert!((s.variance_sojourn() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -264,7 +254,6 @@ mod tests {
         left.merge(&right);
         assert_eq!(left.departures, all.departures);
         assert!((left.mean_sojourn() - all.mean_sojourn()).abs() < 1e-9);
-        assert!((left.variance_sojourn() - all.variance_sojourn()).abs() < 1e-9);
         assert_eq!(left.max_sojourn, all.max_sojourn);
         // Merging an empty accumulator in either direction is the identity.
         let mut empty = SojournStats::default();

@@ -71,8 +71,11 @@ impl SwarmParams {
     /// exact CTMC state vector, the Lyapunov evaluation — is only feasible
     /// for small `K`.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic (see the # Panics section): enumerating 2^K types is deliberately a caller contract"
+    )]
     pub fn type_space(&self) -> TypeSpace {
-        // simlint: allow(E001, "documented panic (see the # Panics section): enumerating 2^K types is deliberately a caller contract")
         TypeSpace::new(self.num_pieces).expect("K small enough to enumerate 2^K types")
     }
 
@@ -218,18 +221,6 @@ impl SwarmParamsBuilder {
         self
     }
 
-    /// Sets the mean peer-seed dwell time `1/γ` (zero means immediate
-    /// departure).
-    #[must_use]
-    pub fn mean_seed_dwell(mut self, dwell: f64) -> Self {
-        self.seed_departure_rate = if dwell <= 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / dwell
-        };
-        self
-    }
-
     /// Adds (or overwrites) the arrival rate of type-`c` peers.
     #[must_use]
     pub fn arrival(mut self, c: PieceSet, rate: f64) -> Self {
@@ -351,22 +342,6 @@ mod tests {
         assert!(p.departs_immediately());
         assert_eq!(p.mu_over_gamma(), 0.0);
         assert_eq!(p.mean_seed_dwell(), 0.0);
-    }
-
-    #[test]
-    fn mean_seed_dwell_setter() {
-        let p = SwarmParams::builder(2)
-            .fresh_arrivals(1.0)
-            .mean_seed_dwell(0.5)
-            .build()
-            .unwrap();
-        assert_eq!(p.seed_departure_rate(), 2.0);
-        let p = SwarmParams::builder(2)
-            .fresh_arrivals(1.0)
-            .mean_seed_dwell(0.0)
-            .build()
-            .unwrap();
-        assert!(p.departs_immediately());
     }
 
     #[test]

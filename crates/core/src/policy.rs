@@ -55,6 +55,10 @@ pub trait PiecePolicy: Send + Sync {
 pub struct RandomUseful;
 
 impl PiecePolicy for RandomUseful {
+    #[expect(
+        clippy::expect_used,
+        reason = "kernels invoke policies only with a non-empty useful set (debug-asserted above)"
+    )]
     fn select(
         &self,
         useful: PieceSet,
@@ -64,7 +68,6 @@ impl PiecePolicy for RandomUseful {
         let count = useful.len();
         debug_assert!(count > 0, "policy invoked with no useful piece");
         let idx = rng.gen_range(0..count);
-        // simlint: allow(E001, "kernels invoke policies only with a non-empty useful set (debug-asserted above)")
         useful.iter().nth(idx).expect("index within set size")
     }
 
@@ -94,11 +97,14 @@ impl PiecePolicy for RarestFirst {
         piece_copies: &[u64],
         rng: &mut dyn rand::RngCore,
     ) -> PieceId {
+        #[expect(
+            clippy::expect_used,
+            reason = "kernels invoke policies only with a non-empty useful set"
+        )]
         let min_copies = useful
             .iter()
             .map(|p| piece_copies.get(p.index()).copied().unwrap_or(0))
             .min()
-            // simlint: allow(E001, "kernels invoke policies only with a non-empty useful set")
             .expect("non-empty useful set");
         let rarest: Vec<PieceId> = useful
             .iter()
@@ -118,13 +124,16 @@ impl PiecePolicy for RarestFirst {
 pub struct Sequential;
 
 impl PiecePolicy for Sequential {
+    #[expect(
+        clippy::expect_used,
+        reason = "kernels invoke policies only with a non-empty useful set"
+    )]
     fn select(
         &self,
         useful: PieceSet,
         _piece_copies: &[u64],
         _rng: &mut dyn rand::RngCore,
     ) -> PieceId {
-        // simlint: allow(E001, "kernels invoke policies only with a non-empty useful set")
         useful.first().expect("non-empty useful set")
     }
 
@@ -151,11 +160,14 @@ impl PiecePolicy for MostCommonFirst {
         piece_copies: &[u64],
         rng: &mut dyn rand::RngCore,
     ) -> PieceId {
+        #[expect(
+            clippy::expect_used,
+            reason = "kernels invoke policies only with a non-empty useful set"
+        )]
         let max_copies = useful
             .iter()
             .map(|p| piece_copies.get(p.index()).copied().unwrap_or(0))
             .max()
-            // simlint: allow(E001, "kernels invoke policies only with a non-empty useful set")
             .expect("non-empty useful set");
         let candidates: Vec<PieceId> = useful
             .iter()

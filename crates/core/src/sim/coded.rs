@@ -133,7 +133,10 @@ impl<'a, T: Recorder> State<'a, T> {
         let field = gifts.field;
         let q = f64::from(field.order());
         let weights: Vec<f64> = gifts.gift_dimensions.iter().map(|&(_, r)| r).collect();
-        // simlint: allow(E001, "CodedParams validation guarantees a positive total gift rate")
+        #[expect(
+            clippy::expect_used,
+            reason = "CodedParams validation guarantees a positive total gift rate"
+        )]
         let gift_alias = AliasTable::new(&weights).expect("validated positive total gift rate");
         rec.incr(Counter::AliasRebuilds);
         let mut state = State {
@@ -176,9 +179,12 @@ impl<'a, T: Recorder> State<'a, T> {
     fn subspace_of(&self, pieces: PieceSet) -> Subspace {
         let mut space = Subspace::empty(self.field, self.k);
         for p in pieces.iter() {
+            #[expect(
+                clippy::expect_used,
+                reason = "unit vectors are built with the space's own field and ambient dimension k"
+            )]
             let inserted = space
                 .insert(&CodingVector::unit(self.field, self.k, p.index()))
-                // simlint: allow(E001, "unit vectors are built with the space's own field and ambient dimension k")
                 .expect("unit vectors match the ambient space");
             debug_assert!(inserted, "unit vectors are independent");
         }
@@ -337,8 +343,12 @@ impl<T: Recorder> KernelState for State<'_, T> {
             self.row
                 .extend((0..self.k).map(|_| self.field.random_element(rng)));
             self.rec.incr(Counter::RrefAbsorbs);
-            // simlint: allow(E001, "the row is rebuilt to the ambient length k just above")
-            if space.absorb(&mut self.row).expect("row matches ambient") {
+            #[expect(
+                clippy::expect_used,
+                reason = "the row is rebuilt to the ambient length k just above"
+            )]
+            let grew = space.absorb(&mut self.row).expect("row matches ambient");
+            if grew {
                 self.rec.incr(Counter::RankIncreases);
             }
         }
@@ -378,11 +388,14 @@ impl<T: Recorder> KernelState for State<'_, T> {
             self.row
                 .extend((0..self.k).map(|_| self.field.random_element(rng)));
             self.rec.incr(Counter::RrefAbsorbs);
-            if self.spaces[target]
+            #[expect(
+                clippy::expect_used,
+                reason = "the row is rebuilt to the ambient length k just above"
+            )]
+            let grew = self.spaces[target]
                 .absorb(&mut self.row)
-                // simlint: allow(E001, "the row is rebuilt to the ambient length k just above")
-                .expect("row matches ambient")
-            {
+                .expect("row matches ambient");
+            if grew {
                 self.rec.incr(Counter::RankIncreases);
                 break;
             }
@@ -427,8 +440,12 @@ impl<T: Recorder> KernelState for State<'_, T> {
         up.random_combination_into(rng, &mut self.row);
         self.rec.incr(Counter::BasisMaterializations);
         self.rec.incr(Counter::RrefAbsorbs);
-        // simlint: allow(E001, "random_combination_into fills the row to the ambient length")
-        if down.absorb(&mut self.row).expect("row matches ambient") {
+        #[expect(
+            clippy::expect_used,
+            reason = "random_combination_into fills the row to the ambient length"
+        )]
+        let grew = down.absorb(&mut self.row).expect("row matches ambient");
+        if grew {
             self.rec.incr(Counter::RankIncreases);
             self.record_dimension_gain(target, time);
         } else {

@@ -105,6 +105,36 @@ pub enum KernelKind {
     CodedTurbo,
 }
 
+impl KernelKind {
+    /// Every kernel, in declaration order: the table scenario JSON and the
+    /// `--kernel` flag parse names against.
+    pub const ALL: [KernelKind; 4] = [
+        KernelKind::LegacyScan,
+        KernelKind::Turbo,
+        KernelKind::Coded,
+        KernelKind::CodedTurbo,
+    ];
+
+    /// The kernel's name in scenario JSON and on the command line. The
+    /// match is exhaustive, so a new kernel does not build until it is
+    /// named here; list it in [`KernelKind::ALL`] too.
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
+            KernelKind::LegacyScan => "legacy-scan",
+            KernelKind::Turbo => "turbo",
+            KernelKind::Coded => "coded",
+            KernelKind::CodedTurbo => "coded-turbo",
+        }
+    }
+
+    /// The kernel called `name`, if there is one.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|kind| kind.name() == name)
+    }
+}
+
 /// Configuration of the agent-based simulator beyond the model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgentConfig {
@@ -405,9 +435,12 @@ impl AgentSwarm {
     /// `γ = ∞`). Use [`AgentSwarm::run_with_schedule`] for the fallible
     /// form.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented infallible convenience wrapper; fallible callers use run_with_schedule"
+    )]
     pub fn run<R: Rng>(&self, initial: &[PieceSet], horizon: f64, rng: &mut R) -> SimResult {
         self.run_with_schedule(initial, &[], horizon, rng)
-            // simlint: allow(E001, "documented infallible convenience wrapper; fallible callers use run_with_schedule")
             .expect("valid initial population")
     }
 
@@ -561,10 +594,13 @@ impl AgentSwarm {
                 rng,
             ),
             KernelKind::Coded => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "with_coded establishes the gift mix before the coded kernel is selectable"
+                )]
                 let gifts = self
                     .coded
                     .as_ref()
-                    // simlint: allow(E001, "with_coded establishes the gift mix before the coded kernel is selectable")
                     .expect("with_coded establishes the gift mix for the coded kernel");
                 drive(
                     self,
@@ -575,10 +611,13 @@ impl AgentSwarm {
                 )
             }
             KernelKind::CodedTurbo => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "with_coded_turbo establishes the gift mix before the coded-turbo kernel is selectable"
+                )]
                 let gifts = self
                     .coded
                     .as_ref()
-                    // simlint: allow(E001, "with_coded_turbo establishes the gift mix before the coded-turbo kernel is selectable")
                     .expect("with_coded_turbo establishes the gift mix for the coded-turbo kernel");
                 drive(
                     self,
@@ -734,8 +773,12 @@ fn drive<S: KernelState, R: Rng>(
         time = new_time;
         events += 1;
 
-        // simlint: allow(E001, "total rate > 0 here: a zero-rate state takes the infinite-horizon break above")
-        match sample_weighted_index(rng, &rates).expect("positive total rate") {
+        #[expect(
+            clippy::expect_used,
+            reason = "total rate > 0 here: a zero-rate state takes the infinite-horizon break above"
+        )]
+        let event = sample_weighted_index(rng, &rates).expect("positive total rate");
+        match event {
             0 => state.handle_arrival(time, rng),
             1 => state.handle_seed_tick(time, rng),
             2 => state.handle_peer_tick(time, rng),
@@ -765,6 +808,15 @@ mod tests {
             b = b.seed_departure_rate(gamma);
         }
         b.build().unwrap()
+    }
+
+    #[test]
+    fn kernel_names_round_trip_through_the_table() {
+        for (index, kind) in KernelKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, index, "ALL is in declaration order");
+            assert_eq!(KernelKind::from_name(kind.name()), Some(kind));
+        }
+        assert_eq!(KernelKind::from_name("warp"), None);
     }
 
     #[test]

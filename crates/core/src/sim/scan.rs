@@ -228,7 +228,10 @@ impl<T: Recorder> KernelState for State<'_, T> {
         // turbo kernel avoids with its cached alias table. One uniform draw
         // resolved against the prefix sums picks the arriving type.
         let weights: Vec<f64> = self.arrival_types.iter().map(|(_, r)| *r).collect();
-        // simlint: allow(E001, "SwarmParams validation guarantees lambda_total > 0")
+        #[expect(
+            clippy::expect_used,
+            reason = "SwarmParams validation guarantees lambda_total > 0"
+        )]
         let sampler = CumulativeWeights::new(&weights).expect("λ_total > 0");
         self.rec.incr(Counter::AliasRebuilds);
         let idx = sampler.sample(rng);

@@ -281,9 +281,12 @@ impl AgentSwarm {
 
         // Per-shard RNG streams, drawn from the replication stream in
         // shard order — the only draws the caller's RNG contributes.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-shard sub-streams seeded from draws on the caller's replication-keyed stream, in fixed shard order — no entropy enters outside the (seed, scenario, replication) key"
+        )]
         let mut ctxs: Vec<ShardCtx> = (0..shards)
             .map(|_| ShardCtx {
-                // simlint: allow(D003, "per-shard sub-streams seeded from draws on the caller's replication-keyed stream, in fixed shard order — no entropy enters outside the (seed, scenario, replication) key")
                 rng: StdRng::seed_from_u64(rng.gen::<u64>()),
                 events: 0,
                 next_snapshot: 1,
@@ -425,12 +428,15 @@ impl AgentSwarm {
     }
 }
 
-/// Runs every shard's segment `[t0, t1)` — inline when one worker is
-/// requested, otherwise on a scoped thread pool with shards chunked over
-/// workers in index order. Panics from shard segments propagate with the
+/// Runs every shard's segment `[t0, t1)` with shards chunked over workers
+/// in index order: chunk 0 on the calling thread, each other chunk on a
+/// scoped thread. Panics from shard segments propagate with the
 /// payload of the lowest-index panicking shard (chunks are contiguous and
 /// joined in order), so chaos failures are deterministic.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the segment borrows the shard states and contexts mutably and the frozen rates and plan shared; a struct would only rename them"
+)]
 fn run_segments<T: Recorder + Send>(
     sim: &AgentSwarm,
     states: &mut [turbo::State<'_, T>],
@@ -443,35 +449,31 @@ fn run_segments<T: Recorder + Send>(
 ) {
     let shards = states.len();
     let jobs = plan.jobs.clamp(1, shards);
-    if jobs <= 1 {
-        for (shard, (state, ctx)) in states.iter_mut().zip(ctxs.iter_mut()).enumerate() {
-            run_shard_segment(sim, state, ctx, shard as u32, t0, t1, weights, total0, plan);
-        }
-        return;
-    }
     let chunk = shards.div_ceil(jobs);
+    let run_chunk =
+        |chunk_index: usize, states: &mut [turbo::State<'_, T>], ctxs: &mut [ShardCtx]| {
+            for (offset, (state, ctx)) in states.iter_mut().zip(ctxs.iter_mut()).enumerate() {
+                let shard = (chunk_index * chunk + offset) as u32;
+                run_shard_segment(sim, state, ctx, shard, t0, t1, weights, total0, plan);
+            }
+        };
+    let mut chunks = states.chunks_mut(chunk).zip(ctxs.chunks_mut(chunk));
+    // Chunk 0 runs on the calling thread, which would otherwise only wait.
+    let first = chunks.next();
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(jobs);
-        for (chunk_index, (state_chunk, ctx_chunk)) in states
-            .chunks_mut(chunk)
-            .zip(ctxs.chunks_mut(chunk))
+        let handles: Vec<_> = chunks
             .enumerate()
-        {
-            handles.push(scope.spawn(move || {
-                for (offset, (state, ctx)) in
-                    state_chunk.iter_mut().zip(ctx_chunk.iter_mut()).enumerate()
-                {
-                    let shard = (chunk_index * chunk + offset) as u32;
-                    run_shard_segment(sim, state, ctx, shard, t0, t1, weights, total0, plan);
-                }
-            }));
-        }
-        let mut payload = None;
+            .map(|(offset, (states, ctxs))| {
+                scope.spawn(move || run_chunk(offset + 1, states, ctxs))
+            })
+            .collect();
+        let mut payload = first.and_then(|(states, ctxs)| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_chunk(0, states, ctxs)))
+                .err()
+        });
         for handle in handles {
             if let Err(panic) = handle.join() {
-                if payload.is_none() {
-                    payload = Some(panic);
-                }
+                payload.get_or_insert(panic);
             }
         }
         if let Some(panic) = payload {
@@ -483,7 +485,10 @@ fn run_segments<T: Recorder + Send>(
 /// One shard's event loop over the segment `[t0, t1)`: the unsharded
 /// driver's aggregate-clock loop, restricted to shard-local rates, with
 /// remote-target peer ticks queued as offers instead of handled.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one shard's share of run_segments' arguments, passed through unchanged"
+)]
 fn run_shard_segment<T: Recorder>(
     sim: &AgentSwarm,
     state: &mut turbo::State<'_, T>,
@@ -552,8 +557,12 @@ fn run_shard_segment<T: Recorder>(
             break;
         }
         time = new_time;
-        // simlint: allow(E001, "total rate > 0 here: a zero-rate shard takes the window-boundary break above")
-        match sample_weighted_index(&mut ctx.rng, &rates).expect("positive total rate") {
+        #[expect(
+            clippy::expect_used,
+            reason = "total rate > 0 here: a zero-rate shard takes the window-boundary break above"
+        )]
+        let event = sample_weighted_index(&mut ctx.rng, &rates).expect("positive total rate");
+        match event {
             0 => {
                 ctx.events += 1;
                 state.handle_arrival(time, &mut ctx.rng);

@@ -146,15 +146,21 @@ pub fn classify(params: &SwarmParams) -> StabilityReport {
     }
 
     // 0 < µ < γ ≤ ∞ branch.
+    #[expect(
+        clippy::expect_used,
+        reason = "the µ < γ branch condition is exactly piece_threshold's precondition"
+    )]
     let thresholds: Vec<f64> = (0..k)
-        // simlint: allow(E001, "the µ < γ branch condition is exactly piece_threshold's precondition")
         .map(|i| piece_threshold(params, PieceId::new(i)).expect("µ < γ checked above"))
         .collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "K >= 1 is enforced by SwarmParams validation, so the threshold list is never empty"
+    )]
     let (critical_idx, &critical) = thresholds
         .iter()
         .enumerate()
         .min_by(|a, b| a.1.total_cmp(b.1))
-        // simlint: allow(E001, "K >= 1 is enforced by SwarmParams validation, so the threshold list is never empty")
         .expect("K >= 1");
 
     let tol = BORDERLINE_REL_TOL * lambda_total.max(critical).max(1.0);

@@ -26,6 +26,8 @@
 //! `1 − 2^{dim−K}`, i.e. the documented `q^{dim−K}` fault with the wrong
 //! `q`) and asserts that the comparison REJECTS it.
 
+#![allow(clippy::disallowed_methods, reason = "test code seeds its own StdRng")]
+
 use pieceset::PieceSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -24,6 +24,8 @@
 //! randomized scenarios, and a chaos case pins the deterministic panic
 //! payload a failing shard propagates out of the worker pool.
 
+#![allow(clippy::disallowed_methods, reason = "test code seeds its own StdRng")]
+
 use pieceset::{PieceId, PieceSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;

@@ -23,6 +23,8 @@
 //! and at µ × 1.3 (multi-seed). `the_battery_rejects_a_skewed_turbo_run`
 //! pins the first of those.
 
+#![allow(clippy::disallowed_methods, reason = "test code seeds its own StdRng")]
+
 use pieceset::{PieceId, PieceSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

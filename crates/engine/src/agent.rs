@@ -303,7 +303,6 @@ mod tests {
     use super::*;
     use crate::replicate::ScenarioOutcome;
     use crate::session::{Session, Workload};
-    use markov::PathClass;
     use pieceset::PieceId;
 
     /// The Session-backed equivalent of the old `run_agent_batch` free
@@ -364,8 +363,11 @@ mod tests {
         assert_eq!(seq[1].theory, StabilityVerdict::Transient);
         assert_eq!(seq[0].votes.total(), 3);
         // Agreement is the share of votes that match the theory verdict.
-        for (outcome, agreeing) in seq.iter().zip([PathClass::Stable, PathClass::Growing]) {
-            let expected = outcome.votes.fraction(agreeing);
+        for (outcome, agreeing) in [
+            (&seq[0], seq[0].votes.stable),
+            (&seq[1], seq[1].votes.growing),
+        ] {
+            let expected = f64::from(agreeing) / f64::from(outcome.votes.total());
             assert_eq!(outcome.agreement, expected, "{}", outcome.label);
         }
     }

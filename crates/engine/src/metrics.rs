@@ -134,9 +134,15 @@ impl<S: ReplicationSink, W: Write + Send> MetricsSink<S, W> {
     /// and decides what (if anything) still gets written.
     pub fn into_parts(mut self) -> (S, W) {
         self.ended = true;
-        // simlint: allow(E001, "the Options exist only so Drop can tell whether into_parts already ran; into_parts consumes self")
+        #[expect(
+            clippy::expect_used,
+            reason = "the Options exist only so Drop can tell whether into_parts already ran; into_parts consumes self"
+        )]
         let inner = self.inner.take().expect("parts taken only once");
-        // simlint: allow(E001, "the Options exist only so Drop can tell whether into_parts already ran; into_parts consumes self")
+        #[expect(
+            clippy::expect_used,
+            reason = "the Options exist only so Drop can tell whether into_parts already ran; into_parts consumes self"
+        )]
         let out = self.out.take().expect("parts taken only once");
         (inner, out)
     }

@@ -45,6 +45,10 @@ pub struct ProgressSink {
 impl ProgressSink {
     /// A sink reporting under `label` (e.g. the workload name).
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "progress lines go to stderr, never into an artifact"
+    )]
     pub fn new(label: impl Into<String>) -> Self {
         ProgressSink {
             label: label.into(),
@@ -77,6 +81,10 @@ impl ProgressSink {
 }
 
 impl ReplicationSink for ProgressSink {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "progress lines go to stderr, never into an artifact"
+    )]
     fn begin(&mut self, plan: &StreamPlan) {
         self.total = plan.total;
         self.done = 0;

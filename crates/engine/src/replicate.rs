@@ -99,21 +99,6 @@ impl ClassVotes {
             PathClass::Indeterminate
         }
     }
-
-    /// Fraction of votes matching `class` (1.0 for an empty tally).
-    #[must_use]
-    pub fn fraction(&self, class: PathClass) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 1.0;
-        }
-        let hits = match class {
-            PathClass::Stable => self.stable,
-            PathClass::Growing => self.growing,
-            PathClass::Indeterminate => self.indeterminate,
-        };
-        f64::from(hits) / f64::from(total)
-    }
 }
 
 /// Aggregated outcome of one scenario's replication batch, CTMC or agent.
@@ -239,7 +224,6 @@ mod tests {
             "tie is indeterminate"
         );
         assert_eq!(votes.total(), 4);
-        assert!((votes.fraction(PathClass::Stable) - 0.5).abs() < 1e-12);
         assert_eq!(ClassVotes::default().majority(), PathClass::Indeterminate);
     }
 

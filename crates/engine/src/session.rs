@@ -219,8 +219,8 @@ pub struct StreamStats {
     /// no worker ever had to wait).
     pub queue_wait_nanos: Histogram,
     /// Log₂ histogram of the reorder buffer's occupancy observed after
-    /// each result was pushed (single-worker streams never buffer, so this
-    /// is empty at `jobs = 1`).
+    /// each result was pushed (a single worker never buffers, so at
+    /// `jobs = 1` every sample is zero).
     pub reorder_occupancy: Histogram,
 }
 
@@ -1163,7 +1163,10 @@ fn quarantine<S: ReplicationSink>(
 /// Writes a checkpoint when the delivery frontier crosses the spec's
 /// interval (or finishes the stream). Write failures warn and continue:
 /// losing a checkpoint must never take down an otherwise healthy run.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is a separate borrow of the stream's state at the delivery frontier; a struct would only rename them"
+)]
 fn write_checkpoint<S: ReplicationSink>(
     spec: &CheckpointSpec,
     digest: u64,
@@ -1513,10 +1516,11 @@ where
     results
 }
 
-/// Runs indexed tasks `start..total` over `jobs` workers, delivering each
-/// result through `deliver` in strict index order, and returns the
-/// scheduler's self-observation (reorder high-water mark, per-worker load,
-/// timing histograms). A nonzero `start` is how a resumed session skips
+/// Runs indexed tasks `start..total` over `jobs` workers (the calling
+/// thread and `jobs − 1` scoped threads), delivering each result through
+/// `deliver` in strict index order, and returns the scheduler's
+/// self-observation (reorder high-water mark, per-worker load, timing
+/// histograms). A nonzero `start` is how a resumed session skips
 /// its checkpointed prefix — the frontier opens at `start`, not 0.
 ///
 /// Workers self-schedule off an atomic counter (dynamic load balancing)
@@ -1557,26 +1561,6 @@ where
         return SchedulerStats::default();
     }
     let jobs = effective_jobs(jobs).min(remaining);
-    if jobs <= 1 {
-        // Single worker: run inline, delivery is trivially in order.
-        let mut ctx = make_ctx();
-        let mut deliver = deliver;
-        let mut task_nanos = Histogram::new();
-        for index in start..total {
-            let span = Span::start();
-            let value = task(index, &mut ctx);
-            task_nanos.record(span.nanos());
-            deliver(index, value);
-        }
-        return SchedulerStats {
-            max_pending: 0,
-            workers: 1,
-            per_worker: vec![remaining as u64],
-            task_nanos,
-            queue_wait_nanos: Histogram::new(),
-            reorder_occupancy: Histogram::new(),
-        };
-    }
 
     /// What one worker accumulates locally (merged under a lock only once,
     /// when the worker retires).
@@ -1601,86 +1585,90 @@ where
     let first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
 
     std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    // If this worker panics, mark the stream dead and wake
-                    // every window-waiter so the panic propagates through the
-                    // scope instead of deadlocking the others.
-                    struct Abort<'a, T, D: FnMut(usize, T)> {
-                        shared: &'a Mutex<Emitter<T, D>>,
-                        frontier_moved: &'a Condvar,
-                    }
-                    impl<T, D: FnMut(usize, T)> Drop for Abort<'_, T, D> {
-                        fn drop(&mut self) {
-                            if std::thread::panicking() {
-                                // A deliver-panic poisons the mutex while this
-                                // very thread unwinds — take it anyway, or the
-                                // flag never gets set and waiters hang.
-                                lock_clean(self.shared).panicked = true;
-                                self.frontier_moved.notify_all();
-                            }
+        let worker = || {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                // If this worker panics, mark the stream dead and wake
+                // every window-waiter so the panic propagates through the
+                // scope instead of deadlocking the others.
+                struct Abort<'a, T, D: FnMut(usize, T)> {
+                    shared: &'a Mutex<Emitter<T, D>>,
+                    frontier_moved: &'a Condvar,
+                }
+                impl<T, D: FnMut(usize, T)> Drop for Abort<'_, T, D> {
+                    fn drop(&mut self) {
+                        if std::thread::panicking() {
+                            // A deliver-panic poisons the mutex while this
+                            // very thread unwinds — take it anyway, or the
+                            // flag never gets set and waiters hang.
+                            lock_clean(self.shared).panicked = true;
+                            self.frontier_moved.notify_all();
                         }
                     }
-                    let _abort = Abort {
-                        shared: &shared,
-                        frontier_moved: &frontier_moved,
-                    };
+                }
+                let _abort = Abort {
+                    shared: &shared,
+                    frontier_moved: &frontier_moved,
+                };
 
-                    let mut ctx = make_ctx();
-                    let mut local = WorkerLocal {
-                        completed: 0,
-                        task_nanos: Histogram::new(),
-                        queue_wait_nanos: Histogram::new(),
-                    };
-                    loop {
-                        let index = counter.fetch_add(1, Ordering::Relaxed);
-                        if index >= total {
-                            break;
-                        }
-                        {
-                            // Bounded window: wait until the frontier is close
-                            // enough that this result cannot over-fill the
-                            // reorder buffer.
-                            let mut emitter = lock_clean(&shared);
-                            if index >= emitter.next + window && !emitter.panicked {
-                                let wait = Span::start();
-                                while index >= emitter.next + window && !emitter.panicked {
-                                    emitter = frontier_moved
-                                        .wait(emitter)
-                                        .unwrap_or_else(PoisonError::into_inner);
-                                }
-                                local.queue_wait_nanos.record(wait.nanos());
-                            }
-                            if emitter.panicked {
-                                return;
-                            }
-                        }
-                        let span = Span::start();
-                        let value = task(index, &mut ctx);
-                        local.task_nanos.record(span.nanos());
-                        local.completed += 1;
+                let mut ctx = make_ctx();
+                let mut local = WorkerLocal {
+                    completed: 0,
+                    task_nanos: Histogram::new(),
+                    queue_wait_nanos: Histogram::new(),
+                };
+                loop {
+                    let index = counter.fetch_add(1, Ordering::Relaxed);
+                    if index >= total {
+                        break;
+                    }
+                    {
+                        // Bounded window: wait until the frontier is close
+                        // enough that this result cannot over-fill the
+                        // reorder buffer.
                         let mut emitter = lock_clean(&shared);
-                        // The stream may have aborted while this task ran;
-                        // delivering now would call into a sink that is being
-                        // unwound past. Drop the result instead.
+                        if index >= emitter.next + window && !emitter.panicked {
+                            let wait = Span::start();
+                            while index >= emitter.next + window && !emitter.panicked {
+                                emitter = frontier_moved
+                                    .wait(emitter)
+                                    .unwrap_or_else(PoisonError::into_inner);
+                            }
+                            local.queue_wait_nanos.record(wait.nanos());
+                        }
                         if emitter.panicked {
                             return;
                         }
-                        emitter.push(index, value);
-                        drop(emitter);
-                        frontier_moved.notify_all();
                     }
-                    lock_clean(&locals).push(local);
-                }));
-                if let Err(payload) = caught {
-                    let mut slot = lock_clean(&first_panic);
-                    if slot.is_none() {
-                        *slot = Some(payload);
+                    let span = Span::start();
+                    let value = task(index, &mut ctx);
+                    local.task_nanos.record(span.nanos());
+                    local.completed += 1;
+                    let mut emitter = lock_clean(&shared);
+                    // The stream may have aborted while this task ran;
+                    // delivering now would call into a sink that is being
+                    // unwound past. Drop the result instead.
+                    if emitter.panicked {
+                        return;
                     }
+                    emitter.push(index, value);
+                    drop(emitter);
+                    frontier_moved.notify_all();
                 }
-            });
+                lock_clean(&locals).push(local);
+            }));
+            if let Err(payload) = caught {
+                let mut slot = lock_clean(&first_panic);
+                if slot.is_none() {
+                    *slot = Some(payload);
+                }
+            }
+        };
+        // The calling thread is one of the workers: it would otherwise only
+        // wait for the others.
+        for _ in 1..jobs {
+            scope.spawn(worker);
         }
+        worker();
     });
 
     if let Some(payload) = first_panic
@@ -1782,6 +1770,37 @@ mod tests {
         assert!(
             sched.reorder_occupancy.max() as usize <= window,
             "occupancy never exceeds the window"
+        );
+    }
+
+    #[test]
+    fn the_calling_thread_is_one_of_the_workers() {
+        // Tasks 0 and 1 each wait for the other, so two different workers
+        // run them; with two workers, one of those is the caller.
+        let caller = std::thread::current().id();
+        let both_started = std::sync::Barrier::new(2);
+        let on_caller = AtomicU64::new(0);
+        let sched = run_ordered(
+            0,
+            16,
+            2,
+            reorder_window(2),
+            || (),
+            |i, (): &mut ()| {
+                if i < 2 {
+                    both_started.wait();
+                }
+                if std::thread::current().id() == caller {
+                    on_caller.fetch_add(1, Ordering::Relaxed);
+                }
+                i
+            },
+            |_, _| {},
+        );
+        assert_eq!(sched.workers, 2);
+        assert!(
+            on_caller.load(Ordering::Relaxed) > 0,
+            "the calling thread ran no task"
         );
     }
 

@@ -20,6 +20,11 @@
 //! files kept under `tests/fixtures/`, written by an earlier build, so the
 //! checkpoint format and digest hold across commits.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test fixtures are written under the system temp directory"
+)]
+
 use engine::{
     artifact, AgentScenario, EngineConfig, Error, FailurePolicy, FaultPlan, ReplicationFailure,
     ReplicationRecord, ReplicationSink, Scenario, ScenarioOutcome, Session, StreamPlan,

@@ -133,16 +133,16 @@ impl ReplicationSink for Records {
 /// `flash-crowd` scenario, run as `run_experiments --scenario flash-crowd
 /// --seed 7 --horizon 250 --replications 4 --kernel KERNEL` runs it.
 fn flash_crowd_replications(kernel: KernelKind) -> Vec<(u64, u64, PathClass)> {
-    let spec = Registry::builtin()
+    let mut spec = Registry::builtin()
         .get("flash-crowd")
         .expect("a built-in scenario")
         .clone();
+    spec.kernel = kernel;
     let options = ScenarioRunOptions {
         replications: 4,
         jobs: 2,
         seed: 7,
         horizon_override: Some(250.0),
-        kernel_override: Some(kernel),
         ..ScenarioRunOptions::default()
     };
     let mut records = Records::default();

@@ -8,7 +8,6 @@
 //! summaries (e.g. `E[N]`) to compare against simulation.
 
 use crate::{Ctmc, MarkovError};
-use std::collections::HashMap;
 use std::hash::Hash;
 
 /// Options for the truncated stationary solve.
@@ -109,8 +108,11 @@ where
         ));
     }
     // Breadth-first enumeration of the kept, reachable states.
-    // simlint: allow(D001, "lookup-only: the map is insert/get, never iterated; enumeration order lives in `states` (BFS discovery order), pinned by `bfs_enumeration_order_is_discovery_order`")
-    let mut index: HashMap<M::State, usize> = HashMap::new();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only: the map is insert/get, never iterated; enumeration order lives in `states` (BFS discovery order), pinned by `bfs_enumeration_order_is_discovery_order`"
+    )]
+    let mut index: std::collections::HashMap<M::State, usize> = std::collections::HashMap::new();
     let mut states: Vec<M::State> = Vec::new();
     let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
     index.insert(initial.clone(), 0);

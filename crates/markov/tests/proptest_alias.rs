@@ -3,6 +3,8 @@
 //! categories must never be drawn, and degenerate inputs must be rejected —
 //! for arbitrary weight vectors, not just the hand-picked unit-test cases.
 
+#![allow(clippy::disallowed_methods, reason = "test code seeds its own StdRng")]
+
 use markov::alias::AliasTable;
 use markov::poisson::CumulativeWeights;
 use proptest::prelude::*;

@@ -87,24 +87,6 @@ impl BitSubspace {
         }
     }
 
-    /// The full space `F_2^K`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ambient_dim` is zero.
-    #[must_use]
-    pub fn full(ambient_dim: usize) -> Self {
-        let mut s = BitSubspace::empty(ambient_dim);
-        for i in 0..ambient_dim {
-            s.pivots.push(i as u32);
-            let word = i / 64;
-            for w in 0..s.words_per_row {
-                s.rows.push(if w == word { 1u64 << (i % 64) } else { 0 });
-            }
-        }
-        s
-    }
-
     /// Clears the basis and reconfigures for a (possibly different) ambient
     /// dimension, keeping the allocated capacity — the scratch-reuse
     /// companion of [`BitSubspace::empty`] for arenas that recycle bases
@@ -326,7 +308,8 @@ mod tests {
         assert!(e.is_trivial());
         assert!(!e.is_full());
         assert_eq!(e.words_per_row(), 1);
-        let mut f = BitSubspace::full(5);
+        let mut f = BitSubspace::empty(5);
+        f.set_units(0b1_1111);
         assert!(f.is_full());
         assert_eq!(f.dimension(), 5);
         assert!(f.contains(&[0b10110]));

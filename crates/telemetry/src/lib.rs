@@ -21,6 +21,15 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::iter_over_hash_type, clippy::allow_attributes_without_reason)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "tests seed their own generators and may time themselves; the determinism contracts bind library code"
+    )
+)]
 
 use std::fmt;
 use std::time::Instant;
@@ -358,6 +367,10 @@ pub struct Span {
 
 impl Span {
     /// Start a span now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one timing primitive: span readings go to telemetry and stderr, never into an artifact"
+    )]
     pub fn start() -> Self {
         Span {
             start: Instant::now(),

@@ -492,18 +492,7 @@ impl ScenarioSpec {
             ("max_events".into(), Json::Num(self.max_events as f64)),
             ("initial".into(), initial),
             ("flash_crowds".into(), flash),
-            (
-                "kernel".into(),
-                Json::Str(
-                    match self.kernel {
-                        KernelKind::LegacyScan => "legacy-scan",
-                        KernelKind::Turbo => "turbo",
-                        KernelKind::Coded => "coded",
-                        KernelKind::CodedTurbo => "coded-turbo",
-                    }
-                    .into(),
-                ),
-            ),
+            ("kernel".into(), Json::Str(self.kernel.name().into())),
         ];
         if let Some(coding) = &self.coding {
             members.push((
@@ -618,19 +607,18 @@ impl ScenarioSpec {
             spec.sync_window = Some(x);
         }
         let kernel_named = doc.get("kernel").is_some();
-        match doc.get("kernel") {
-            None => {}
-            Some(Json::Str(s)) if s == "legacy-scan" => spec.kernel = KernelKind::LegacyScan,
-            Some(Json::Str(s)) if s == "turbo" => spec.kernel = KernelKind::Turbo,
-            Some(Json::Str(s)) if s == "coded" => spec.kernel = KernelKind::Coded,
-            Some(Json::Str(s)) if s == "coded-turbo" => spec.kernel = KernelKind::CodedTurbo,
-            Some(_) => {
-                return Err(SpecError::Parse(
+        if let Some(kernel) = doc.get("kernel") {
+            spec.kernel = match kernel {
+                Json::Str(s) => KernelKind::from_name(s),
+                _ => None,
+            }
+            .ok_or_else(|| {
+                SpecError::Parse(
                     "`kernel` must be \"turbo\", \"legacy-scan\", \
                      \"coded\", or \"coded-turbo\""
                         .into(),
-                ))
-            }
+                )
+            })?;
         }
         match doc.get("coding") {
             None => {
@@ -1020,16 +1008,6 @@ pub struct ScenarioRunOptions {
     pub seed: u64,
     /// Overrides the spec's horizon when set.
     pub horizon_override: Option<f64>,
-    /// Overrides the spec's simulation kernel when set (the CLI's
-    /// `--kernel` flag).
-    pub kernel_override: Option<KernelKind>,
-    /// Overrides the spec's intra-replication shard count when set (the
-    /// CLI's `--shards` flag). Precedence: CLI flag > scenario file >
-    /// unsharded.
-    pub shards_override: Option<u32>,
-    /// Overrides the spec's sharded synchronization window when set (the
-    /// CLI's `--sync-window` flag).
-    pub sync_window_override: Option<f64>,
     /// Report replication progress on stderr through the engine's built-in
     /// progress sink (the CLI's `--progress` flag).
     pub progress: bool,
@@ -1057,9 +1035,6 @@ impl Default for ScenarioRunOptions {
             jobs: 0,
             seed: 0xA11CE,
             horizon_override: None,
-            kernel_override: None,
-            shards_override: None,
-            sync_window_override: None,
             progress: false,
             metrics: false,
             failure_policy: FailurePolicy::FailFast,
@@ -1189,18 +1164,6 @@ pub fn run_with_sink<S: ReplicationSink + Send>(
     options: &ScenarioRunOptions,
     sink: &mut S,
 ) -> Result<ScenarioRunReport, SpecError> {
-    // Apply the kernel override to the spec itself before compiling, so the
-    // report's `spec` records the kernel that actually executed.
-    let mut spec = spec.clone();
-    if let Some(kernel) = options.kernel_override {
-        spec.kernel = kernel;
-    }
-    if let Some(shards) = options.shards_override {
-        spec.shards = Some(shards);
-    }
-    if let Some(window) = options.sync_window_override {
-        spec.sync_window = Some(window);
-    }
     let scenario = spec.compile(0)?;
     let horizon = options.horizon_override.unwrap_or(spec.horizon);
     let config = EngineConfig::default()
@@ -1232,7 +1195,7 @@ pub fn run_with_sink<S: ReplicationSink + Send>(
     let failures = collecting.failures;
     let outcomes = output.into_agent().expect("an agent workload");
     Ok(ScenarioRunReport {
-        spec,
+        spec: spec.clone(),
         outcome: outcomes.into_iter().next().expect("one scenario in"),
         horizon,
         replications: session.config().replications,
@@ -1372,25 +1335,27 @@ mod tests {
         let registry = Registry::builtin();
         let spec = registry.get("retry-speedup").unwrap();
         assert_eq!(spec.kernel, KernelKind::Turbo, "turbo is the default");
-        let run_at = |jobs, kernel_override| {
+        // `--kernel` writes the kernel into the spec the CLI resolved.
+        let mut scan_spec = spec.clone();
+        scan_spec.kernel = KernelKind::LegacyScan;
+        let run_at = |jobs, spec| {
             let options = ScenarioRunOptions {
                 replications: 2,
                 jobs,
                 seed: 77,
                 horizon_override: Some(80.0),
-                kernel_override,
                 ..Default::default()
             };
             run(spec, &options).unwrap()
         };
-        let turbo = run_at(1, None);
+        let turbo = run_at(1, spec);
         assert_eq!(
             turbo.outcome,
-            run_at(4, None).outcome,
+            run_at(4, spec).outcome,
             "turbo is deterministic"
         );
-        let scan = run_at(1, Some(KernelKind::LegacyScan));
-        let scan_jobs4 = run_at(4, Some(KernelKind::LegacyScan));
+        let scan = run_at(1, &scan_spec);
+        let scan_jobs4 = run_at(4, &scan_spec);
         assert_eq!(scan.outcome, scan_jobs4.outcome, "scan is deterministic");
         assert_eq!(scan.outcome.votes.total(), 2);
         assert_eq!(
@@ -1461,13 +1426,13 @@ mod tests {
             rate: 1.2,
         }];
         spec.horizon = 80.0;
-        spec.shards = Some(2);
+        // `--shards` and `--sync-window` write into the spec the CLI resolved.
+        spec.shards = Some(3);
+        spec.sync_window = Some(0.5);
         let options = ScenarioRunOptions {
             replications: 2,
             jobs: 1,
             seed: 99,
-            shards_override: Some(3),
-            sync_window_override: Some(0.5),
             ..Default::default()
         };
         let a = run(&spec, &options).unwrap();
@@ -1491,7 +1456,6 @@ mod tests {
             jobs: 1,
             seed: 42,
             horizon_override: Some(120.0),
-            kernel_override: None,
             ..Default::default()
         };
         let a = run(spec, &options).unwrap();

@@ -2,6 +2,11 @@
 //! files on disk resolve, compile, execute deterministically, and round-trip
 //! bit-for-bit through the canonical writer.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test fixtures are written under the system temp directory"
+)]
+
 use workload::registry::{run, Registry, ScenarioRunOptions, ScenarioSpec};
 
 fn temp_file(name: &str, contents: &str) -> std::path::PathBuf {
@@ -54,7 +59,6 @@ fn scenario_file_resolves_compiles_and_runs() {
         jobs: 1,
         seed: 0xF11E,
         horizon_override: None,
-        kernel_override: None,
         ..Default::default()
     };
     let a = run(&spec, &options).expect("runs");
@@ -93,7 +97,6 @@ fn builtin_big_swarm_scenario_reaches_operating_size() {
         jobs: 1,
         seed: 3,
         horizon_override: Some(8.0),
-        kernel_override: None,
         ..Default::default()
     };
     let report = run(spec, &options).expect("runs");

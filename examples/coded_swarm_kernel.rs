@@ -28,7 +28,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         jobs: 0,
         seed: 0xC0DE,
         horizon_override: Some(400.0),
-        kernel_override: None,
         ..Default::default()
     };
     for name in ["coded-gift-sub", "coded-gift-super"] {

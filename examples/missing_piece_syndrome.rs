@@ -14,6 +14,11 @@
 //! cargo run --release --example missing_piece_syndrome
 //! ```
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "an example seeds its own StdRng so it stays self-contained"
+)]
+
 use p2p_stability::engine::{labels, AgentScenario, EngineConfig, Session, Workload};
 use p2p_stability::pieceset::{PieceId, PieceSet};
 use p2p_stability::swarm::sim::{AgentConfig, AgentSwarm};

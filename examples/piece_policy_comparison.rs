@@ -16,6 +16,11 @@
 //! cargo run --release --example piece_policy_comparison
 //! ```
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "an example seeds its own StdRng so it stays self-contained"
+)]
+
 use p2p_stability::engine::{labels, AgentScenario, EngineConfig, Session, Workload};
 use p2p_stability::swarm::sim::{AgentConfig, AgentSwarm};
 use p2p_stability::swarm::{policy, stability};

@@ -19,6 +19,10 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test-only: each case seeds its own StdRng from the test name and case index"
+)]
 
 pub mod arbitrary;
 pub mod collection;

@@ -18,6 +18,13 @@
 //! should be a drop-in change.
 
 #![deny(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "test code seeds its own generators"
+    )
+)]
 #![forbid(unsafe_code)]
 
 /// Low-level source of randomness: a stream of `u64` words.

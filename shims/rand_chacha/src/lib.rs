@@ -53,6 +53,13 @@
 //! included, is safe code.
 
 #![deny(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        reason = "test code seeds its own generators"
+    )
+)]
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 

@@ -85,6 +85,8 @@
 //! and artifacts are still written; the failures are summarised on
 //! stderr with their stream keys and payloads).
 
+#![deny(clippy::iter_over_hash_type, clippy::allow_attributes_without_reason)]
+
 use p2p_stability::engine::{
     self, Axis, CheckpointSpec, FailurePolicy, FaultPlan, MetricsSink, NullSink, ReplicationFailure,
 };
@@ -207,6 +209,10 @@ fn parse_u64(value: &str) -> Option<u64> {
 }
 
 fn parse_cli() -> Result<Cli, CliError> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the CLI edge: the command line is the run's configuration"
+    )]
     let raw: Vec<String> = std::env::args().skip(1).collect();
     // Apply the `quick` preset before flag parsing so explicit flags win
     // regardless of argument order (`--horizon 5000 quick` must not
@@ -270,18 +276,19 @@ fn parse_cli() -> Result<Cli, CliError> {
             }
             "--scenario" => scenario = Some(value_of("--scenario")?),
             "--kernel" => {
-                kernel = Some(match value_of("--kernel")?.as_str() {
-                    "turbo" => KernelKind::Turbo,
-                    "scan" | "legacy-scan" => KernelKind::LegacyScan,
-                    "coded" => KernelKind::Coded,
-                    "coded-turbo" => KernelKind::CodedTurbo,
-                    other => {
-                        return Err(CliError::Invalid(format!(
-                            "--kernel: unknown kernel `{other}` \
-                             (expected turbo, scan, coded, or coded-turbo)"
-                        )))
-                    }
-                });
+                let name = value_of("--kernel")?;
+                // `scan` is the command line's short alias of `legacy-scan`.
+                let lookup = if name == "scan" {
+                    "legacy-scan"
+                } else {
+                    name.as_str()
+                };
+                kernel = Some(KernelKind::from_name(lookup).ok_or_else(|| {
+                    CliError::Invalid(format!(
+                        "--kernel: unknown kernel `{name}` \
+                         (expected turbo, scan, coded, or coded-turbo)"
+                    ))
+                })?);
             }
             "--shards" => {
                 let n: u32 = value_of("--shards")?
@@ -507,21 +514,29 @@ fn run_metered(
 /// engine's agent backend and prints its deterministic report.
 fn run_scenario(which: &str, cli: &Cli) -> ExitCode {
     let registry = Registry::builtin();
-    let spec = match registry.resolve(which) {
+    let mut spec = match registry.resolve(which) {
         Ok(spec) => spec,
         Err(message) => {
             eprintln!("{message}");
             return ExitCode::FAILURE;
         }
     };
+    // The flags win over the scenario's own settings; written into the
+    // spec, they are also what the report records as run.
+    if let Some(kernel) = cli.kernel {
+        spec.kernel = kernel;
+    }
+    if let Some(shards) = cli.shards {
+        spec.shards = Some(shards);
+    }
+    if let Some(window) = cli.sync_window {
+        spec.sync_window = Some(window);
+    }
     let options = ScenarioRunOptions {
         replications: cli.config.replications,
         jobs: cli.config.threads,
         seed: cli.config.seed,
         horizon_override: cli.explicit_horizon,
-        kernel_override: cli.kernel,
-        shards_override: cli.shards,
-        sync_window_override: cli.sync_window,
         progress: cli.config.progress,
         metrics: cli.metrics.is_some(),
         failure_policy: cli.failure_policy,

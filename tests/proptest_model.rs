@@ -1,6 +1,8 @@
 //! Property-based integration tests on the model invariants, spanning the
 //! `pieceset`, `markov`, and `swarm` crates.
 
+#![allow(clippy::disallowed_methods, reason = "test code seeds its own StdRng")]
+
 use p2p_stability::markov::gillespie::{Simulator, StopRule};
 use p2p_stability::markov::Ctmc;
 use p2p_stability::pieceset::{PieceId, PieceSet, TypeSpace};

@@ -4,6 +4,8 @@
 //! points, on the time-average population. At `K = 1` both are also held to
 //! the exact stationary law of the chain, solved by `markov::stationary`.
 
+#![allow(clippy::disallowed_methods, reason = "test code seeds its own StdRng")]
+
 use p2p_stability::markov::stationary::{stationary_distribution, StationaryOptions};
 use p2p_stability::markov::{PathClass, PathClassifier, SamplePath};
 use p2p_stability::pieceset::PieceSet;

@@ -1,6 +1,8 @@
 //! Integration tests: the three worked examples of Section IV, cross-checking
 //! the Theorem 1 classification against simulation of the exact CTMC.
 
+#![allow(clippy::disallowed_methods, reason = "test code seeds its own StdRng")]
+
 use p2p_stability::engine::{EngineConfig, Scenario, Session, Workload};
 use p2p_stability::markov::PathClass;
 use p2p_stability::swarm::{stability, StabilityVerdict, SwarmModel};
