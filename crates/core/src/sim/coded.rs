@@ -52,7 +52,7 @@
 //! population and follow `O(1)` transitions, exactly like the uncoded
 //! kernels.
 
-use super::{AgentSwarm, KernelState};
+use super::{AgentSwarm, Event, KernelState};
 use crate::coded::CodedGifts;
 use crate::groups::{GroupCounts, PeerGroup};
 use crate::metrics::{SimResult, SimSnapshot, SojournStats};
@@ -296,6 +296,8 @@ impl<'a, T: Recorder> State<'a, T> {
 }
 
 impl<T: Recorder> KernelState for State<'_, T> {
+    type Change = Event;
+
     fn reserve_snapshots(&mut self, capacity: usize) {
         self.snapshots.reserve(capacity);
     }
@@ -329,6 +331,45 @@ impl<T: Recorder> KernelState for State<'_, T> {
         });
     }
 
+    fn decide<R: Rng>(&mut self, event: Event, _rng: &mut R) -> Option<Event> {
+        // Every draw happens in the handler `apply` runs, in the order
+        // the coded kernel has always drawn.
+        Some(event)
+    }
+
+    fn apply<R: Rng>(&mut self, event: Event, time: f64, rng: &mut R) {
+        match event {
+            Event::Arrival => self.handle_arrival(time, rng),
+            Event::SeedTick => self.handle_seed_tick(time, rng),
+            Event::PeerTick => self.handle_peer_tick(time, rng),
+            Event::SeedDeparture => self.handle_seed_departure(time, rng),
+        }
+    }
+
+    fn inject(&mut self, time: f64, pieces: PieceSet, count: usize) {
+        let space = self.subspace_of(pieces);
+        self.spaces.reserve(count);
+        self.meta.reserve(count);
+        for _ in 0..count {
+            self.add_peer(time, space.clone(), true);
+        }
+    }
+
+    fn finish(self, events: u64, truncated: bool, horizon: f64) -> SimResult {
+        SimResult {
+            snapshots: self.snapshots,
+            sojourns: self.sojourns,
+            transfers: self.useful_transfers,
+            unsuccessful_contacts: self.unsuccessful,
+            events,
+            horizon,
+            truncated,
+            final_dimensions: self.dim_hist,
+        }
+    }
+}
+
+impl<T: Recorder> State<'_, T> {
     fn handle_arrival<R: Rng>(&mut self, time: f64, rng: &mut R) {
         self.rec.incr(Counter::Arrivals);
         // One alias-table draw for the gift class, then d random coded
@@ -463,27 +504,5 @@ impl<T: Recorder> KernelState for State<'_, T> {
         }
         let index = self.seed_pool[rng.gen_range(0..seeds)] as usize;
         self.depart(index, time);
-    }
-
-    fn inject(&mut self, time: f64, pieces: PieceSet, count: usize) {
-        let space = self.subspace_of(pieces);
-        self.spaces.reserve(count);
-        self.meta.reserve(count);
-        for _ in 0..count {
-            self.add_peer(time, space.clone(), true);
-        }
-    }
-
-    fn finish(self, events: u64, truncated: bool, horizon: f64) -> SimResult {
-        SimResult {
-            snapshots: self.snapshots,
-            sojourns: self.sojourns,
-            transfers: self.useful_transfers,
-            unsuccessful_contacts: self.unsuccessful,
-            events,
-            horizon,
-            truncated,
-            final_dimensions: self.dim_hist,
-        }
     }
 }

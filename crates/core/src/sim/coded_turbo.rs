@@ -79,7 +79,7 @@
 //! dimension histogram) is identical to the reference coded kernel's.
 
 use super::turbo::SimScratch;
-use super::{AgentSwarm, KernelState};
+use super::{AgentSwarm, Event, KernelState};
 use crate::coded::CodedGifts;
 use crate::groups::{GroupCounts, PeerGroup};
 use crate::metrics::{SimResult, SimSnapshot, SojournStats};
@@ -416,6 +416,8 @@ impl<'a, T: Recorder> State<'a, T> {
 }
 
 impl<T: Recorder> KernelState for State<'_, T> {
+    type Change = Event;
+
     fn reserve_snapshots(&mut self, capacity: usize) {
         self.s.snapshots.reserve(capacity);
     }
@@ -449,6 +451,46 @@ impl<T: Recorder> KernelState for State<'_, T> {
         });
     }
 
+    fn decide<R: Rng>(&mut self, event: Event, _rng: &mut R) -> Option<Event> {
+        // Every draw happens in the handler `apply` runs, in the order
+        // the coded-turbo kernel has always drawn.
+        Some(event)
+    }
+
+    fn apply<R: Rng>(&mut self, event: Event, time: f64, rng: &mut R) {
+        match event {
+            Event::Arrival => self.handle_arrival(time, rng),
+            Event::SeedTick => self.handle_seed_tick(time, rng),
+            Event::PeerTick => self.handle_peer_tick(time, rng),
+            Event::SeedDeparture => self.handle_seed_departure(time, rng),
+        }
+    }
+
+    fn inject(&mut self, time: f64, pieces: PieceSet, count: usize) {
+        // An uncoded piece collection spans the unit vectors of its pieces:
+        // exactly the pure-unit lazy representation, so a flash crowd of
+        // any size materializes nothing.
+        self.s.coded.meta.reserve(count);
+        for _ in 0..count {
+            self.add_lazy_peer(time, pieces.bits(), 0, true);
+        }
+    }
+
+    fn finish(self, events: u64, truncated: bool, horizon: f64) -> SimResult {
+        SimResult {
+            snapshots: std::mem::take(&mut self.s.snapshots),
+            sojourns: self.sojourns,
+            transfers: self.useful_transfers,
+            unsuccessful_contacts: self.unsuccessful,
+            events,
+            horizon,
+            truncated,
+            final_dimensions: std::mem::take(&mut self.s.coded.dim_hist),
+        }
+    }
+}
+
+impl<T: Recorder> State<'_, T> {
     fn handle_arrival<R: Rng>(&mut self, time: f64, rng: &mut R) {
         self.rec.incr(Counter::Arrivals);
         // One alias-table draw for the gift class, then a chain of d exact
@@ -612,28 +654,5 @@ impl<T: Recorder> KernelState for State<'_, T> {
         }
         let index = self.s.coded.seed_pool[rng.gen_range(0..seeds)] as usize;
         self.depart(index, time);
-    }
-
-    fn inject(&mut self, time: f64, pieces: PieceSet, count: usize) {
-        // An uncoded piece collection spans the unit vectors of its pieces:
-        // exactly the pure-unit lazy representation, so a flash crowd of
-        // any size materializes nothing.
-        self.s.coded.meta.reserve(count);
-        for _ in 0..count {
-            self.add_lazy_peer(time, pieces.bits(), 0, true);
-        }
-    }
-
-    fn finish(self, events: u64, truncated: bool, horizon: f64) -> SimResult {
-        SimResult {
-            snapshots: std::mem::take(&mut self.s.snapshots),
-            sojourns: self.sojourns,
-            transfers: self.useful_transfers,
-            unsuccessful_contacts: self.unsuccessful,
-            events,
-            horizon,
-            truncated,
-            final_dimensions: std::mem::take(&mut self.s.coded.dim_hist),
-        }
     }
 }

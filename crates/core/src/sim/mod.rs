@@ -45,16 +45,20 @@
 //!
 //! The turbo kernel is pinned against the scan kernel by a *distributional*
 //! differential test (`crates/core/tests/turbo_distributional.rs`): over
-//! replication ensembles, its sojourn, population, watch-piece, group, and
-//! event-count statistics must match the scan kernel's within confidence
-//! intervals, and the same test proves it rejects a turbo run with skewed
-//! arrival rates.
+//! replication ensembles, its sojourn, population, watch-piece, group,
+//! event, useless-contact and transfer statistics must match the scan
+//! kernel's within confidence intervals, and the same test proves it
+//! rejects a turbo run with skewed arrival rates.
 //!
 //! Aggregate exponential clocks are maintained per peer class — total
 //! arrival rate, (possibly boosted) fixed-seed rate, total peer contact rate
 //! split into normal and boosted sub-populations, and the peer-seed
-//! departure rate — and updated in `O(1)` per event; no per-event rescan of
-//! the population happens in any kernel.
+//! departure rate — and updated in `O(1)` per state change; no per-event
+//! rescan of the population happens in any kernel. The clock advances once
+//! per *stretch*: events that change no state and no rate (self-loops,
+//! such as useless contacts) are drawn and counted against the unchanged
+//! state until one event changes it, and one `Gamma` draw sums their
+//! holding times (see `drive`, and [`TURBO_DRAW_ORDER`]).
 
 mod coded;
 mod coded_turbo;
@@ -69,10 +73,18 @@ use crate::coded::{CodedGifts, CodedParams};
 use crate::metrics::SimResult;
 use crate::policy::{PiecePolicy, RandomUseful};
 use crate::{SwarmError, SwarmParams};
-use markov::poisson::{sample_exp, sample_weighted_index};
+use markov::poisson::{sample_binomial, sample_exp, sample_gamma, sample_weighted_index_of};
 use pieceset::{PieceId, PieceSet};
 use rand::Rng;
 use telemetry::{NullRecorder, Recorder};
+
+/// The draw order of the unsharded [`KernelKind::Turbo`] kernel, named so
+/// that a checkpoint can bind to it: the engine folds it into the digest of
+/// every session that runs turbo unsharded, and a checkpoint written under
+/// another order is refused instead of resumed into a mix of two streams.
+/// Change it whenever that order changes. The current order advances the
+/// clock once per state change (the [module docs](self)' stretches).
+pub const TURBO_DRAW_ORDER: &str = "one clock draw per state change";
 
 /// Which simulation kernel executes the run (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -631,17 +643,45 @@ impl AgentSwarm {
     }
 }
 
+/// Which of the driver's four aggregate clocks fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Event {
+    /// A Poisson arrival.
+    Arrival,
+    /// The fixed seed's contact clock.
+    SeedTick,
+    /// Some peer's contact clock.
+    PeerTick,
+    /// A peer-seed departure.
+    SeedDeparture,
+}
+
+impl Event {
+    /// The events in the order of the driver's rate array.
+    const ALL: [Event; 4] = [
+        Event::Arrival,
+        Event::SeedTick,
+        Event::PeerTick,
+        Event::SeedDeparture,
+    ];
+}
+
 /// The bookkeeping interface a kernel exposes to the shared driver loop.
 ///
 /// The driver owns time, the aggregate rate computation, event selection,
 /// the snapshot grid, the flash schedule, and truncation; kernels own the
-/// population state and the per-event updates. Every handler must sample
-/// its outcome from the model's distribution; no kernel has to consume the
-/// same draws as another. The scan kernel's draw order is fixed all the
-/// same: its ensembles are the turbo kernel's reference and the engine's
-/// golden master pins its trajectories across commits, so moving one of its
-/// draws moves the reference.
+/// population state and the per-event updates. An event's outcome is split
+/// in two: [`decide`](KernelState::decide) draws it against the current
+/// state, and [`apply`](KernelState::apply) makes the change. Every kernel
+/// must sample each outcome from the model's distribution; no kernel has to
+/// consume the same draws as another. The scan kernel's draw order is fixed
+/// all the same: its ensembles are the turbo kernel's reference and the
+/// engine's golden master pins its trajectories across commits, so moving
+/// one of its draws moves the reference.
 trait KernelState {
+    /// An outcome [`decide`](KernelState::decide) drew, waiting to be
+    /// applied.
+    type Change;
     /// Reserves capacity for about `capacity` snapshots before the run
     /// starts (the driver derives it from the horizon and snapshot grid, so
     /// recording never reallocates mid-run on the happy path).
@@ -656,22 +696,66 @@ trait KernelState {
     fn seed_boosted(&self) -> bool;
     /// Records a snapshot at `time`.
     fn record_snapshot(&mut self, time: f64);
-    /// A Poisson arrival fires at `time`.
-    fn handle_arrival<R: Rng>(&mut self, time: f64, rng: &mut R);
-    /// The fixed seed's clock fires at `time`.
-    fn handle_seed_tick<R: Rng>(&mut self, time: f64, rng: &mut R);
-    /// Some peer's contact clock fires at `time`.
-    fn handle_peer_tick<R: Rng>(&mut self, time: f64, rng: &mut R);
-    /// A peer-seed departure fires at `time`.
-    fn handle_seed_departure<R: Rng>(&mut self, time: f64, rng: &mut R);
+    /// Draws the outcome of `event` against the current state and changes
+    /// nothing. Returns `None` for a *self-loop*: an outcome that would
+    /// change no state and no rate, such as a useless contact that boosts
+    /// no clock. A kernel may also defer every draw to
+    /// [`apply`](KernelState::apply) and never return `None`.
+    fn decide<R: Rng>(&mut self, event: Event, rng: &mut R) -> Option<Self::Change>;
+    /// Applies a decided outcome at `time`.
+    fn apply<R: Rng>(&mut self, change: Self::Change, time: f64, rng: &mut R);
+    /// Counts `count` self-loops, each one useless contact. Only kernels
+    /// whose [`decide`](KernelState::decide) returns `None` see any; the
+    /// default serves the others.
+    fn record_self_loops(&mut self, count: u64) {
+        debug_assert_eq!(count, 0, "this kernel decides no self-loops");
+    }
     /// Injects a flash crowd (no random draws).
     fn inject(&mut self, time: f64, pieces: PieceSet, count: usize);
     /// Consumes the kernel into the run's result.
     fn finish(self, events: u64, truncated: bool, horizon: f64) -> SimResult;
 }
 
+/// The snapshot grid `i · interval`, computed by multiplication so long
+/// horizons do not accumulate floating-point drift.
+struct SnapshotGrid {
+    interval: f64,
+    /// Index of the next grid time to record.
+    next: u64,
+    /// The last grid time recorded.
+    last: f64,
+}
+
+impl SnapshotGrid {
+    /// Records a snapshot at every grid time up to and including `limit`.
+    fn record_until<S: KernelState>(&mut self, state: &mut S, limit: f64) {
+        while (self.next as f64) * self.interval <= limit {
+            let t = (self.next as f64) * self.interval;
+            state.record_snapshot(t);
+            self.last = t;
+            self.next += 1;
+        }
+    }
+}
+
 /// The shared event loop: aggregate exponential clocks per peer class,
-/// updated `O(1)` per event from the kernel's maintained counts.
+/// updated `O(1)` per state change from the kernel's maintained counts.
+///
+/// The clock advances once per *stretch*, not once per event. After the
+/// usual exponential draw for the next event, the loop keeps drawing
+/// candidate events (type, then outcome) against the unchanged state until
+/// one of them changes it; every candidate before it is a self-loop (see
+/// [`KernelState::decide`]), which only adds to a count. The holding times
+/// are iid `Exp(total)` and independent of the candidates' outcomes, so
+/// after the first, which fires at `t₁`, the other `loops` of them sum to
+/// one `Gamma(loops, total)` draw. A flash crowd or the horizon at `c`
+/// inside a stretch cuts it: the stretch's intermediate event times are
+/// sorted uniforms on `(t₁, t_end)`, so `1 + Binomial(loops − 1, (c − t₁) /
+/// (t_end − t₁))` self-loops fall before `c`, and the decided change is
+/// dropped, which is exact by memorylessness. The event budget ends a
+/// stretch at its last counted self-loop. A kernel that never returns a
+/// self-loop gets stretches of one event and consumes the draws it always
+/// did.
 fn drive<S: KernelState, R: Rng>(
     sim: &AgentSwarm,
     mut state: S,
@@ -705,10 +789,11 @@ fn drive<S: KernelState, R: Rng>(
     }
 
     state.record_snapshot(0.0);
-    // Snapshot times are the grid `i · interval`, computed by multiplication
-    // so long horizons do not accumulate floating-point drift.
-    let mut next_snapshot: u64 = 1;
-    let mut last_snapshot = 0.0f64;
+    let mut grid = SnapshotGrid {
+        interval,
+        next: 1,
+        last: 0.0,
+    };
     let mut time = 0.0f64;
     let mut events = 0u64;
     let mut truncated = false;
@@ -738,58 +823,103 @@ fn drive<S: KernelState, R: Rng>(
         let total: f64 = rates.iter().sum();
         debug_assert!(total > 0.0, "λ_total > 0 guarantees a positive total rate");
 
-        let dt = sample_exp(rng, total);
-        let new_time = time + dt;
+        let first = time + sample_exp(rng, total);
+        let crowd_time = flash
+            .get(next_flash)
+            .map_or(f64::INFINITY, |crowd| crowd.time);
 
         // A scheduled flash crowd pre-empts the sampled event: jump to the
         // crowd, inject it, and resample (the exponential clocks are
         // memoryless, so discarding the sampled jump is exact).
-        if let Some(crowd) = flash.get(next_flash) {
-            if crowd.time <= new_time.min(horizon) {
-                while (next_snapshot as f64) * interval <= crowd.time {
-                    let t = (next_snapshot as f64) * interval;
-                    state.record_snapshot(t);
-                    last_snapshot = t;
-                    next_snapshot += 1;
-                }
-                time = crowd.time;
-                state.inject(time, crowd.pieces, crowd.count);
-                next_flash += 1;
-                continue;
-            }
+        if crowd_time <= first.min(horizon) {
+            grid.record_until(&mut state, crowd_time);
+            time = crowd_time;
+            inject_next(&mut state, flash, &mut next_flash, time);
+            continue;
         }
-
-        // Emit snapshots for every grid point crossed before the event.
-        while (next_snapshot as f64) * interval <= new_time.min(horizon) {
-            let t = (next_snapshot as f64) * interval;
-            state.record_snapshot(t);
-            last_snapshot = t;
-            next_snapshot += 1;
-        }
-        if new_time > horizon {
+        if first > horizon {
+            grid.record_until(&mut state, horizon);
             time = horizon;
             break;
         }
-        time = new_time;
-        events += 1;
 
-        #[expect(
-            clippy::expect_used,
-            reason = "total rate > 0 here: a zero-rate state takes the infinite-horizon break above"
-        )]
-        let event = sample_weighted_index(rng, &rates).expect("positive total rate");
-        match event {
-            0 => state.handle_arrival(time, rng),
-            1 => state.handle_seed_tick(time, rng),
-            2 => state.handle_peer_tick(time, rng),
-            _ => state.handle_seed_departure(time, rng),
+        // Grid times up to the first event see the current state whatever
+        // the stretch decides.
+        grid.record_until(&mut state, first);
+
+        // The stretch: candidates against the unchanged state until one
+        // changes it or the event budget runs out.
+        let candidate = |state: &mut S, rng: &mut R| {
+            #[expect(
+                clippy::expect_used,
+                reason = "total rate > 0 here: a zero-rate state takes the infinite-horizon break above"
+            )]
+            let event = sample_weighted_index_of(rng, total, rates).expect("positive total rate");
+            state.decide(Event::ALL[event], rng)
+        };
+        if let Some(change) = candidate(&mut state, rng) {
+            // A stretch of one event, the usual case where most events
+            // change the state: the step of a plain per-event loop.
+            time = first;
+            events += 1;
+            state.apply(change, time, rng);
+            continue;
+        }
+        let budget = sim.config.max_events - events;
+        let mut loops = 1u64;
+        let change = loop {
+            if loops == budget {
+                break None;
+            }
+            if let Some(change) = candidate(&mut state, rng) {
+                break Some(change);
+            }
+            loops += 1;
+        };
+        let counted = loops + u64::from(change.is_some());
+        let last = first + sample_gamma(rng, counted - 1, total);
+
+        let crowd_cuts = crowd_time <= last.min(horizon);
+        if crowd_cuts || last > horizon {
+            // Only a stretch of two or more events reaches here, and every
+            // event before its last is a self-loop.
+            debug_assert!(counted >= 2 && last > first);
+            let cut = if crowd_cuts { crowd_time } else { horizon };
+            let before = 1 + sample_binomial(rng, counted - 2, (cut - first) / (last - first));
+            events += before;
+            state.record_self_loops(before);
+            grid.record_until(&mut state, cut);
+            time = cut;
+            if !crowd_cuts {
+                break;
+            }
+            inject_next(&mut state, flash, &mut next_flash, time);
+            continue;
+        }
+
+        // Snapshots crossed inside the stretch see the state before the
+        // change.
+        grid.record_until(&mut state, last);
+        time = last;
+        events += counted;
+        state.record_self_loops(loops);
+        if let Some(change) = change {
+            state.apply(change, time, rng);
         }
     }
 
     // Final snapshot at the horizon (or at the truncation point).
-    let end = time.max(last_snapshot);
+    let end = time.max(grid.last);
     state.record_snapshot(end);
     state.finish(events, truncated, end)
+}
+
+/// Injects the flash crowd `flash[*next]` at `time` and moves past it.
+fn inject_next<S: KernelState>(state: &mut S, flash: &[FlashCrowd], next: &mut usize, time: f64) {
+    if let Some(crowd) = flash.get(*next) {
+        state.inject(time, crowd.pieces, crowd.count);
+        *next += 1;
+    }
 }
 
 #[cfg(test)]

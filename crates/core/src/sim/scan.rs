@@ -8,7 +8,7 @@
 //! this kernel's replication ensembles, and the engine's golden master pins
 //! its trajectories across commits.
 
-use super::{AgentSwarm, KernelState};
+use super::{AgentSwarm, Event, KernelState};
 use crate::groups::{classify_peer, GroupCounts};
 use crate::metrics::{SimResult, SimSnapshot, SojournStats};
 use markov::poisson::CumulativeWeights;
@@ -171,6 +171,8 @@ impl<'a, T: Recorder> State<'a, T> {
 }
 
 impl<T: Recorder> KernelState for State<'_, T> {
+    type Change = Event;
+
     fn reserve_snapshots(&mut self, capacity: usize) {
         self.snapshots.reserve(capacity);
     }
@@ -222,6 +224,42 @@ impl<T: Recorder> KernelState for State<'_, T> {
         });
     }
 
+    fn decide<R: Rng>(&mut self, event: Event, _rng: &mut R) -> Option<Event> {
+        // Every draw happens in the handler `apply` runs, in the order
+        // the scan kernel has always drawn.
+        Some(event)
+    }
+
+    fn apply<R: Rng>(&mut self, event: Event, time: f64, rng: &mut R) {
+        match event {
+            Event::Arrival => self.handle_arrival(time, rng),
+            Event::SeedTick => self.handle_seed_tick(time, rng),
+            Event::PeerTick => self.handle_peer_tick(time, rng),
+            Event::SeedDeparture => self.handle_seed_departure(time, rng),
+        }
+    }
+
+    fn inject(&mut self, time: f64, pieces: PieceSet, count: usize) {
+        for _ in 0..count {
+            self.add_peer(time, pieces, true);
+        }
+    }
+
+    fn finish(self, events: u64, truncated: bool, horizon: f64) -> SimResult {
+        SimResult {
+            snapshots: self.snapshots,
+            sojourns: self.sojourns,
+            transfers: self.transfers,
+            unsuccessful_contacts: self.unsuccessful,
+            events,
+            horizon,
+            truncated,
+            final_dimensions: Vec::new(),
+        }
+    }
+}
+
+impl<T: Recorder> State<'_, T> {
     fn handle_arrival<R: Rng>(&mut self, time: f64, rng: &mut R) {
         self.rec.incr(Counter::Arrivals);
         // Rebuilt every arrival — one of the scan kernel's allocations the
@@ -321,25 +359,6 @@ impl<T: Recorder> KernelState for State<'_, T> {
                 .min(seeds.len().saturating_sub(1)),
         ) {
             self.depart(i, time);
-        }
-    }
-
-    fn inject(&mut self, time: f64, pieces: PieceSet, count: usize) {
-        for _ in 0..count {
-            self.add_peer(time, pieces, true);
-        }
-    }
-
-    fn finish(self, events: u64, truncated: bool, horizon: f64) -> SimResult {
-        SimResult {
-            snapshots: self.snapshots,
-            sojourns: self.sojourns,
-            transfers: self.transfers,
-            unsuccessful_contacts: self.unsuccessful,
-            events,
-            horizon,
-            truncated,
-            final_dimensions: Vec::new(),
         }
     }
 }

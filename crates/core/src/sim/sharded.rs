@@ -61,7 +61,7 @@
 //! aggregate.
 
 use super::turbo;
-use super::{AgentSwarm, FlashCrowd, KernelKind, KernelState, SimScratch};
+use super::{AgentSwarm, Event, FlashCrowd, KernelKind, KernelState, SimScratch};
 use crate::metrics::SimResult;
 use crate::SwarmError;
 use markov::poisson::{sample_exp, sample_weighted_index};
@@ -562,38 +562,28 @@ fn run_shard_segment<T: Recorder>(
             reason = "total rate > 0 here: a zero-rate shard takes the window-boundary break above"
         )]
         let event = sample_weighted_index(&mut ctx.rng, &rates).expect("positive total rate");
-        match event {
-            0 => {
-                ctx.events += 1;
-                state.handle_arrival(time, &mut ctx.rng);
-            }
-            1 => {
-                ctx.events += 1;
-                state.handle_seed_tick(time, &mut ctx.rng);
-            }
-            2 => {
-                if ctx.rng.gen::<f64>() < local_target {
-                    ctx.events += 1;
-                    state.handle_peer_tick(time, &mut ctx.rng);
-                } else {
-                    // Remote target: draw the destination shard from the
-                    // frozen weights and queue the uploader's collection
-                    // for the exchange round. The event and the contact
-                    // are counted at the destination when the offer is
-                    // applied — nothing is recorded here.
-                    let dst = pick_remote_shard(&mut ctx.rng, weights, shard, total0);
-                    if let Some(pieces) = state.offer_pieces(&mut ctx.rng) {
-                        match plan.bias {
-                            ShardBias::None => ctx.outbox.push(Offer { dst, pieces }),
-                            ShardBias::DropRemote => {}
-                        }
-                    }
+        let event = Event::ALL[event];
+        if event == Event::PeerTick && ctx.rng.gen::<f64>() >= local_target {
+            // Remote target: draw the destination shard from the frozen
+            // weights and queue the uploader's collection for the exchange
+            // round. The event and the contact are counted at the
+            // destination when the offer is applied — nothing is recorded
+            // here.
+            let dst = pick_remote_shard(&mut ctx.rng, weights, shard, total0);
+            if let Some(pieces) = state.offer_pieces(&mut ctx.rng) {
+                match plan.bias {
+                    ShardBias::None => ctx.outbox.push(Offer { dst, pieces }),
+                    ShardBias::DropRemote => {}
                 }
             }
-            _ => {
-                ctx.events += 1;
-                state.handle_seed_departure(time, &mut ctx.rng);
-            }
+            continue;
+        }
+        // One event at a time: the shard's clock advances per event, so a
+        // self-loop needs no stretch of its own.
+        ctx.events += 1;
+        match state.decide(event, &mut ctx.rng) {
+            Some(change) => state.apply(change, time, &mut ctx.rng),
+            None => state.record_self_loops(1),
         }
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The legacy scan kernel, turbo's reference, keeps the simplest sampler
 //! for each event: a rejection probe that picks the uploader in proportion
-//! to its clock rate (the `handle_peer_tick` loop), 64 uniform probes and then an `O(n)` scan for a
+//! to its clock rate, 64 uniform probes and then an `O(n)` scan for a
 //! departing seed, an arrival sampler rebuilt per arrival, a population
 //! scan per snapshot, and a fresh peer table per replication. This kernel
 //! draws every outcome from the same distribution but removes each of those
@@ -35,13 +35,28 @@
 //! * **Replication batches reuse a [`SimScratch`] arena**: the peer
 //!   records, sampling pools, and snapshot buffer all persist across runs,
 //!   so a warm replication loop performs no per-replication allocation.
+//! * **Useless contacts cost no clock tick.** Each event is decided before
+//!   it is applied: `decide` makes every draw (alias pick, uploader,
+//!   target, piece) and returns a [`Change`], or `None` for a self-loop —
+//!   a useless contact whose uploader is already boosted or runs at
+//!   `η = 1`, or a useless seed tick that leaves the seed's boost flag as
+//!   it is — and `apply` makes the change without drawing. The shared
+//!   driver keeps drawing candidates until one changes the state and
+//!   advances the clock once for all of them (one `Gamma` draw for the
+//!   self-loops' holding times), so a self-loop costs three draws (event
+//!   type, uploader, target) and a counter bump. In the missing-piece
+//!   regime nearly every contact is one: 93.5% in replication-batch's
+//!   `flash-crowd` scenario.
 //!
 //! Because the draw *sequence* differs from the scan kernel's, validation
 //! is distributional rather than byte-wise:
 //! `crates/core/tests/turbo_distributional.rs` pins the turbo kernel's
-//! replication ensembles against the scan kernel's.
+//! replication ensembles, useless-contact and transfer counts included,
+//! against the scan kernel's, which ticks the clock once per event, and
+//! `crates/core/tests/self_loop_oracle.rs` holds its useless-contact
+//! counts to closed forms.
 
-use super::{AgentSwarm, KernelState};
+use super::{AgentSwarm, Event, KernelState};
 use crate::groups::{GroupCounts, PeerGroup};
 use crate::metrics::{SimResult, SimSnapshot, SojournStats};
 use markov::alias::AliasTable;
@@ -86,6 +101,34 @@ impl PeerMeta {
     fn has(self, flag: u8) -> bool {
         self.flags & flag != 0
     }
+}
+
+/// An outcome the turbo kernel decided, waiting to be applied (see
+/// [`KernelState::decide`]); peers are named by their index.
+pub(super) enum Change {
+    /// A Poisson arrival of this type.
+    Arrival(PieceSet),
+    /// A contact clock that fires with nobody to contact. The driver gives
+    /// an empty swarm no contact rate, but a shard of the sharded driver
+    /// may empty while its share of the seed clock stays frozen.
+    NoTarget,
+    /// A useless seed tick that boosts the seed's retry clock.
+    SeedBoost,
+    /// The fixed seed uploads `piece` to `target`.
+    SeedUpload { target: u32, piece: PieceId },
+    /// A useless contact that boosts the normal `uploader`'s retry clock.
+    PeerBoost { uploader: u32 },
+    /// `uploader` uploads `piece` to `target`.
+    PeerUpload {
+        uploader: u32,
+        target: u32,
+        piece: PieceId,
+    },
+    /// The peer seed at this index departs.
+    Departure(u32),
+    /// A departure clock that fires with no peer seed to depart;
+    /// unreachable while the departure rate follows the live seed count.
+    NoSeed,
 }
 
 /// Reusable buffers for the turbo kernel: one arena per worker, reused
@@ -448,6 +491,41 @@ impl<'a, T: Recorder> State<'a, T> {
         }
     }
 
+    /// Counts `count` contacts that moved no piece.
+    fn count_useless_contacts(&mut self, count: u64) {
+        self.unsuccessful += count;
+        self.rec.add(Counter::Contacts, count);
+        self.rec.add(Counter::UselessContacts, count);
+    }
+
+    /// Draws the uploader of a peer tick among `n > 0` peers, each with
+    /// probability proportional to its clock rate.
+    ///
+    /// A peer's clock runs at rate µ (normal) or ηµ (boosted), so the
+    /// firing peer is boosted with probability η·nb / (η·nb + (n − nb)):
+    /// one weighted coin, then one uniform pool pick (boosted) or a
+    /// complement rejection (normal). The coin fires the normal branch with
+    /// probability proportional to the normal count, so the rejection's
+    /// expected tries are O(1), unlike the scan kernel's Θ(η) probe.
+    fn pick_uploader<R: Rng>(&mut self, n: usize, rng: &mut R) -> usize {
+        let nb = self.s.boosted_pool.len();
+        if nb == 0 {
+            return rng.gen_range(0..n);
+        }
+        let nn = n - nb;
+        let boosted_weight = self.sim.config.retry_speedup * nb as f64;
+        if nn == 0 || rng.gen::<f64>() * (boosted_weight + nn as f64) < boosted_weight {
+            return self.s.boosted_pool[rng.gen_range(0..nb)] as usize;
+        }
+        loop {
+            let i = rng.gen_range(0..n);
+            if self.s.meta[i].boosted_pos == NOT_BOOSTED {
+                return i;
+            }
+            self.rec.incr(Counter::RejectionRetries);
+        }
+    }
+
     /// Draws the uploader for a peer tick whose contact target lives in
     /// another shard and returns a copy of the uploader's piece collection
     /// (the cross-shard *offer*). The contact itself — counters, target
@@ -472,7 +550,7 @@ impl<'a, T: Recorder> State<'a, T> {
     /// Applies a cross-shard offer at the exchange boundary: one contact
     /// against a uniformly drawn local peer, with the offered collection
     /// standing in for the remote uploader's piece set. Mirrors the
-    /// useful/useless accounting of `handle_peer_tick` exactly — the whole
+    /// useful/useless accounting of a local peer tick exactly — the whole
     /// cross-shard contact is attributed to the destination shard. The
     /// sharded driver rejects `η > 1`, so no boost bookkeeping applies
     /// here.
@@ -496,6 +574,8 @@ impl<'a, T: Recorder> State<'a, T> {
 }
 
 impl<T: Recorder> KernelState for State<'_, T> {
+    type Change = Change;
+
     fn reserve_snapshots(&mut self, capacity: usize) {
         self.s.snapshots.reserve(capacity);
     }
@@ -533,92 +613,109 @@ impl<T: Recorder> KernelState for State<'_, T> {
         });
     }
 
-    fn handle_arrival<R: Rng>(&mut self, time: f64, rng: &mut R) {
-        self.rec.incr(Counter::Arrivals);
-        // One alias-table draw: O(1) in the number of arrival classes.
-        let pieces = self.s.arrival_types[self.s.arrival_alias.sample(rng)];
-        self.add_peer(time, pieces, true);
-    }
-
-    fn handle_seed_tick<R: Rng>(&mut self, time: f64, rng: &mut R) {
-        self.rec.incr(Counter::Contacts);
+    fn decide<R: Rng>(&mut self, event: Event, rng: &mut R) -> Option<Change> {
         let n = self.s.meta.len();
-        if n == 0 {
-            self.rec.incr(Counter::UselessContacts);
-            return;
-        }
-        let target = rng.gen_range(0..n);
-        let useful = self.full.difference(self.s.meta[target].pieces);
-        if useful.is_empty() {
-            self.unsuccessful += 1;
-            self.rec.incr(Counter::UselessContacts);
-            self.seed_boosted = self.sim.config.retry_speedup > 1.0;
-            return;
-        }
-        self.seed_boosted = false;
-        let piece = self.select_piece(useful, rng);
-        self.give_piece(target, piece, time);
-    }
-
-    fn handle_peer_tick<R: Rng>(&mut self, time: f64, rng: &mut R) {
-        self.rec.incr(Counter::Contacts);
-        let n = self.s.meta.len();
-        if n == 0 {
-            self.rec.incr(Counter::UselessContacts);
-            return;
-        }
-        let eta = self.sim.config.retry_speedup;
-        let nb = self.s.boosted_pool.len();
-        // A peer's clock runs at rate µ (normal) or ηµ (boosted), so the
-        // firing peer is boosted with probability η·nb / (η·nb + (n − nb)):
-        // one weighted coin, then one uniform pool pick (boosted) or a
-        // complement rejection (normal). The coin fires the normal branch
-        // with probability proportional to the normal count, so the
-        // rejection's expected tries are O(1) — unlike the scan kernel's
-        // Θ(η) probe.
-        let uploader = if nb == 0 {
-            rng.gen_range(0..n)
-        } else {
-            let nn = n - nb;
-            let boosted_weight = eta * nb as f64;
-            if nn == 0 || rng.gen::<f64>() * (boosted_weight + nn as f64) < boosted_weight {
-                self.s.boosted_pool[rng.gen_range(0..nb)] as usize
-            } else {
-                loop {
-                    let i = rng.gen_range(0..n);
-                    if self.s.meta[i].boosted_pos == NOT_BOOSTED {
-                        break i;
-                    }
-                    self.rec.incr(Counter::RejectionRetries);
+        match event {
+            // One alias-table draw: O(1) in the number of arrival classes.
+            Event::Arrival => Some(Change::Arrival(
+                self.s.arrival_types[self.s.arrival_alias.sample(rng)],
+            )),
+            Event::SeedTick => {
+                if n == 0 {
+                    return Some(Change::NoTarget);
                 }
+                let target = rng.gen_range(0..n);
+                let useful = self.full.difference(self.s.meta[target].pieces);
+                if useful.is_empty() {
+                    // A useless tick leaves the seed boosted exactly when
+                    // η > 1: a self-loop unless that flips the flag.
+                    let boost = self.sim.config.retry_speedup > 1.0;
+                    return (self.seed_boosted != boost).then_some(Change::SeedBoost);
+                }
+                let piece = self.select_piece(useful, rng);
+                Some(Change::SeedUpload {
+                    target: target as u32,
+                    piece,
+                })
             }
-        };
-        let target = rng.gen_range(0..n);
-        let useful = self.s.meta[uploader]
-            .pieces
-            .difference(self.s.meta[target].pieces);
-        if useful.is_empty() {
-            self.unsuccessful += 1;
-            self.rec.incr(Counter::UselessContacts);
-            if eta > 1.0 {
-                self.boost(uploader);
+            Event::PeerTick => {
+                if n == 0 {
+                    return Some(Change::NoTarget);
+                }
+                let uploader = self.pick_uploader(n, rng);
+                let target = rng.gen_range(0..n);
+                let useful = self.s.meta[uploader]
+                    .pieces
+                    .difference(self.s.meta[target].pieces);
+                if useful.is_empty() {
+                    // A useless contact boosts a normal uploader when η > 1
+                    // (a change of rate); otherwise it is a self-loop.
+                    let boosts = self.sim.config.retry_speedup > 1.0
+                        && self.s.meta[uploader].boosted_pos == NOT_BOOSTED;
+                    return boosts.then_some(Change::PeerBoost {
+                        uploader: uploader as u32,
+                    });
+                }
+                let piece = self.select_piece(useful, rng);
+                Some(Change::PeerUpload {
+                    uploader: uploader as u32,
+                    target: target as u32,
+                    piece,
+                })
             }
-            return;
+            Event::SeedDeparture => {
+                // One uniform pick from the seed pool: O(1), no probing.
+                let seeds = self.s.seed_pool.len();
+                if seeds == 0 {
+                    return Some(Change::NoSeed);
+                }
+                Some(Change::Departure(self.s.seed_pool[rng.gen_range(0..seeds)]))
+            }
         }
-        self.unboost(uploader);
-        let piece = self.select_piece(useful, rng);
-        self.give_piece(target, piece, time);
     }
 
-    fn handle_seed_departure<R: Rng>(&mut self, time: f64, rng: &mut R) {
-        self.rec.incr(Counter::DepartureEvents);
-        // One uniform pick from the seed pool: O(1), no probing.
-        let seeds = self.s.seed_pool.len();
-        if seeds == 0 {
-            return;
+    fn apply<R: Rng>(&mut self, change: Change, time: f64, _rng: &mut R) {
+        match change {
+            Change::Arrival(pieces) => {
+                self.rec.incr(Counter::Arrivals);
+                self.add_peer(time, pieces, true);
+            }
+            Change::NoTarget => {
+                self.rec.incr(Counter::Contacts);
+                self.rec.incr(Counter::UselessContacts);
+            }
+            Change::SeedBoost => {
+                self.count_useless_contacts(1);
+                self.seed_boosted = true;
+            }
+            Change::SeedUpload { target, piece } => {
+                self.rec.incr(Counter::Contacts);
+                self.seed_boosted = false;
+                self.give_piece(target as usize, piece, time);
+            }
+            Change::PeerBoost { uploader } => {
+                self.count_useless_contacts(1);
+                self.boost(uploader as usize);
+            }
+            Change::PeerUpload {
+                uploader,
+                target,
+                piece,
+            } => {
+                self.rec.incr(Counter::Contacts);
+                self.unboost(uploader as usize);
+                self.give_piece(target as usize, piece, time);
+            }
+            Change::Departure(index) => {
+                self.rec.incr(Counter::DepartureEvents);
+                self.depart(index as usize, time);
+            }
+            Change::NoSeed => self.rec.incr(Counter::DepartureEvents),
         }
-        let index = self.s.seed_pool[rng.gen_range(0..seeds)] as usize;
-        self.depart(index, time);
+    }
+
+    fn record_self_loops(&mut self, count: u64) {
+        self.count_useless_contacts(count);
     }
 
     fn inject(&mut self, time: f64, pieces: PieceSet, count: usize) {

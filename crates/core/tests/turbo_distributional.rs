@@ -13,8 +13,11 @@
 //! a plain stable swarm) this test runs `N` replications per kernel and
 //! demands overlap of generous confidence intervals on: mean sojourn time,
 //! final population, final watch-piece copies, the final Fig.-2 group
-//! counts, departures, and the event count (both kernels tick the shared
-//! driver's event clock). Tolerances are 5 combined standard errors plus an
+//! counts, departures, the event count, the useless-contact count and the
+//! transfer count. Turbo folds runs of useless contacts into one clock draw
+//! (the shared driver's self-loop stretches) while scan ticks the clock once
+//! per event, so the last three compare turbo's aggregated counts with a
+//! per-event reference. Tolerances are 5 combined standard errors plus an
 //! absolute floor of 1 — loose enough for a deterministic, non-flaky pass
 //! (all seeds fixed). Measured power on these seeds: the battery still
 //! passes a turbo run whose µ is skewed by up to 20%, whose γ or U_s is
@@ -70,10 +73,12 @@ struct Ensemble {
     infected_and_gifted: Vec<f64>,
     departures: Vec<f64>,
     events: Vec<f64>,
+    unsuccessful_contacts: Vec<f64>,
+    transfers: Vec<f64>,
 }
 
 impl Ensemble {
-    fn observables(&self) -> [(&'static str, &[f64]); 7] {
+    fn observables(&self) -> [(&'static str, &[f64]); 9] {
         [
             ("mean-sojourn", &self.sojourn_mean),
             ("final-population", &self.final_population),
@@ -82,6 +87,8 @@ impl Ensemble {
             ("infected+gifted", &self.infected_and_gifted),
             ("departures", &self.departures),
             ("events", &self.events),
+            ("unsuccessful-contacts", &self.unsuccessful_contacts),
+            ("transfers", &self.transfers),
         ]
     }
 
@@ -95,6 +102,9 @@ impl Ensemble {
             .push((last.groups.infected + last.groups.gifted) as f64);
         self.departures.push(result.sojourns.departures as f64);
         self.events.push(result.events as f64);
+        self.unsuccessful_contacts
+            .push(result.unsuccessful_contacts as f64);
+        self.transfers.push(result.transfers as f64);
     }
 }
 

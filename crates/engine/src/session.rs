@@ -89,7 +89,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use swarm::coded::CodedParams;
-use swarm::sim::{AgentConfig, KernelKind, SimScratch};
+use swarm::sim::{AgentConfig, KernelKind, SimScratch, TURBO_DRAW_ORDER};
 use swarm::{stability, StabilityVerdict, SwarmModel, SwarmParams};
 use telemetry::{Histogram, Span};
 
@@ -733,6 +733,12 @@ impl Session {
     /// `initial_one_club`, `confidence`, `shards` and `sync_window` were
     /// config fields once. Their text stays, at the values every session
     /// now runs with, so checkpoints written by earlier builds resume.
+    ///
+    /// An agent scenario on the unsharded turbo kernel also folds in
+    /// [`swarm::sim::TURBO_DRAW_ORDER`]: its config and workload are the
+    /// same under any draw order, and a checkpoint written under another
+    /// order would resume into a mix of two streams that matches neither
+    /// build's uninterrupted run.
     fn checkpoint_digest(&self) -> u64 {
         let c = &self.config;
         let mut desc = format!(
@@ -756,6 +762,9 @@ impl Session {
             WorkloadKind::Agent(scenarios) | WorkloadKind::Coded { scenarios, .. } => {
                 for s in scenarios {
                     desc.push_str(&format!("{s:?}\n"));
+                    if s.config.kernel == KernelKind::Turbo && s.shard_plan(1).is_none() {
+                        desc.push_str(&format!("draw_order={TURBO_DRAW_ORDER}\n"));
+                    }
                 }
             }
         }

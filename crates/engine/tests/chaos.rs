@@ -18,7 +18,8 @@
 //! resume from the surviving checkpoint file, asserting the combined run is
 //! byte-identical to an uninterrupted one. Two of them resume checkpoint
 //! files kept under `tests/fixtures/`, written by an earlier build, so the
-//! checkpoint format and digest hold across commits.
+//! checkpoint format and digest hold across commits; a third, written
+//! under an earlier turbo draw order, must be refused.
 
 #![allow(
     clippy::disallowed_methods,
@@ -421,25 +422,43 @@ fn fixture_resumes(fixture: &str, session: impl Fn(usize) -> Session) {
     }
 }
 
+/// The agent session behind the `agent*.ckpt` fixtures: two scenarios on
+/// the default turbo kernel, four replications each.
+fn agent_session(jobs: usize) -> Session {
+    let config = EngineConfig::default()
+        .with_replications(4)
+        .with_horizon(100.0)
+        .with_master_seed(0xC1A05)
+        .with_jobs(jobs);
+    Session::builder()
+        .config(config)
+        .workload(Workload::agent(vec![
+            AgentScenario::new(0, "stable", example1(1.0)),
+            AgentScenario::new(1, "transient", example1(4.0)),
+        ]))
+        .build()
+        .expect("valid session")
+}
+
 #[test]
 fn checkpoints_from_an_earlier_build_resume_to_the_uninterrupted_outcomes() {
     // Written at frontier 8 of 12 and 5 of 8.
     fixture_resumes("ctmc.ckpt", |jobs| {
         session(jobs, FailurePolicy::FailFast, None)
     });
-    fixture_resumes("agent.ckpt", |jobs| {
-        let config = EngineConfig::default()
-            .with_replications(4)
-            .with_horizon(100.0)
-            .with_master_seed(0xC1A05)
-            .with_jobs(jobs);
-        Session::builder()
-            .config(config)
-            .workload(Workload::agent(vec![
-                AgentScenario::new(0, "stable", example1(1.0)),
-                AgentScenario::new(1, "transient", example1(4.0)),
-            ]))
-            .build()
-            .expect("valid session")
-    });
+    fixture_resumes("agent.ckpt", agent_session);
+}
+
+#[test]
+fn a_turbo_checkpoint_written_under_another_draw_order_is_refused() {
+    // The same session and frontier as `agent.ckpt`, written by a build
+    // whose turbo kernel drew one clock tick per contact. Its config and
+    // workload match, so only the draw-order token in the digest keeps it
+    // from resuming into a mix of two streams.
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/agent-per-contact-clock.ckpt");
+    match agent_session(1).resume(&path) {
+        Err(Error::CheckpointMismatch { .. }) => {}
+        other => panic!("expected CheckpointMismatch, got {other:?}"),
+    }
 }

@@ -133,11 +133,22 @@ impl ReplicationSink for Records {
 /// `flash-crowd` scenario, run as `run_experiments --scenario flash-crowd
 /// --seed 7 --horizon 250 --replications 4 --kernel KERNEL` runs it.
 fn flash_crowd_replications(kernel: KernelKind) -> Vec<(u64, u64, PathClass)> {
+    builtin_replications("flash-crowd", |spec| spec.kernel = kernel)
+}
+
+/// `(events, transfers, class)` of each replication of the built-in
+/// scenario `name` after `edit` (the CLI's `--kernel` or `--shards`), run as
+/// `run_experiments --scenario NAME --seed 7 --horizon 250 --replications 4`
+/// runs it.
+fn builtin_replications(
+    name: &str,
+    edit: impl FnOnce(&mut workload::ScenarioSpec),
+) -> Vec<(u64, u64, PathClass)> {
     let mut spec = Registry::builtin()
-        .get("flash-crowd")
+        .get(name)
         .expect("a built-in scenario")
         .clone();
-    spec.kernel = kernel;
+    edit(&mut spec);
     let options = ScenarioRunOptions {
         replications: 4,
         jobs: 2,
@@ -195,6 +206,8 @@ fn golden_master_holds_across_commits() {
     use PathClass::{Growing, Indeterminate, Stable};
     let scan = flash_crowd_replications(KernelKind::LegacyScan);
     let turbo = flash_crowd_replications(KernelKind::Turbo);
+    let sharded = builtin_replications("flash-crowd", |spec| spec.shards = Some(3));
+    let coded_turbo = builtin_replications("coded-turbo-gift", |_| {});
     let mut ctmc = Records::default();
     Session::builder()
         .config(config(2))
@@ -216,12 +229,32 @@ fn golden_master_holds_across_commits() {
     assert_eq!(
         turbo,
         [
-            (6614, 1769, Indeterminate),
-            (12099, 1672, Indeterminate),
-            (13686, 1591, Indeterminate),
-            (7227, 1730, Indeterminate),
+            (5805, 1764, Indeterminate),
+            (14536, 1575, Growing),
+            (14040, 1705, Indeterminate),
+            (5863, 1767, Indeterminate),
         ],
         "turbo kernel"
+    );
+    assert_eq!(
+        sharded,
+        [
+            (16336, 1515, Growing),
+            (20609, 1549, Growing),
+            (21152, 1423, Growing),
+            (20984, 1415, Growing),
+        ],
+        "turbo sharded three ways"
+    );
+    assert_eq!(
+        coded_turbo,
+        [
+            (2984, 1700, Stable),
+            (2932, 1626, Stable),
+            (3016, 1705, Stable),
+            (3430, 1945, Stable),
+        ],
+        "coded-turbo kernel"
     );
     assert_eq!(
         ctmc,
@@ -356,38 +389,38 @@ fn golden_master_holds_across_commits() {
             [
                 // The transient configuration.
                 "150 150 0 0 0 0 0 0",
-                "191 185 0 0 0 6 3 44",
-                "221 218 0 0 1 2 9 79",
-                "258 252 0 0 0 6 13 121",
-                "262 257 0 0 0 5 34 146",
-                "290 281 0 0 0 9 44 184",
-                "310 303 0 0 0 7 65 225",
-                "335 332 1 0 0 2 76 260",
-                "369 359 0 0 0 10 90 309",
-                "404 394 0 0 0 10 93 347",
-                "439 433 0 0 0 6 99 388",
+                "183 174 0 0 0 9 3 36",
+                "216 214 0 0 0 2 7 73",
+                "248 243 0 0 0 5 16 114",
+                "271 268 0 0 0 3 21 142",
+                "292 288 1 0 0 3 37 178",
+                "322 316 0 0 0 6 40 212",
+                "362 356 0 0 0 6 41 253",
+                "393 390 0 0 0 3 50 293",
+                "428 419 0 0 0 9 52 330",
+                "467 462 0 0 0 5 52 369",
                 // The stable configuration.
                 "150 150 0 0 0 0 0 0",
-                "66 41 14 3 0 8 132 31",
-                "21 8 6 1 0 6 211 75",
-                "8 0 1 3 0 4 253 107",
-                "11 0 0 5 0 6 290 146",
-                "5 0 0 2 0 3 318 171",
-                "9 1 1 1 0 6 349 206",
-                "12 2 1 3 0 6 382 240",
-                "11 0 1 5 0 5 423 278",
-                "14 3 3 3 1 4 461 318",
-                "9 2 1 1 0 5 503 360",
+                "94 79 9 0 0 6 97 32",
+                "17 6 5 2 0 4 203 63",
+                "14 0 1 9 0 4 242 96",
+                "11 0 0 10 0 1 275 126",
+                "12 0 0 10 0 2 307 159",
+                "13 0 0 11 0 2 332 184",
+                "14 1 1 4 0 8 370 229",
+                "15 1 1 8 0 5 419 275",
+                "13 0 0 8 0 5 458 313",
+                "8 0 0 5 0 3 495 348",
             ],
             "E4 (N, one-club, former, infected, gifted, young, D_t, A_t) at {threads} threads"
         );
         assert_eq!(
             e7,
             [
-                "Stable Growing 30.00",
+                "Stable Growing 35.00",
+                "Stable Growing 45.00",
                 "Stable Growing 30.00",
                 "Stable Growing 35.00",
-                "Stable Growing 30.00",
             ],
             "E7 (stable class, transient class, onset) per policy at {threads} threads"
         );
@@ -398,7 +431,7 @@ fn golden_master_holds_across_commits() {
         );
         assert_eq!(
             e12,
-            ["32023 703", "307433 705", "15092 968", "260134 865"],
+            ["25860 668", "280715 676", "14999 862", "273057 889"],
             "E12 (unsuccessful contacts, transfers) at {threads} threads"
         );
     }

@@ -133,6 +133,10 @@ pub fn run<J: Jumps, R: Rng + ?Sized>(
             break StopReason::TimeHorizon;
         }
         t += dt;
+        #[expect(
+            clippy::expect_used,
+            reason = "total > 0 was checked above, so some rate is positive and the walk picks it"
+        )]
         let picked =
             sample_weighted_index_of(rng, total, jumps.rates()).expect("total rate positive");
         value = jumps.apply(&mut state, picked);

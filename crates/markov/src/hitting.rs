@@ -77,7 +77,7 @@ pub fn excursions_above(path: &crate::path::SamplePath, level: f64) -> Excursion
         0.0
     } else {
         let mut sorted = lengths.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite lengths"));
+        sorted.sort_by(f64::total_cmp);
         sorted[completed / 2]
     };
     ExcursionStats {

@@ -43,6 +43,10 @@ impl SamplePath {
     /// # Panics
     ///
     /// Panics if `t` is earlier than the last recorded time.
+    #[expect(
+        clippy::expect_used,
+        reason = "SamplePath::new records the initial point and nothing removes one"
+    )]
     pub fn record(&mut self, t: f64, value: f64) {
         let last = *self.times.last().expect("path is never empty");
         assert!(t >= last, "times must be non-decreasing ({t} < {last})");
@@ -92,6 +96,10 @@ impl SamplePath {
 
     /// The last recorded value.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "SamplePath::new records the initial point and nothing removes one"
+    )]
     pub fn last_value(&self) -> f64 {
         *self.values.last().expect("path is never empty")
     }
@@ -142,10 +150,7 @@ impl SamplePath {
     /// before `t`; the initial value if `t` precedes the window).
     #[must_use]
     pub fn value_at(&self, t: f64) -> f64 {
-        match self
-            .times
-            .binary_search_by(|x| x.partial_cmp(&t).expect("finite times"))
-        {
+        match self.times.binary_search_by(|x| x.total_cmp(&t)) {
             Ok(i) => self.values[i],
             Err(0) => self.values[0],
             Err(i) => self.values[i - 1],

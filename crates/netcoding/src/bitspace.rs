@@ -291,7 +291,9 @@ impl BitSubspace {
     pub fn random_ambient_row_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<u64>) {
         out.clear();
         out.extend((0..self.words_per_row).map(|_| rng.gen::<u64>()));
-        *out.last_mut().expect("at least one word") &= self.last_word_mask;
+        if let Some(last) = out.last_mut() {
+            *last &= self.last_word_mask;
+        }
     }
 }
 

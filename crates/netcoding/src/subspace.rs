@@ -108,6 +108,10 @@ impl Subspace {
 
     /// The RREF basis rows.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "basis rows are reduced field elements of the ambient length, which from_coeffs accepts"
+    )]
     pub fn basis(&self) -> Vec<CodingVector> {
         self.basis
             .iter()
@@ -128,10 +132,10 @@ impl Subspace {
     fn reduce_in_place(&self, row: &mut [u32]) {
         let f = self.field;
         for b in &self.basis {
-            let pivot = b
-                .iter()
-                .position(|&c| c != 0)
-                .expect("basis rows are non-zero");
+            // Basis rows are non-zero; a zero row would reduce nothing.
+            let Some(pivot) = b.iter().position(|&c| c != 0) else {
+                continue;
+            };
             let coeff = row[pivot];
             if coeff != 0 {
                 // row -= coeff * b  (basis pivots are normalised to 1)
@@ -200,7 +204,7 @@ impl Subspace {
         let pos = self
             .basis
             .iter()
-            .position(|b| b.iter().position(|&c| c != 0).expect("non-zero rows") > pivot)
+            .position(|b| b.iter().position(|&c| c != 0).is_some_and(|p| p > pivot))
             .unwrap_or(self.basis.len());
         self.basis.insert(pos, row);
         Ok(true)
@@ -250,7 +254,7 @@ impl Subspace {
         let pos = self
             .basis
             .iter()
-            .position(|b| b.iter().position(|&c| c != 0).expect("non-zero rows") > pivot)
+            .position(|b| b.iter().position(|&c| c != 0).is_some_and(|p| p > pivot))
             .unwrap_or(self.basis.len());
         self.basis.insert(pos, std::mem::take(row));
         Ok(true)
@@ -322,6 +326,10 @@ impl Subspace {
     /// an uploading peer sends.
     ///
     /// Returns the zero vector for the trivial subspace.
+    #[expect(
+        clippy::expect_used,
+        reason = "basis rows are reduced field elements of the ambient length, so they convert and add"
+    )]
     pub fn random_vector<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> CodingVector {
         let mut acc = CodingVector::zero(self.field, self.ambient_dim);
         for b in &self.basis {

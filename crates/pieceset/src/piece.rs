@@ -26,6 +26,10 @@ impl PieceId {
     /// Panics if `index` does not fit in a `u32` (practically unreachable
     /// because [`crate::MAX_PIECES`] is far smaller).
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "the documented panic: no valid piece index comes near u32::MAX"
+    )]
     pub fn new(index: usize) -> Self {
         PieceId(u32::try_from(index).expect("piece index fits in u32"))
     }
