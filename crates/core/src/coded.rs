@@ -9,16 +9,13 @@
 //!   arrive with a single uniformly random coded piece),
 //! * [`theorem15_gift_thresholds`] — the closed-form transience /
 //!   positive-recurrence thresholds on `f` quoted in the paper
-//!   (`q/((q−1)K)` and `q²/((q−1)²K)`),
-//! * [`CodedSwarmSim`] — a peer-level simulator of the coded system, used to
-//!   validate the qualitative claim (coding rescues stability when gifted
-//!   peers carry coded pieces) at laptop-scale `(q, K)`.
+//!   (`q/((q−1)K)` and `q²/((q−1)²K)`).
+//!
+//! The coded swarm itself runs on the agent simulator's coded kernels
+//! ([`crate::sim::AgentSwarm::with_coded`]).
 
 use crate::{SwarmError, SwarmParams};
-use markov::poisson::{sample_exp, sample_weighted_index, CumulativeWeights};
-use netcoding::{CodingVector, GaloisField, Subspace};
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+use netcoding::GaloisField;
 
 /// Parameters of the network-coded swarm.
 #[derive(Debug, Clone, PartialEq)]
@@ -317,278 +314,9 @@ pub fn theorem15_classify(params: &CodedParams) -> Result<crate::StabilityVerdic
     })
 }
 
-/// Peer-level simulator of the network-coded swarm.
-pub struct CodedSwarmSim {
-    params: CodedParams,
-    snapshot_interval: f64,
-    max_events: u64,
-}
-
-/// One snapshot of the coded simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CodedSnapshot {
-    /// Simulated time.
-    pub time: f64,
-    /// Number of peers in the system.
-    pub total_peers: u64,
-    /// Number of peers whose subspace is full (can decode).
-    pub decoders: u64,
-    /// Mean subspace dimension across peers (0 for an empty system).
-    pub mean_dimension: f64,
-}
-
-/// Result of a coded simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CodedSimResult {
-    /// Periodic snapshots.
-    pub snapshots: Vec<CodedSnapshot>,
-    /// Number of departures (successful decodes that left).
-    pub departures: u64,
-    /// Number of coded transfers that increased the receiver's dimension.
-    pub useful_transfers: u64,
-    /// Number of contacts that did not help (including zero coded pieces).
-    pub useless_contacts: u64,
-    /// Horizon reached.
-    pub horizon: f64,
-    /// Final per-peer dimension histogram: entry `d` counts the peers whose
-    /// subspace dimension is `d` when the run ends (length `K + 1`). The
-    /// differential tests compare it bin by bin against the coded event
-    /// kernel's [`crate::metrics::SimResult::final_dimensions`].
-    pub final_dimensions: Vec<u64>,
-}
-
-impl CodedSimResult {
-    /// The peer-count sample path.
-    #[must_use]
-    pub fn peer_count_path(&self) -> markov::SamplePath {
-        #[expect(
-            clippy::expect_used,
-            reason = "SimResult construction always records the t = 0 snapshot"
-        )]
-        let first = self.snapshots.first().expect("at least one snapshot");
-        let mut path = markov::SamplePath::new(first.time, first.total_peers as f64);
-        for s in &self.snapshots[1..] {
-            path.record(s.time, s.total_peers as f64);
-        }
-        path.finish(self.horizon.max(first.time));
-        path
-    }
-}
-
-impl CodedSwarmSim {
-    /// Creates a simulator with a snapshot interval of 10 time units.
-    #[must_use]
-    pub fn new(params: CodedParams) -> Self {
-        CodedSwarmSim {
-            params,
-            snapshot_interval: 10.0,
-            max_events: 20_000_000,
-        }
-    }
-
-    /// Overrides the snapshot interval.
-    #[must_use]
-    pub fn snapshot_interval(mut self, dt: f64) -> Self {
-        self.snapshot_interval = dt.max(1e-6);
-        self
-    }
-
-    /// The coded parameters.
-    #[must_use]
-    pub fn params(&self) -> &CodedParams {
-        &self.params
-    }
-
-    /// Runs the coded swarm from an empty system up to `horizon`.
-    #[must_use]
-    pub fn run<R: Rng + ?Sized>(&self, horizon: f64, rng: &mut R) -> CodedSimResult {
-        let base = &self.params.base;
-        let field = self.params.field;
-        let k = base.num_pieces();
-        let gamma_finite = !base.departs_immediately();
-        let full_dim = k;
-
-        let mut peers: Vec<(Subspace, f64)> = Vec::new(); // (subspace, arrival time)
-        let mut time = 0.0;
-        let mut snapshots = Vec::new();
-        let mut next_snapshot = 0.0;
-        let mut departures = 0u64;
-        let mut useful_transfers = 0u64;
-        let mut useless_contacts = 0u64;
-        let mut events = 0u64;
-
-        // One prefix-sum table for the whole run: each arrival's dimension
-        // draw is a single uniform resolved by binary search instead of the
-        // per-event linear walk `sample_weighted_index` does. The table maps
-        // the same uniform draw to the same index as the linear walk, so
-        // seeded trajectories are unchanged by this optimisation. A
-        // degenerate zero-total (or empty) gift mix has no table — and no
-        // arrival events to resolve with it.
-        let arrival_weights: Vec<f64> = self
-            .params
-            .gift_dimensions
-            .iter()
-            .map(|(_, r)| *r)
-            .collect();
-        let arrival_sampler = CumulativeWeights::new(&arrival_weights);
-        let arrival_rate: f64 = arrival_sampler
-            .as_ref()
-            .map_or(0.0, CumulativeWeights::total);
-
-        let record = |time: f64,
-                      peers: &Vec<(Subspace, f64)>,
-                      snapshots: &mut Vec<CodedSnapshot>| {
-            let n = peers.len() as u64;
-            let decoders = peers.iter().filter(|(v, _)| v.is_full()).count() as u64;
-            let mean_dimension = if peers.is_empty() {
-                0.0
-            } else {
-                peers.iter().map(|(v, _)| v.dimension() as f64).sum::<f64>() / peers.len() as f64
-            };
-            snapshots.push(CodedSnapshot {
-                time,
-                total_peers: n,
-                decoders,
-                mean_dimension,
-            });
-        };
-        record(0.0, &peers, &mut snapshots);
-        next_snapshot += self.snapshot_interval;
-
-        loop {
-            if events >= self.max_events {
-                break;
-            }
-            let n = peers.len();
-            let seed_rate = if n > 0 { base.seed_rate() } else { 0.0 };
-            let peer_rate = base.contact_rate() * n as f64;
-            let seeds = if gamma_finite {
-                peers.iter().filter(|(v, _)| v.is_full()).count()
-            } else {
-                0
-            };
-            let departure_rate = if gamma_finite {
-                base.seed_departure_rate() * seeds as f64
-            } else {
-                0.0
-            };
-            let rates = [arrival_rate, seed_rate, peer_rate, departure_rate];
-            let total: f64 = rates.iter().sum();
-            if total <= 0.0 {
-                break;
-            }
-            let dt = sample_exp(rng, total);
-            let new_time = time + dt;
-            while next_snapshot <= new_time.min(horizon) {
-                record(next_snapshot, &peers, &mut snapshots);
-                next_snapshot += self.snapshot_interval;
-            }
-            if new_time > horizon {
-                time = horizon;
-                break;
-            }
-            time = new_time;
-            events += 1;
-
-            #[expect(
-                clippy::expect_used,
-                reason = "total rate > 0 here: a zero-rate state takes the infinite-horizon break above"
-            )]
-            let event = sample_weighted_index(rng, &rates).expect("positive total rate");
-            match event {
-                0 => {
-                    // Arrival with d random coded pieces (only reachable
-                    // when the arrival rate — the table total — is positive).
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "this branch is sampled only when the arrival rate (the table total) is positive, so the sampler was built"
-                    )]
-                    let sampler = arrival_sampler.as_ref().expect("arrival rate > 0");
-                    let d = self.params.gift_dimensions[sampler.sample(rng)].0;
-                    let mut space = Subspace::empty(field, full_dim);
-                    for _ in 0..d {
-                        let v = CodingVector::random(field, full_dim, rng);
-                        let _ = space.insert(&v);
-                    }
-                    peers.push((space, time));
-                }
-                1 => {
-                    // Fixed seed uploads a uniformly random coded piece of the full space.
-                    if n == 0 {
-                        continue;
-                    }
-                    let target = rng.gen_range(0..n);
-                    let v = CodingVector::random(field, full_dim, rng);
-                    if peers[target].0.is_useful(&v) {
-                        let _ = peers[target].0.insert(&v);
-                        useful_transfers += 1;
-                        if peers[target].0.is_full() && !gamma_finite {
-                            peers.swap_remove(target);
-                            departures += 1;
-                        }
-                    } else {
-                        useless_contacts += 1;
-                    }
-                }
-                2 => {
-                    // A random peer contacts a random peer and sends a random
-                    // linear combination of its coded pieces.
-                    if n == 0 {
-                        continue;
-                    }
-                    let uploader = rng.gen_range(0..n);
-                    let target = rng.gen_range(0..n);
-                    if uploader == target {
-                        useless_contacts += 1;
-                        continue;
-                    }
-                    let v = peers[uploader].0.random_vector(rng);
-                    if peers[target].0.is_useful(&v) {
-                        let _ = peers[target].0.insert(&v);
-                        useful_transfers += 1;
-                        if peers[target].0.is_full() && !gamma_finite {
-                            peers.swap_remove(target);
-                            departures += 1;
-                        }
-                    } else {
-                        useless_contacts += 1;
-                    }
-                }
-                _ => {
-                    // Peer-seed departure (finite γ).
-                    let seed_indices: Vec<usize> =
-                        (0..n).filter(|&i| peers[i].0.is_full()).collect();
-                    if seed_indices.is_empty() {
-                        continue;
-                    }
-                    let i = seed_indices[rng.gen_range(0..seed_indices.len())];
-                    peers.swap_remove(i);
-                    departures += 1;
-                }
-            }
-        }
-
-        record(time, &peers, &mut snapshots);
-        let mut final_dimensions = vec![0u64; k + 1];
-        for (space, _) in &peers {
-            final_dimensions[space.dimension()] += 1;
-        }
-        CodedSimResult {
-            snapshots,
-            departures,
-            useful_transfers,
-            useless_contacts,
-            horizon: time,
-            final_dimensions,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn paper_example_thresholds_q64_k200() {
@@ -713,82 +441,5 @@ mod tests {
             uncoded_gift_verdict(4, 1.0, 1.0),
             crate::StabilityVerdict::Borderline
         );
-    }
-
-    #[test]
-    fn coded_simulation_stable_case_keeps_population_bounded() {
-        // Small system, generous gifts: stable per Theorem 15.
-        let (_, hi) = theorem15_gift_thresholds(8, 3);
-        let params =
-            CodedParams::gift_example(3, 8, 1.0, (3.0 * hi).min(1.0), 0.0, 1.0, f64::INFINITY)
-                .unwrap();
-        assert_eq!(
-            theorem15_classify(&params).unwrap(),
-            crate::StabilityVerdict::PositiveRecurrent
-        );
-        let sim = CodedSwarmSim::new(params).snapshot_interval(5.0);
-        let mut rng = StdRng::seed_from_u64(11);
-        let result = sim.run(1_500.0, &mut rng);
-        let classifier = markov::PathClassifier::new(1.0, 40.0);
-        assert_eq!(
-            classifier.classify(&result.peer_count_path()).class,
-            markov::PathClass::Stable
-        );
-        assert!(result.departures > 100);
-    }
-
-    #[test]
-    fn coded_simulation_starved_case_grows() {
-        // No gifts, no seed: nothing ever becomes decodable, peers pile up.
-        let params = CodedParams::gift_example(3, 8, 1.0, 0.0, 0.0, 1.0, f64::INFINITY).unwrap();
-        let sim = CodedSwarmSim::new(params).snapshot_interval(5.0);
-        let mut rng = StdRng::seed_from_u64(12);
-        let result = sim.run(800.0, &mut rng);
-        let trend = result.peer_count_path().trend(0.5);
-        assert!(trend.slope > 0.5, "slope {}", trend.slope);
-        assert_eq!(result.departures, 0);
-    }
-
-    #[test]
-    fn zero_rate_gift_mix_runs_without_arrivals() {
-        // CodedParams fields are public, so a directly-constructed params
-        // value may carry a zero-total (or empty) gift mix; the simulator
-        // must run it as an arrival-free swarm, not panic building the
-        // arrival table.
-        let base = SwarmParams::builder(3)
-            .seed_rate(1.0)
-            .contact_rate(1.0)
-            .fresh_arrivals(1.0)
-            .seed_departure_rate(2.0)
-            .build()
-            .unwrap();
-        for gift_dimensions in [vec![(1usize, 0.0f64)], Vec::new()] {
-            let params = CodedParams {
-                base: base.clone(),
-                field: GaloisField::new(8).unwrap(),
-                gift_dimensions,
-            };
-            let sim = CodedSwarmSim::new(params).snapshot_interval(5.0);
-            let mut rng = StdRng::seed_from_u64(21);
-            let result = sim.run(50.0, &mut rng);
-            assert_eq!(
-                result.snapshots.last().unwrap().total_peers,
-                0,
-                "no arrivals ever fire"
-            );
-        }
-    }
-
-    #[test]
-    fn snapshots_track_mean_dimension() {
-        let params = CodedParams::gift_example(3, 8, 1.0, 0.5, 0.5, 1.0, 2.0).unwrap();
-        let sim = CodedSwarmSim::new(params).snapshot_interval(10.0);
-        let mut rng = StdRng::seed_from_u64(13);
-        let result = sim.run(300.0, &mut rng);
-        for s in &result.snapshots {
-            assert!(s.mean_dimension >= 0.0 && s.mean_dimension <= 3.0 + 1e-9);
-            assert!(s.decoders <= s.total_peers);
-        }
-        assert!(result.useful_transfers > 0);
     }
 }

@@ -31,11 +31,15 @@
 //!   kernel's.
 //! * **Arrivals** draw their gift dimension from a Walker/Vose alias table.
 //!
-//! Because the draw sequence differs from the standalone
-//! [`crate::coded::CodedSwarmSim`], validation is distributional:
-//! `crates/core/tests/coded_distributional.rs` pins this kernel's
-//! replication ensembles (final population, dimension histogram, departures,
-//! transfer counts) against the legacy simulator's.
+//! Validation is against an exact law and a second kernel. At `K = 1` a
+//! coded upload is zero with probability `1/q` and otherwise completes the
+//! target, so the kernel runs the uncoded `K = 1` chain with `U_s` and `µ`
+//! scaled by `1 − 1/q`: `tests/simulators_agree.rs` holds its mean
+//! population, empty share and decoder count to that chain's exact
+//! stationary law at `q ∈ {2, 4, 8}`. Over `GF(2)`,
+//! `crates/core/tests/coded_distributional.rs` pins its replication
+//! ensembles (final population, dimension histogram, departures, transfer
+//! counts) against the coded-turbo kernel's.
 //!
 //! # Observable mapping
 //!

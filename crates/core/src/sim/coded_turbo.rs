@@ -53,9 +53,9 @@
 //! [`SimScratch`] arena reuse across replications. Like turbo it is
 //! parity-*free*: it samples each outcome from the correct distribution but
 //! consumes different draws than the reference coded kernel, so it is
-//! validated distributionally (`crates/core/tests/coded_distributional.rs`
-//! runs a three-way battery against the reference kernel and the legacy
-//! [`crate::coded::CodedSwarmSim`]).
+//! validated distributionally against that kernel
+//! (`crates/core/tests/coded_distributional.rs`) and against the exact
+//! stationary law of the `K = 1` chain (`tests/simulators_agree.rs`).
 //!
 //! # Counter semantics
 //!
@@ -218,7 +218,7 @@ impl<'a, T: Recorder> State<'a, T> {
         rec: &'a mut T,
     ) -> Self {
         let k = sim.params.num_pieces();
-        debug_assert_eq!(gifts.field.order(), 2, "established by with_coded_turbo");
+        debug_assert_eq!(gifts.field.order(), 2, "established by with_coded");
         scratch.snapshots.clear();
         scratch.coded.reset_for(k, gifts);
         rec.incr(Counter::AliasRebuilds);

@@ -31,17 +31,19 @@
 //! * **Coded** — the network-coding kernel (Section VIII-B, Theorem 15):
 //!   peer state is a subspace of `F_q^K` in reduced row-echelon form with
 //!   the dimension cached in a packed per-peer record, uploads are random
-//!   linear combinations, and departures fire at dimension `K`. Constructed
-//!   with [`AgentSwarm::with_coded`]; validated distributionally against
-//!   the standalone [`crate::coded::CodedSwarmSim`].
+//!   linear combinations, and departures fire at dimension `K`.
 //! * **Coded turbo** — the bitsliced `GF(2)` coded kernel: peer subspaces
 //!   as packed `u64` rows ([`netcoding::BitSubspace`]) in a recycled arena,
 //!   *lazy peers* that carry only a cached dimension (plus an arrival unit
 //!   mask) until a peer-to-peer transfer actually needs a basis, and the
 //!   turbo tricks (alias tables, swap-remove pools, [`SimScratch`] reuse).
-//!   Constructed with [`AgentSwarm::with_coded_turbo`]; `GF(2)` only;
-//!   validated by the three-way distributional battery in
-//!   `crates/core/tests/coded_distributional.rs`.
+//!   `GF(2)` only.
+//!
+//! [`AgentSwarm::with_coded`] builds either coded kernel.
+//! `tests/simulators_agree.rs` holds both to the exact stationary law of the
+//! `K = 1` chain at upload rates thinned by `1 − 1/q`, and the
+//! distributional battery in `crates/core/tests/coded_distributional.rs`
+//! holds them to each other over `GF(2)`.
 //!
 //! The turbo kernel is pinned against the scan kernel by a *distributional*
 //! differential test (`crates/core/tests/turbo_distributional.rs`): over
@@ -103,17 +105,16 @@ pub enum KernelKind {
     /// the subspace `V_A ⊆ F_q^K` held in reduced row-echelon form, contacts
     /// transfer random linear combinations, and peers depart on reaching
     /// dimension `K`. Requires coded parameters — construct the simulator
-    /// with [`AgentSwarm::with_coded`]. Validated distributionally against
-    /// the standalone [`crate::coded::CodedSwarmSim`]
-    /// (`crates/core/tests/coded_distributional.rs`).
+    /// with [`AgentSwarm::with_coded`]. Validated against the exact `K = 1`
+    /// stationary law (`tests/simulators_agree.rs`).
     Coded,
     /// The bitsliced `GF(2)` coded kernel: subspaces as packed `u64` rows
     /// ([`netcoding::BitSubspace`]) in a recycled arena, lazy peers that
     /// materialize a basis only when a peer-to-peer transfer needs one, and
     /// the turbo sampling tricks. Requires coded parameters over `GF(2)` —
-    /// construct the simulator with [`AgentSwarm::with_coded_turbo`].
-    /// Parity-free; validated distributionally against both the coded
-    /// kernel and the legacy simulator.
+    /// construct the simulator with [`AgentSwarm::with_coded`].
+    /// Parity-free; validated against the exact `K = 1` stationary law and
+    /// distributionally against the coded kernel.
     CodedTurbo,
 }
 
@@ -250,8 +251,8 @@ pub struct AgentSwarm {
     params: SwarmParams,
     config: AgentConfig,
     policy: Box<dyn PiecePolicy>,
-    /// Coded arrival mix, present exactly when the kernel is
-    /// [`KernelKind::Coded`] (established by [`AgentSwarm::with_coded`]).
+    /// Coded arrival mix, present exactly when the kernel is a coded one
+    /// (established by [`AgentSwarm::with_coded`]).
     coded: Option<CodedGifts>,
 }
 
@@ -282,8 +283,7 @@ impl AgentSwarm {
         if config.kernel == KernelKind::Coded || config.kernel == KernelKind::CodedTurbo {
             return Err(SwarmError::InvalidParameter(
                 "the coded kernels need coded parameters; construct the \
-                 simulator with AgentSwarm::with_coded or \
-                 AgentSwarm::with_coded_turbo"
+                 simulator with AgentSwarm::with_coded"
                     .into(),
             ));
         }
@@ -297,10 +297,12 @@ impl AgentSwarm {
     }
 
     /// Creates a simulator for the network-coded swarm of Section VIII-B on
-    /// the [`KernelKind::Coded`] kernel: peers hold subspaces of `F_q^K`,
-    /// arrivals carry `d` uniformly random coded pieces per
+    /// the coded kernel `config.kernel` names: peers hold subspaces of
+    /// `F_q^K`, arrivals carry `d` uniformly random coded pieces per
     /// [`CodedParams::gift_dimensions`], and the fixed seed and peer
-    /// contacts upload random linear combinations.
+    /// contacts upload random linear combinations. [`KernelKind::Coded`]
+    /// runs any field; [`KernelKind::CodedTurbo`] is bitsliced over `GF(2)`
+    /// only.
     ///
     /// Piece-selection policies do not apply (a coded upload is always a
     /// random combination of everything the uploader holds), and the
@@ -308,74 +310,31 @@ impl AgentSwarm {
     ///
     /// # Errors
     ///
-    /// Returns [`SwarmError::InvalidParameter`] if `config.kernel` is not
-    /// [`KernelKind::Coded`], the retry speed-up is not 1, the gift mix
-    /// fails [`CodedGifts::validate_for`], or the configuration is invalid.
-    pub fn with_coded(params: CodedParams, config: AgentConfig) -> Result<Self, SwarmError> {
-        if config.kernel != KernelKind::Coded {
-            return Err(SwarmError::InvalidParameter(
-                "coded parameters run on the coded kernel; set \
-                 AgentConfig::kernel to KernelKind::Coded"
-                    .into(),
-            ));
-        }
-        if config.retry_speedup != 1.0 {
-            return Err(SwarmError::InvalidParameter(
-                "the coded kernel does not model the Section VIII-C retry \
-                 speed-up (retry_speedup must be 1)"
-                    .into(),
-            ));
-        }
-        let gifts = params.gifts();
-        gifts.validate_for(&params.base)?;
-        Self::validate_config(&params.base, &config)?;
-        Ok(AgentSwarm {
-            params: params.base,
-            config,
-            policy: Box::new(RandomUseful),
-            coded: Some(gifts),
-        })
-    }
-
-    /// Creates a simulator for the network-coded swarm of Section VIII-B on
-    /// the bitsliced [`KernelKind::CodedTurbo`] kernel: subspaces of
-    /// `F_2^K` as packed `u64` rows, lazy peers that materialize a basis
-    /// only when a peer-to-peer transfer needs one, alias-table gift draws,
-    /// and [`SimScratch`] arena reuse.
-    ///
-    /// The bitsliced representation is specific to `GF(2)` (vector addition
-    /// = XOR, the only non-zero scalar is one); coded scenarios over larger
-    /// fields keep routing to [`AgentSwarm::with_coded`]. Like the coded
-    /// kernel it models no piece-selection policy and no Section VIII-C
-    /// retry speed-up.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SwarmError::InvalidParameter`] if `config.kernel` is not
-    /// [`KernelKind::CodedTurbo`], the field is not `GF(2)`, the retry
-    /// speed-up is not 1, the gift mix fails
+    /// Returns [`SwarmError::InvalidParameter`] if `config.kernel` is not a
+    /// coded kernel, the coded-turbo kernel is given a field other than
+    /// `GF(2)`, the retry speed-up is not 1, the gift mix fails
     /// [`CodedGifts::validate_for`], or the configuration is invalid.
-    pub fn with_coded_turbo(params: CodedParams, config: AgentConfig) -> Result<Self, SwarmError> {
-        if config.kernel != KernelKind::CodedTurbo {
+    pub fn with_coded(params: CodedParams, config: AgentConfig) -> Result<Self, SwarmError> {
+        if !matches!(config.kernel, KernelKind::Coded | KernelKind::CodedTurbo) {
             return Err(SwarmError::InvalidParameter(
-                "coded-turbo parameters run on the coded-turbo kernel; set \
-                 AgentConfig::kernel to KernelKind::CodedTurbo"
+                "coded parameters run on a coded kernel; set AgentConfig::kernel \
+                 to KernelKind::Coded or KernelKind::CodedTurbo"
                     .into(),
             ));
         }
-        if params.field.order() != 2 {
+        if config.kernel == KernelKind::CodedTurbo && params.field.order() != 2 {
             return Err(SwarmError::InvalidParameter(format!(
                 "the coded-turbo kernel is bitsliced over GF(2); GF({}) \
-                 scenarios route to the coded kernel (AgentSwarm::with_coded)",
+                 scenarios route to the coded kernel (KernelKind::Coded)",
                 params.field.order()
             )));
         }
         if config.retry_speedup != 1.0 {
-            return Err(SwarmError::InvalidParameter(
-                "the coded-turbo kernel does not model the Section VIII-C \
-                 retry speed-up (retry_speedup must be 1)"
-                    .into(),
-            ));
+            return Err(SwarmError::InvalidParameter(format!(
+                "the {} kernel does not model the Section VIII-C retry \
+                 speed-up (retry_speedup must be 1)",
+                config.kernel.name()
+            )));
         }
         let gifts = params.gifts();
         gifts.validate_for(&params.base)?;
@@ -412,8 +371,8 @@ impl AgentSwarm {
         Ok(())
     }
 
-    /// The coded arrival mix when the simulator runs the
-    /// [`KernelKind::Coded`] kernel, `None` otherwise.
+    /// The coded arrival mix when the simulator runs a coded kernel, `None`
+    /// otherwise.
     #[must_use]
     pub fn coded_gifts(&self) -> Option<&CodedGifts> {
         self.coded.as_ref()
@@ -605,39 +564,32 @@ impl AgentSwarm {
                 horizon,
                 rng,
             ),
-            KernelKind::Coded => {
+            KernelKind::Coded | KernelKind::CodedTurbo => {
                 #[expect(
                     clippy::expect_used,
-                    reason = "with_coded establishes the gift mix before the coded kernel is selectable"
+                    reason = "with_coded establishes the gift mix before a coded kernel is selectable"
                 )]
                 let gifts = self
                     .coded
                     .as_ref()
-                    .expect("with_coded establishes the gift mix for the coded kernel");
-                drive(
-                    self,
-                    coded::State::new(self, gifts, initial, scratch.take_snapshots(), recorder),
-                    &schedule,
-                    horizon,
-                    rng,
-                )
-            }
-            KernelKind::CodedTurbo => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "with_coded_turbo establishes the gift mix before the coded-turbo kernel is selectable"
-                )]
-                let gifts = self
-                    .coded
-                    .as_ref()
-                    .expect("with_coded_turbo establishes the gift mix for the coded-turbo kernel");
-                drive(
-                    self,
-                    coded_turbo::State::new(self, gifts, initial, scratch, recorder),
-                    &schedule,
-                    horizon,
-                    rng,
-                )
+                    .expect("with_coded establishes the gift mix for the coded kernels");
+                if self.config.kernel == KernelKind::Coded {
+                    drive(
+                        self,
+                        coded::State::new(self, gifts, initial, scratch.take_snapshots(), recorder),
+                        &schedule,
+                        horizon,
+                        rng,
+                    )
+                } else {
+                    drive(
+                        self,
+                        coded_turbo::State::new(self, gifts, initial, scratch, recorder),
+                        &schedule,
+                        horizon,
+                        rng,
+                    )
+                }
             }
         })
     }
@@ -1374,6 +1326,7 @@ mod tests {
     }
 
     fn coded_sim(
+        kernel: KernelKind,
         k: usize,
         q: u64,
         lambda: f64,
@@ -1385,7 +1338,7 @@ mod tests {
         AgentSwarm::with_coded(
             params,
             AgentConfig {
-                kernel: KernelKind::Coded,
+                kernel,
                 snapshot_interval: 5.0,
                 ..Default::default()
             },
@@ -1428,7 +1381,8 @@ mod tests {
         // Generous gifts, K = 3, GF(8): stable per Theorem 15, so peers keep
         // decoding and leaving and the dimension bookkeeping stays exact.
         let (_, hi) = crate::coded::theorem15_gift_thresholds(8, 3);
-        let sim = coded_sim(3, 8, 1.0, (3.0 * hi).min(1.0), 0.0, f64::INFINITY).unwrap();
+        let f = (3.0 * hi).min(1.0);
+        let sim = coded_sim(KernelKind::Coded, 3, 8, 1.0, f, 0.0, f64::INFINITY).unwrap();
         let mut rng = StdRng::seed_from_u64(51);
         let result = sim.run(&[], 800.0, &mut rng);
         assert!(result.sojourns.departures > 50, "decoders depart");
@@ -1455,7 +1409,7 @@ mod tests {
     #[test]
     fn coded_kernel_starved_case_grows_without_departures() {
         // No gifts, no seed: nothing ever decodes.
-        let sim = coded_sim(3, 8, 1.0, 0.0, 0.0, f64::INFINITY).unwrap();
+        let sim = coded_sim(KernelKind::Coded, 3, 8, 1.0, 0.0, 0.0, f64::INFINITY).unwrap();
         let mut rng = StdRng::seed_from_u64(52);
         let result = sim.run(&[], 500.0, &mut rng);
         assert_eq!(result.sojourns.departures, 0);
@@ -1466,7 +1420,7 @@ mod tests {
 
     #[test]
     fn coded_kernel_finite_gamma_keeps_decoders_and_flash_crowds_inject() {
-        let sim = coded_sim(3, 8, 1.0, 0.5, 0.5, 2.0).unwrap();
+        let sim = coded_sim(KernelKind::Coded, 3, 8, 1.0, 0.5, 0.5, 2.0).unwrap();
         let crowd = FlashCrowd {
             time: 60.0,
             count: 80,
@@ -1494,7 +1448,7 @@ mod tests {
 
     #[test]
     fn coded_kernel_is_deterministic_per_seed() {
-        let sim = coded_sim(4, 4, 1.2, 0.6, 0.3, 3.0).unwrap();
+        let sim = coded_sim(KernelKind::Coded, 4, 4, 1.2, 0.6, 0.3, 3.0).unwrap();
         let initial = vec![PieceSet::singleton(PieceId::new(1)); 15];
         let mut a = StdRng::seed_from_u64(54);
         let mut b = StdRng::seed_from_u64(54);
@@ -1505,24 +1459,6 @@ mod tests {
         // dimension 1 at time zero.
         assert_eq!(ra.snapshots[0].watch_piece_copies, 15);
         assert_eq!(ra.snapshots[0].total_peers, 15);
-    }
-
-    fn coded_turbo_sim(
-        k: usize,
-        lambda: f64,
-        f: f64,
-        us: f64,
-        gamma: f64,
-    ) -> Result<AgentSwarm, SwarmError> {
-        let params = crate::coded::CodedParams::gift_example(k, 2, lambda, f, us, 1.0, gamma)?;
-        AgentSwarm::with_coded_turbo(
-            params,
-            AgentConfig {
-                kernel: KernelKind::CodedTurbo,
-                snapshot_interval: 5.0,
-                ..Default::default()
-            },
-        )
     }
 
     #[test]
@@ -1537,27 +1473,27 @@ mod tests {
         let gf2 = crate::coded::CodedParams::gift_example(3, 2, 1.0, 0.5, 0.0, 1.0, f64::INFINITY)
             .unwrap();
         // ...coded parameters need the coded-turbo kernel selected...
-        assert!(AgentSwarm::with_coded_turbo(gf2.clone(), AgentConfig::default()).is_err());
+        assert!(AgentSwarm::with_coded(gf2.clone(), AgentConfig::default()).is_err());
         // ...the retry speed-up stays unsupported...
         let boosted = AgentConfig {
             kernel: KernelKind::CodedTurbo,
             retry_speedup: 2.0,
             ..Default::default()
         };
-        assert!(AgentSwarm::with_coded_turbo(gf2.clone(), boosted).is_err());
-        // ...and GF(q > 2) routes to the RREF kernel, not this one.
+        assert!(AgentSwarm::with_coded(gf2.clone(), boosted).is_err());
+        // ...and GF(q > 2) runs on the RREF kernel, not this one.
         let gf8 = crate::coded::CodedParams::gift_example(3, 8, 1.0, 0.5, 0.0, 1.0, f64::INFINITY)
             .unwrap();
         let turbo_config = AgentConfig {
             kernel: KernelKind::CodedTurbo,
             ..Default::default()
         };
-        let err = match AgentSwarm::with_coded_turbo(gf8, turbo_config) {
+        let err = match AgentSwarm::with_coded(gf8, turbo_config) {
             Err(err) => err,
             Ok(_) => panic!("GF(8) must be rejected by the bitsliced kernel"),
         };
         assert!(err.to_string().contains("GF(8)"), "{err}");
-        assert!(AgentSwarm::with_coded_turbo(gf2, turbo_config).is_ok());
+        assert!(AgentSwarm::with_coded(gf2, turbo_config).is_ok());
     }
 
     #[test]
@@ -1565,7 +1501,8 @@ mod tests {
         // Generous gifts over GF(2), K = 3: stable per Theorem 15, so peers
         // keep decoding and leaving with the dimension bookkeeping exact.
         let (_, hi) = crate::coded::theorem15_gift_thresholds(2, 3);
-        let sim = coded_turbo_sim(3, 1.0, (1.2 * hi).min(1.0), 0.0, f64::INFINITY).unwrap();
+        let f = (1.2 * hi).min(1.0);
+        let sim = coded_sim(KernelKind::CodedTurbo, 3, 2, 1.0, f, 0.0, f64::INFINITY).unwrap();
         let mut rng = StdRng::seed_from_u64(61);
         let result = sim.run(&[], 800.0, &mut rng);
         assert!(result.sojourns.departures > 50, "decoders depart");
@@ -1590,7 +1527,7 @@ mod tests {
 
     #[test]
     fn coded_turbo_finite_gamma_keeps_decoders_and_flash_crowds_inject() {
-        let sim = coded_turbo_sim(3, 1.0, 0.5, 0.5, 2.0).unwrap();
+        let sim = coded_sim(KernelKind::CodedTurbo, 3, 2, 1.0, 0.5, 0.5, 2.0).unwrap();
         let crowd = FlashCrowd {
             time: 60.0,
             count: 80,
@@ -1618,7 +1555,7 @@ mod tests {
 
     #[test]
     fn coded_turbo_is_deterministic_per_seed_and_scratch_neutral() {
-        let sim = coded_turbo_sim(4, 1.2, 0.6, 0.3, 3.0).unwrap();
+        let sim = coded_sim(KernelKind::CodedTurbo, 4, 2, 1.2, 0.6, 0.3, 3.0).unwrap();
         let initial = vec![PieceSet::singleton(PieceId::new(1)); 15];
         let mut a = StdRng::seed_from_u64(63);
         let mut b = StdRng::seed_from_u64(63);

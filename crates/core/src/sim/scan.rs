@@ -11,7 +11,7 @@
 use super::{AgentSwarm, Event, KernelState};
 use crate::groups::{classify_peer, GroupCounts};
 use crate::metrics::{SimResult, SimSnapshot, SojournStats};
-use markov::poisson::CumulativeWeights;
+use markov::poisson::sample_weighted_index;
 use pieceset::PieceSet;
 use rand::Rng;
 use telemetry::{Counter, Recorder};
@@ -264,15 +264,14 @@ impl<T: Recorder> State<'_, T> {
         self.rec.incr(Counter::Arrivals);
         // Rebuilt every arrival — one of the scan kernel's allocations the
         // turbo kernel avoids with its cached alias table. One uniform draw
-        // resolved against the prefix sums picks the arriving type.
+        // walked along the rates picks the arriving type.
         let weights: Vec<f64> = self.arrival_types.iter().map(|(_, r)| *r).collect();
+        self.rec.incr(Counter::AliasRebuilds);
         #[expect(
             clippy::expect_used,
             reason = "SwarmParams validation guarantees lambda_total > 0"
         )]
-        let sampler = CumulativeWeights::new(&weights).expect("λ_total > 0");
-        self.rec.incr(Counter::AliasRebuilds);
-        let idx = sampler.sample(rng);
+        let idx = sample_weighted_index(rng, &weights).expect("λ_total > 0");
         let pieces = self.arrival_types[idx].0;
         self.add_peer(time, pieces, true);
     }

@@ -257,7 +257,7 @@ fn coded_turbo_sim() -> AgentSwarm {
     // coded piece), finite γ, K = 3.
     let coded = swarm::coded::CodedParams::gift_example(3, 2, 1.2, 0.5, 0.5, 1.0, 2.0)
         .expect("valid coded parameters");
-    AgentSwarm::with_coded_turbo(
+    AgentSwarm::with_coded(
         coded,
         AgentConfig {
             kernel: KernelKind::CodedTurbo,

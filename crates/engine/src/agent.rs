@@ -121,15 +121,10 @@ impl AgentScenario {
                     self.policy
                 )));
             }
-            let params = gifts.with_base(self.params.clone());
-            // The bitsliced turbo kernel only handles GF(2);
-            // `with_coded_turbo` rejects other field orders with a typed
-            // error that surfaces through the session build.
-            return if self.config.kernel == swarm::sim::KernelKind::CodedTurbo {
-                AgentSwarm::with_coded_turbo(params, self.config)
-            } else {
-                AgentSwarm::with_coded(params, self.config)
-            };
+            // `with_coded` rejects a field other than GF(2) on the
+            // bitsliced coded-turbo kernel with a typed error that surfaces
+            // through the session build.
+            return AgentSwarm::with_coded(gifts.with_base(self.params.clone()), self.config);
         }
         let policy = policy::by_name(&self.policy).ok_or_else(|| {
             SwarmError::InvalidParameter(format!("unknown piece policy `{}`", self.policy))

@@ -1,18 +1,17 @@
 //! Walker/Vose alias tables: O(1) categorical sampling.
 //!
 //! [`sample_weighted_index`](crate::poisson::sample_weighted_index) walks the
-//! weight slice linearly and the cumulative-sum sampler of
-//! [`poisson::CumulativeWeights`](crate::poisson::CumulativeWeights) pays a
-//! binary search per draw. An [`AliasTable`] spends `O(n)` once to build two
-//! parallel arrays — an acceptance probability and an alias index per column
-//! — after which every draw costs exactly one uniform integer, one uniform
-//! float, and one comparison, independent of the number of categories. This
-//! is the sampler behind the turbo simulation kernel's arrival draws.
+//! weight slice linearly on every draw. An [`AliasTable`] spends `O(n)` once
+//! to build two parallel arrays — an acceptance probability and an alias
+//! index per column — after which every draw costs exactly one uniform
+//! integer, one uniform float, and one comparison, independent of the number
+//! of categories. This is the sampler behind the turbo simulation kernel's
+//! arrival draws.
 //!
-//! Unlike the cumulative-sum sampler, an alias table consumes *two* uniform
-//! draws per sample and maps them to indices differently, so it is **not**
-//! draw-compatible with the linear/binary-search samplers — use it only
-//! where trajectory parity is not required.
+//! Unlike the linear walk, an alias table consumes *two* uniform draws per
+//! sample and maps them to indices differently, so it is **not**
+//! draw-compatible with the walk — use it only where trajectory parity is
+//! not required.
 //!
 //! # Examples
 //!

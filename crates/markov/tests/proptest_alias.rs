@@ -6,7 +6,7 @@
 #![allow(clippy::disallowed_methods, reason = "test code seeds its own StdRng")]
 
 use markov::alias::AliasTable;
-use markov::poisson::CumulativeWeights;
+use markov::poisson::sample_weighted_index;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,23 +62,24 @@ proptest! {
         weights in arb_weights(),
         seed in any::<u64>(),
     ) {
-        // The two samplers consume draws differently but must target the
-        // same categorical law: compare their empirical means of the
-        // sampled index.
+        // The alias table and the linear walk along the cumulative weights
+        // consume draws differently but must target the same categorical
+        // law: compare their empirical means of the sampled index.
         let alias = AliasTable::new(&weights).expect("positive total weight");
-        let cum = CumulativeWeights::new(&weights).expect("positive total weight");
         let n = 40_000;
         let mut rng = StdRng::seed_from_u64(seed);
         let mean_alias: f64 =
             (0..n).map(|_| alias.sample(&mut rng) as f64).sum::<f64>() / n as f64;
-        let mean_cum: f64 =
-            (0..n).map(|_| cum.sample(&mut rng) as f64).sum::<f64>() / n as f64;
+        let mean_walk: f64 = (0..n)
+            .map(|_| sample_weighted_index(&mut rng, &weights).expect("positive total weight") as f64)
+            .sum::<f64>()
+            / n as f64;
         let spread = weights.len() as f64;
         prop_assert!(
-            (mean_alias - mean_cum).abs() < 0.05 * spread + 5.0 * spread / (n as f64).sqrt(),
-            "alias mean {} vs cumulative mean {}",
+            (mean_alias - mean_walk).abs() < 0.05 * spread + 5.0 * spread / (n as f64).sqrt(),
+            "alias mean {} vs walk mean {}",
             mean_alias,
-            mean_cum
+            mean_walk
         );
     }
 

@@ -321,23 +321,19 @@ impl Subspace {
         !self.is_subspace_of(other)
     }
 
-    /// Samples a uniformly random vector of the subspace (a random linear
-    /// combination of the basis with uniform coefficients) — the coded piece
-    /// an uploading peer sends.
+    /// Samples a uniformly random vector of the subspace: the row
+    /// [`Subspace::random_combination_into`] writes, from the same draws, as
+    /// a [`CodingVector`].
     ///
     /// Returns the zero vector for the trivial subspace.
     #[expect(
         clippy::expect_used,
-        reason = "basis rows are reduced field elements of the ambient length, so they convert and add"
+        reason = "a combination of basis rows holds field elements, which from_coeffs accepts"
     )]
     pub fn random_vector<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> CodingVector {
-        let mut acc = CodingVector::zero(self.field, self.ambient_dim);
-        for b in &self.basis {
-            let coeff = self.field.random_element(rng);
-            let bv = CodingVector::from_coeffs(self.field, b.clone()).expect("basis rows valid");
-            acc = acc.add_scaled(&bv, coeff).expect("compatible");
-        }
-        acc
+        let mut row = Vec::new();
+        self.random_combination_into(rng, &mut row);
+        CodingVector::from_coeffs(self.field, row).expect("field elements")
     }
 
     /// Probability that a uniformly random vector of `uploader` is useful to

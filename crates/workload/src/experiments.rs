@@ -7,6 +7,12 @@
 //! assert their qualitative content (who wins, where the crossover falls)
 //! against the paper's predictions.
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "the E-reports unwrap only what they build from hard-coded parameter sets, on budgets the caller validated"
+)]
+
 use crate::report::{fmt_num, ExperimentReport, Table};
 use crate::scenario;
 use engine::{
@@ -21,7 +27,7 @@ use swarm::lyapunov::LyapunovFunction;
 use swarm::metrics::SimResult;
 use swarm::mu_infinity::{MuInfinityProcess, MuInfinityState};
 use swarm::policy;
-use swarm::sim::{AgentConfig, AgentSwarm};
+use swarm::sim::{AgentConfig, AgentSwarm, KernelKind};
 use swarm::stability;
 use swarm::{StabilityVerdict, SwarmModel, SwarmParams};
 
@@ -611,8 +617,8 @@ pub fn policy_insensitivity(config: &ExperimentConfig) -> ExperimentReport {
 
 /// E8 — Theorem 15 and the network-coding example: closed-form gifted-piece
 /// thresholds for several `(q, K)` including the paper's `(64, 200)`, the
-/// contrast with the uncoded system, and a coded-swarm simulation sweep of
-/// the gifted fraction at laptop scale `(q = 8, K = 4)`.
+/// contrast with the uncoded system, and a sweep of the gifted fraction on
+/// the coded kernel at laptop scale `(q = 8, K = 4)`.
 #[must_use]
 pub fn network_coding(config: &ExperimentConfig) -> ExperimentReport {
     let mut report =
@@ -668,12 +674,22 @@ pub fn network_coding(config: &ExperimentConfig) -> ExperimentReport {
         (f, params)
     });
     let runs = engine::ordered_map(config.threads, &points, |variant, (_, params)| {
-        let sim =
-            coded::CodedSwarmSim::new(params.clone()).snapshot_interval(config.horizon / 200.0);
+        let sim = AgentSwarm::with_coded(
+            params.clone(),
+            AgentConfig {
+                kernel: KernelKind::Coded,
+                snapshot_interval: config.horizon / 200.0,
+                ..Default::default()
+            },
+        )
+        .expect("valid coded simulator configuration");
         let mut rng = demo_rng(config, 0xE8, variant as u64);
-        sim.run(config.horizon, &mut rng)
+        let result = sim.run(&[], config.horizon, &mut rng);
+        (sim, result)
     });
-    for ((f, params), result) in points.into_iter().zip(&runs) {
+    for ((f, params), (sim, result)) in points.into_iter().zip(&runs) {
+        let run = format!("the f = {} run", fmt_num(f));
+        report.notes.extend(truncation_note(&run, sim, result));
         let theory = coded::theorem15_classify(&params).expect("d ∈ {0,1} arrival model");
         let classifier = PathClassifier::new(1.0, 40.0);
         let verdict = classifier.classify(&result.peer_count_path());
@@ -682,7 +698,7 @@ pub fn network_coding(config: &ExperimentConfig) -> ExperimentReport {
             verdict_str(theory).to_owned(),
             format!("{:?}", verdict.class),
             fmt_num(verdict.tail_slope),
-            result.departures.to_string(),
+            result.sojourns.departures.to_string(),
         ]);
     }
     report.push_table(sim_table);
@@ -1054,16 +1070,21 @@ mod tests {
         }
     }
 
-    /// A demo run of Example 1 over 100 time units under a `max_events` cap.
-    fn capped_demo(max_events: u64) -> Option<String> {
-        let sim = AgentSwarm::with_config(
-            scenario::example1(1.0, 1.0, 1.0, 2.0).unwrap(),
-            AgentConfig {
-                max_events,
-                ..Default::default()
-            },
-            Box::new(policy::RandomUseful),
-        )
+    /// A demo run over 100 time units under a `max_events` cap: Example 1
+    /// on the turbo kernel, or E8's gift model on the coded kernel.
+    fn capped_demo(kernel: KernelKind, max_events: u64) -> Option<String> {
+        let config = AgentConfig {
+            kernel,
+            max_events,
+            ..Default::default()
+        };
+        let sim = if kernel == KernelKind::Coded {
+            let params = coded::CodedParams::gift_example(4, 8, 1.0, 0.5, 0.0, 1.0, f64::INFINITY);
+            AgentSwarm::with_coded(params.unwrap(), config)
+        } else {
+            let params = scenario::example1(1.0, 1.0, 1.0, 2.0).unwrap();
+            AgentSwarm::with_config(params, config, Box::new(policy::RandomUseful))
+        }
         .unwrap();
         let result = sim.run(&[], 100.0, &mut demo_rng(&tiny(), 0xAB, 0));
         truncation_note("the probe run", &sim, &result)
@@ -1071,19 +1092,23 @@ mod tests {
 
     #[test]
     fn truncation_note_names_a_clipped_run_its_stop_time_and_the_cap() {
-        let note = capped_demo(100).expect("100 events cannot cover 100 time units");
-        assert!(
-            note.starts_with("truncated: the probe run stopped at t = "),
-            "{note}"
-        );
-        assert!(note.contains("the 100-event cap"), "{note}");
-        // perfbench parses these prefixes as agreement counts.
-        assert!(!note.starts_with("agreement") && !note.starts_with("region map: "));
+        for kernel in [KernelKind::Turbo, KernelKind::Coded] {
+            let note = capped_demo(kernel, 100).expect("100 events cannot cover 100 time units");
+            assert!(
+                note.starts_with("truncated: the probe run stopped at t = "),
+                "{note}"
+            );
+            assert!(note.contains("the 100-event cap"), "{note}");
+            // perfbench parses these prefixes as agreement counts.
+            assert!(!note.starts_with("agreement") && !note.starts_with("region map: "));
+        }
     }
 
     #[test]
     fn truncation_note_is_silent_for_a_run_that_reaches_its_horizon() {
-        assert_eq!(capped_demo(AgentConfig::default().max_events), None);
+        for kernel in [KernelKind::Turbo, KernelKind::Coded] {
+            assert_eq!(capped_demo(kernel, AgentConfig::default().max_events), None);
+        }
     }
 
     /// E9's µ = ∞ run over `horizon` under a `max_events` budget.

@@ -297,7 +297,10 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = core::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = self
+            .input
+            .get(start..self.pos)
+            .ok_or_else(|| self.error("invalid UTF-8"))?;
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.error(&format!("invalid number `{text}`")))

@@ -36,6 +36,7 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![deny(clippy::iter_over_hash_type, clippy::allow_attributes_without_reason)]
 #![cfg_attr(
     test,

@@ -1193,10 +1193,17 @@ pub fn run_with_sink<S: ReplicationSink + Send>(
         None => session.stream(&mut collecting),
     };
     let failures = collecting.failures;
-    let outcomes = output.into_agent().expect("an agent workload");
+    #[expect(
+        clippy::expect_used,
+        reason = "a session built on Workload::agent of one scenario returns that scenario's outcome"
+    )]
+    let outcome = output
+        .into_agent()
+        .and_then(|outcomes| outcomes.into_iter().next())
+        .expect("one agent scenario in, one outcome out");
     Ok(ScenarioRunReport {
         spec: spec.clone(),
-        outcome: outcomes.into_iter().next().expect("one scenario in"),
+        outcome,
         horizon,
         replications: session.config().replications,
         failures,

@@ -1,13 +1,14 @@
 //! The coded event kernel at engine scale: replicated Theorem 15 verdicts
 //! and a gift-fraction phase diagram.
 //!
-//! The standalone `CodedSwarmSim` (see `network_coding_gift.rs`) simulates
-//! one trajectory at a time. This example runs the same Section VIII-B
-//! dynamics on the engine's coded kernel (`KernelKind::Coded`): replication
-//! batches with deterministic per-replication random streams, majority-vote
-//! verdicts checked against the closed-form Theorem 15 thresholds, and a
-//! phase-diagram sweep over the gift fraction `f` that localises the
-//! transient→stable transition for `GF(2), K = 8`.
+//! `network_coding_gift.rs` replicates one coded-grid workload at
+//! `(q = 8, K = 4)`. This example runs the same Section VIII-B dynamics on
+//! the engine's coded kernel (`KernelKind::Coded`) in two shapes: the
+//! built-in coded registry scenarios, replicated with deterministic
+//! per-replication random streams and majority-vote verdicts checked
+//! against the closed-form Theorem 15 thresholds, and a phase-diagram sweep
+//! over the gift fraction `f` that localises the transient→stable
+//! transition for `GF(2), K = 8`.
 //!
 //! Run with:
 //!

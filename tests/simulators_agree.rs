@@ -2,13 +2,16 @@
 //! agent-based simulator implement the same stochastic model, so on identical
 //! parameters they must agree on the qualitative behaviour and, for stable
 //! points, on the time-average population. At `K = 1` both are also held to
-//! the exact stationary law of the chain, solved by `markov::stationary`.
+//! the exact stationary law of the chain, solved by `markov::stationary`, and
+//! so are the two coded kernels, whose `K = 1` swarm is the same chain with
+//! its upload rates thinned by `1 − 1/q`.
 
 #![allow(clippy::disallowed_methods, reason = "test code seeds its own StdRng")]
 
 use p2p_stability::markov::stationary::{stationary_distribution, StationaryOptions};
 use p2p_stability::markov::{PathClass, PathClassifier, SamplePath};
 use p2p_stability::pieceset::PieceSet;
+use p2p_stability::swarm::coded::CodedParams;
 use p2p_stability::swarm::sim::{AgentConfig, AgentSwarm, KernelKind};
 use p2p_stability::swarm::{policy, SwarmModel, SwarmParams};
 use rand::rngs::StdRng;
@@ -222,14 +225,20 @@ fn exact_law() -> &'static ExactLaw {
     })
 }
 
-/// Asserts that per-replication estimates average to `exact` within five
-/// standard errors.
-fn assert_matches(what: &str, exact: f64, estimates: &[f64]) {
+/// The mean of per-replication estimates, its standard error, and its
+/// distance from `exact` in standard errors.
+fn z_score(exact: f64, estimates: &[f64]) -> (f64, f64, f64) {
     let n = estimates.len() as f64;
     let mean = estimates.iter().sum::<f64>() / n;
     let var = estimates.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
     let se = (var / n).sqrt();
-    let z = (mean - exact) / se;
+    (mean, se, (mean - exact) / se)
+}
+
+/// Asserts that per-replication estimates average to `exact` within five
+/// standard errors.
+fn assert_matches(what: &str, exact: f64, estimates: &[f64]) {
+    let (mean, se, z) = z_score(exact, estimates);
     assert!(
         z.abs() < 5.0,
         "{what}: {mean:.4} ± {se:.4} against exact {exact:.4} (z = {z:.2})"
@@ -264,19 +273,14 @@ fn ctmc_matches_the_exact_stationary_law_at_k1() {
     assert_matches("CTMC P(N = 0)", exact.p_empty, &empty);
 }
 
-#[test]
-fn turbo_matches_the_exact_stationary_law_at_k1() {
-    let exact = exact_law();
-    let config = AgentConfig {
-        snapshot_interval: 1.0,
-        kernel: KernelKind::Turbo,
-        ..Default::default()
-    };
-    let sim = AgentSwarm::with_config(one_piece_params(), config, Box::new(policy::RandomUseful))
-        .unwrap();
+/// Per-replication averages over `[BURN_IN, HORIZON]`, read on the snapshot
+/// grid, of `REPLICATIONS` runs of `sim` from an empty swarm (run `r` seeded
+/// with `seed + r`): the population, its share of time at zero and the peer
+/// seeds, one vector each.
+fn agent_ensemble(sim: &AgentSwarm, seed: u64) -> [Vec<f64>; 3] {
     let (mut peers, mut empty, mut seeds) = (Vec::new(), Vec::new(), Vec::new());
     for r in 0..REPLICATIONS {
-        let mut rng = StdRng::seed_from_u64(200 + r);
+        let mut rng = StdRng::seed_from_u64(seed + r);
         let result = sim.run(&[], HORIZON, &mut rng);
         let tail: Vec<_> = result
             .snapshots
@@ -288,7 +292,67 @@ fn turbo_matches_the_exact_stationary_law_at_k1() {
         empty.push(tail.iter().filter(|s| s.total_peers == 0).count() as f64 / n);
         seeds.push(tail.iter().map(|s| s.peer_seeds as f64).sum::<f64>() / n);
     }
+    [peers, empty, seeds]
+}
+
+#[test]
+fn turbo_matches_the_exact_stationary_law_at_k1() {
+    let exact = exact_law();
+    let config = AgentConfig {
+        snapshot_interval: 1.0,
+        kernel: KernelKind::Turbo,
+        ..Default::default()
+    };
+    let sim = AgentSwarm::with_config(one_piece_params(), config, Box::new(policy::RandomUseful))
+        .unwrap();
+    let [peers, empty, seeds] = agent_ensemble(&sim, 200);
     assert_matches("turbo E[N]", exact.mean_peers, &peers);
     assert_matches("turbo P(N = 0)", exact.p_empty, &empty);
     assert_matches("turbo E[x_F]", exact.mean_seeds, &seeds);
+}
+
+/// The coded `K = 1` swarm over `GF(q)` on `kernel`: no gifts, `γ = 2`,
+/// `λ = 1`, and `U_s = µ = scale · q/(q − 1)`, which thinning by `1 − 1/q`
+/// turns into `scale` times the rates of [`one_piece_params`].
+fn thinned_coded_sim(kernel: KernelKind, q: u64, scale: f64) -> AgentSwarm {
+    let rate = scale * q as f64 / (q as f64 - 1.0);
+    let params = CodedParams::gift_example(1, q, 1.0, 0.0, rate, rate, 2.0).unwrap();
+    let config = AgentConfig {
+        snapshot_interval: 1.0,
+        kernel,
+        ..Default::default()
+    };
+    AgentSwarm::with_coded(params, config).unwrap()
+}
+
+#[test]
+fn coded_kernels_match_the_thinned_exact_stationary_law_at_k1() {
+    // At K = 1 a coded upload is a uniform element of GF(q) (Ho et al.,
+    // IEEE Trans. IT 2006): zero, and so useless, with probability 1/q, and
+    // otherwise it completes a target that holds nothing. At U_s = µ =
+    // q/(q − 1) each coded kernel therefore runs the chain of
+    // `one_piece_params`, with decoders in the role of peer seeds.
+    let exact = exact_law();
+    let cases = [
+        (KernelKind::Coded, 2),
+        (KernelKind::Coded, 4),
+        (KernelKind::Coded, 8),
+        (KernelKind::CodedTurbo, 2),
+    ];
+    for (i, (kernel, q)) in cases.into_iter().enumerate() {
+        let seed = 300 + 100 * i as u64;
+        let what = format!("{} at q = {q}", kernel.name());
+        let [peers, empty, decoders] = agent_ensemble(&thinned_coded_sim(kernel, q, 1.0), seed);
+        assert_matches(&format!("{what}: E[N]"), exact.mean_peers, &peers);
+        assert_matches(&format!("{what}: P(N = 0)"), exact.p_empty, &empty);
+        assert_matches(&format!("{what}: E[decoders]"), exact.mean_seeds, &decoders);
+        // Teeth: the same runs with U_s and µ 5% low sit far off the law.
+        let [slow, _, _] = agent_ensemble(&thinned_coded_sim(kernel, q, 0.95), seed);
+        let (mean, se, z) = z_score(exact.mean_peers, &slow);
+        assert!(
+            z > 5.0,
+            "{what}: rates 5% low read E[N] = {mean:.4} ± {se:.4} (z = {z:.2}), \
+             which the check would accept"
+        );
+    }
 }
