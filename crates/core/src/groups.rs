@@ -40,6 +40,10 @@ impl PeerGroup {
 
 /// Classifies a peer into its group.
 ///
+/// The turbo kernel caches each peer's group by this rule; the exact
+/// labelled chain that turbo is tested against
+/// (`crates/core/tests/turbo_distributional.rs`) calls it.
+///
 /// * `pieces` — the peer's current collection,
 /// * `arrived_with_watch` — whether its arrival collection contained the
 ///   watch piece,

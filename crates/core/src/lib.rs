@@ -13,9 +13,8 @@
 //!   transience proof (Section VI),
 //! * [`policy`] / [`sim`] — a peer-level (agent-based) simulator with
 //!   pluggable piece-selection policies (Theorem 14), Fig.-2 group
-//!   tracking, flash-crowd schedules, and two uncoded kernels (the default
-//!   turbo kernel on packed rows and index pools, and the legacy scan
-//!   kernel it is distributionally tested against),
+//!   tracking, flash-crowd schedules, and one uncoded kernel (turbo, on
+//!   packed rows and index pools) beside the two coded ones,
 //! * [`coded`] — the network-coding variant (Theorem 15),
 //! * [`mu_infinity`] — the `µ = ∞` watched process of the borderline analysis
 //!   (Section VIII-D, Fig. 3).

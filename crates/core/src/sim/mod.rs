@@ -11,7 +11,7 @@
 //!
 //! # Kernels
 //!
-//! Four interchangeable kernels implement the bookkeeping behind the shared
+//! Three interchangeable kernels implement the bookkeeping behind the shared
 //! event loop (see [`KernelKind`]):
 //!
 //! * **Turbo** (the default) — each peer is one packed 32-byte record that
@@ -22,12 +22,6 @@
 //!   swap-remove index pools make boosted-vs-normal uploader selection and
 //!   seed departures direct `O(1)` picks instead of rejection loops, and a
 //!   [`SimScratch`] arena reuses every buffer across replications.
-//! * **Legacy scan** — the original array-of-structs kernel that recomputes
-//!   the group decomposition by scanning every peer at each snapshot,
-//!   rejection-samples the uploader by clock rate, and falls back to an
-//!   `O(n)` scan when sampling a departing seed. It is turbo's reference: it samples
-//!   each event's outcome from the same distribution but consumes different
-//!   draws, so the two kernels agree statistically, not byte for byte.
 //! * **Coded** — the network-coding kernel (Section VIII-B, Theorem 15):
 //!   peer state is a subspace of `F_q^K` in reduced row-echelon form with
 //!   the dimension cached in a packed per-peer record, uploads are random
@@ -45,12 +39,16 @@
 //! distributional battery in `crates/core/tests/coded_distributional.rs`
 //! holds them to each other over `GF(2)`.
 //!
-//! The turbo kernel is pinned against the scan kernel by a *distributional*
-//! differential test (`crates/core/tests/turbo_distributional.rs`): over
-//! replication ensembles, its sojourn, population, watch-piece, group,
-//! event, useless-contact and transfer statistics must match the scan
-//! kernel's within confidence intervals, and the same test proves it
-//! rejects a turbo run with skewed arrival rates.
+//! The turbo kernel is held to an exact chain outside this module
+//! (`crates/core/tests/turbo_distributional.rs`): the paper's type-count
+//! chain with each peer's type widened to its collection, boost, gift and
+//! one-club history, stepped by `markov::gillespie::run`. Over replication
+//! ensembles, turbo's population, peer-seed, watch-piece, Fig.-2 group,
+//! departure, transfer, useless-contact and event statistics must match the
+//! chain's within confidence intervals, including the retry speed-up and
+//! `γ = ∞`, and the same test proves it rejects a chain with skewed arrival
+//! rates. `tests/simulators_agree.rs` holds turbo to the exact stationary
+//! law at `K = 1` and its mean sojourn to Little's law there.
 //!
 //! Aggregate exponential clocks are maintained per peer class — total
 //! arrival rate, (possibly boosted) fixed-seed rate, total peer contact rate
@@ -64,7 +62,6 @@
 
 mod coded;
 mod coded_turbo;
-mod scan;
 mod sharded;
 mod turbo;
 
@@ -91,14 +88,11 @@ pub const TURBO_DRAW_ORDER: &str = "one clock draw per state change";
 /// Which simulation kernel executes the run (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelKind {
-    /// The original scan-based kernel: group decomposition recomputed by a
-    /// full population scan at every snapshot. Kept as the turbo kernel's
-    /// reference in the distributional differential test.
-    LegacyScan,
-    /// The default kernel: alias-table arrivals, direct `O(1)` pool-based
-    /// uploader and departure sampling (no rejection loops), `O(1)`
-    /// snapshots, and [`SimScratch`] buffer reuse. Validated
-    /// distributionally against [`KernelKind::LegacyScan`].
+    /// The default and only uncoded kernel: alias-table arrivals, direct
+    /// `O(1)` pool-based uploader and departure sampling, `O(1)` snapshots,
+    /// and [`SimScratch`] buffer reuse. Validated distributionally against
+    /// an exact labelled type-count chain
+    /// (`crates/core/tests/turbo_distributional.rs`).
     #[default]
     Turbo,
     /// The network-coding kernel (Section VIII-B, Theorem 15): peer state is
@@ -121,12 +115,7 @@ pub enum KernelKind {
 impl KernelKind {
     /// Every kernel, in declaration order: the table scenario JSON and the
     /// `--kernel` flag parse names against.
-    pub const ALL: [KernelKind; 4] = [
-        KernelKind::LegacyScan,
-        KernelKind::Turbo,
-        KernelKind::Coded,
-        KernelKind::CodedTurbo,
-    ];
+    pub const ALL: [KernelKind; 3] = [KernelKind::Turbo, KernelKind::Coded, KernelKind::CodedTurbo];
 
     /// The kernel's name in scenario JSON and on the command line. The
     /// match is exhaustive, so a new kernel does not build until it is
@@ -134,7 +123,6 @@ impl KernelKind {
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
-            KernelKind::LegacyScan => "legacy-scan",
             KernelKind::Turbo => "turbo",
             KernelKind::Coded => "coded",
             KernelKind::CodedTurbo => "coded-turbo",
@@ -145,6 +133,13 @@ impl KernelKind {
     #[must_use]
     pub fn from_name(name: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|kind| kind.name() == name)
+    }
+
+    /// The names of [`KernelKind::ALL`], comma-separated: the list an
+    /// unknown-kernel error offers.
+    #[must_use]
+    pub fn names() -> String {
+        Self::ALL.map(Self::name).join(", ")
     }
 }
 
@@ -499,9 +494,9 @@ impl AgentSwarm {
     /// pools, snapshot buffer — lives in the scratch arena, so a replication
     /// loop that calls this repeatedly (and returns each result via
     /// [`SimScratch::recycle`]) performs no per-replication allocation once
-    /// the buffers have grown to the workload's high-water mark. The scan
-    /// and coded kernels reuse the recycled snapshot buffer only and rebuild
-    /// their peer state per run.
+    /// the buffers have grown to the workload's high-water mark. The coded
+    /// kernel reuses the recycled snapshot buffer only and rebuilds its peer
+    /// state per run.
     ///
     /// The scratch never influences the trajectory: for a fixed RNG stream
     /// the result is identical whether the scratch is fresh or warm.
@@ -550,13 +545,6 @@ impl AgentSwarm {
         let mut schedule: Vec<FlashCrowd> = flash.to_vec();
         schedule.sort_by(|a, b| a.time.total_cmp(&b.time));
         Ok(match self.config.kernel {
-            KernelKind::LegacyScan => drive(
-                self,
-                scan::State::new(self, initial, scratch.take_snapshots(), recorder),
-                &schedule,
-                horizon,
-                rng,
-            ),
             KernelKind::Turbo => drive(
                 self,
                 turbo::State::new(self, initial, scratch, recorder),
@@ -626,10 +614,9 @@ impl Event {
 /// in two: [`decide`](KernelState::decide) draws it against the current
 /// state, and [`apply`](KernelState::apply) makes the change. Every kernel
 /// must sample each outcome from the model's distribution; no kernel has to
-/// consume the same draws as another. The scan kernel's draw order is fixed
-/// all the same: its ensembles are the turbo kernel's reference and the
-/// engine's golden master pins its trajectories across commits, so moving
-/// one of its draws moves the reference.
+/// consume the same draws as another. Each kernel's draw order is pinned
+/// all the same: the engine's golden master holds its trajectories across
+/// commits.
 trait KernelState {
     /// An outcome [`decide`](KernelState::decide) drew, waiting to be
     /// applied.
@@ -1157,14 +1144,19 @@ mod tests {
     #[test]
     fn truncation_is_reported_and_identical_across_kernels() {
         let p = params(2, 1.0, 1.0, 2.0, 2.0);
-        for kernel in [KernelKind::LegacyScan, KernelKind::Turbo] {
+        for kernel in [KernelKind::Turbo, KernelKind::Coded] {
             let config = AgentConfig {
                 kernel,
                 max_events: 500,
                 snapshot_interval: 1.0,
                 ..Default::default()
             };
-            let sim = AgentSwarm::with_config(p.clone(), config, Box::new(RandomUseful)).unwrap();
+            let sim = if kernel == KernelKind::Coded {
+                let coded = CodedParams::gift_example(2, 4, 2.0, 0.0, 1.0, 1.0, 2.0).unwrap();
+                AgentSwarm::with_coded(coded, config).unwrap()
+            } else {
+                AgentSwarm::with_config(p.clone(), config, Box::new(RandomUseful)).unwrap()
+            };
             let mut rng = StdRng::seed_from_u64(13);
             let result = sim.run(&[], 10_000.0, &mut rng);
             assert!(result.truncated, "500 events cannot reach horizon 10000");

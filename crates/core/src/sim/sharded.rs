@@ -177,9 +177,7 @@ impl AgentSwarm {
         if self.config.kernel != KernelKind::Turbo {
             return Err(SwarmError::InvalidParameter(format!(
                 "sharded execution requires the turbo kernel (got {:?}); the \
-                 scan reference kernel is pinned to its own draw sequence, \
-                 which sharding cannot preserve, and the coded kernels are \
-                 not sharded yet",
+                 coded kernels are not sharded yet",
                 self.config.kernel
             )));
         }

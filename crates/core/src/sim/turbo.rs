@@ -1,14 +1,8 @@
-//! The turbo kernel, the default: `O(1)` event sampling without rejection
-//! loops, and zero-allocation replication.
+//! The turbo kernel, the default and only uncoded kernel: `O(1)` event
+//! sampling, and zero-allocation replication.
 //!
-//! The legacy scan kernel, turbo's reference, keeps the simplest sampler
-//! for each event: a rejection probe that picks the uploader in proportion
-//! to its clock rate, 64 uniform probes and then an `O(n)` scan for a
-//! departing seed, an arrival sampler rebuilt per arrival, a population
-//! scan per snapshot, and a fresh peer table per replication. This kernel
-//! draws every outcome from the same distribution but removes each of those
-//! steps from the hot path, so it consumes different draws and agrees with
-//! the scan kernel statistically rather than byte for byte:
+//! Each event's outcome is drawn from the model's distribution with the
+//! cheapest sampler that keeps it exact:
 //!
 //! * **Arrivals** draw the arriving type from a Walker/Vose
 //!   [`AliasTable`](markov::alias::AliasTable): `O(1)` per arrival
@@ -18,11 +12,12 @@
 //!   uploader is a single uniform pool pick, a normal one is drawn by
 //!   complement rejection with `O(1)` *expected* tries (the coin fires the
 //!   normal branch with probability proportional to the normal count, so
-//!   the expected work is constant by construction). The scan kernel's
-//!   rejection probe costs `Θ(η)` draws when the boosted fraction is
-//!   small.
+//!   the expected work is constant by construction). A plain rejection
+//!   probe by clock rate would cost `Θ(η)` draws when the boosted fraction
+//!   is small.
 //! * **Seed departures** pick uniformly from a seed index pool: one draw,
-//!   `O(1)`, replacing the scan kernel's probes and population scan.
+//!   `O(1)`, where probing peers for a seed would cost `O(n)` when seeds
+//!   are rare.
 //! * **Each peer lives in one packed [`PeerMeta`] record** (piece set,
 //!   arrival time, pool positions, cached piece count, flags, Fig.-2 group —
 //!   32 bytes, aligned to 32), so touching a peer costs one cache line and a
@@ -30,7 +25,7 @@
 //!   without a popcount.
 //! * **The Fig.-2 groups follow every transition**: each peer's group is
 //!   cached and the aggregate counts move on every arrival, transfer, and
-//!   departure, so a snapshot is `O(1)` where the scan kernel reclassifies
+//!   departure, so a snapshot is `O(1)` instead of a reclassification of
 //!   every peer.
 //! * **Replication batches reuse a [`SimScratch`] arena**: the peer
 //!   records, sampling pools, and snapshot buffer all persist across runs,
@@ -48,13 +43,14 @@
 //!   regime nearly every contact is one: 93.5% in replication-batch's
 //!   `flash-crowd` scenario.
 //!
-//! Because the draw *sequence* differs from the scan kernel's, validation
-//! is distributional rather than byte-wise:
-//! `crates/core/tests/turbo_distributional.rs` pins the turbo kernel's
-//! replication ensembles, useless-contact and transfer counts included,
-//! against the scan kernel's, which ticks the clock once per event, and
-//! `crates/core/tests/self_loop_oracle.rs` holds its useless-contact
-//! counts to closed forms.
+//! Validation is distributional, against references that share no code
+//! with this kernel or the driver:
+//! `crates/core/tests/turbo_distributional.rs` holds the turbo kernel's
+//! replication ensembles, useless-contact and transfer counts included, to
+//! an exact labelled type-count chain stepped by `markov::gillespie::run`,
+//! which takes one jump per contact, and
+//! `crates/core/tests/self_loop_oracle.rs` holds its useless-contact counts
+//! to closed forms.
 
 use super::{AgentSwarm, Event, KernelState};
 use crate::groups::{GroupCounts, PeerGroup};
@@ -506,7 +502,8 @@ impl<'a, T: Recorder> State<'a, T> {
     /// one weighted coin, then one uniform pool pick (boosted) or a
     /// complement rejection (normal). The coin fires the normal branch with
     /// probability proportional to the normal count, so the rejection's
-    /// expected tries are O(1), unlike the scan kernel's Θ(η) probe.
+    /// expected tries are O(1), unlike a plain probe by clock rate, which
+    /// costs Θ(η).
     fn pick_uploader<R: Rng>(&mut self, n: usize, rng: &mut R) -> usize {
         let nb = self.s.boosted_pool.len();
         if nb == 0 {

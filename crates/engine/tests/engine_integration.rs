@@ -130,13 +130,6 @@ impl ReplicationSink for Records {
 }
 
 /// `(events, transfers, class)` of each replication of the built-in
-/// `flash-crowd` scenario, run as `run_experiments --scenario flash-crowd
-/// --seed 7 --horizon 250 --replications 4 --kernel KERNEL` runs it.
-fn flash_crowd_replications(kernel: KernelKind) -> Vec<(u64, u64, PathClass)> {
-    builtin_replications("flash-crowd", |spec| spec.kernel = kernel)
-}
-
-/// `(events, transfers, class)` of each replication of the built-in
 /// scenario `name` after `edit` (the CLI's `--kernel` or `--shards`), run as
 /// `run_experiments --scenario NAME --seed 7 --horizon 250 --replications 4`
 /// runs it.
@@ -204,8 +197,7 @@ fn golden_master_holds_across_commits() {
     // any random stream fails here. Integers and classes only: a last-ulp
     // libm difference cannot flip them.
     use PathClass::{Growing, Indeterminate, Stable};
-    let scan = flash_crowd_replications(KernelKind::LegacyScan);
-    let turbo = flash_crowd_replications(KernelKind::Turbo);
+    let turbo = builtin_replications("flash-crowd", |spec| spec.kernel = KernelKind::Turbo);
     let sharded = builtin_replications("flash-crowd", |spec| spec.shards = Some(3));
     let coded_turbo = builtin_replications("coded-turbo-gift", |_| {});
     let mut ctmc = Records::default();
@@ -216,16 +208,6 @@ fn golden_master_holds_across_commits() {
         .expect("valid batch")
         .stream(&mut ctmc);
     let ctmc: Vec<_> = ctmc.0.iter().map(|r| r.class).collect();
-    assert_eq!(
-        scan,
-        [
-            (6040, 1851, Indeterminate),
-            (15398, 1597, Growing),
-            (19011, 1498, Growing),
-            (6936, 1833, Indeterminate),
-        ],
-        "scan kernel"
-    );
     assert_eq!(
         turbo,
         [

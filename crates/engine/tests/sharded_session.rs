@@ -148,22 +148,25 @@ fn sharded_telemetry_merges_shard_counters_into_the_partition_identities() {
 
 #[test]
 fn a_sharded_non_turbo_scenario_is_rejected_at_build_time() {
-    let mut scenario = AgentScenario::new(0, "bad", example1(1.0));
-    scenario.config.kernel = KernelKind::LegacyScan;
+    let coded = swarm::coded::CodedParams::gift_example(2, 2, 1.0, 0.5, 1.5, 1.0, 2.0)
+        .expect("valid coded parameters");
+    let mut scenario = AgentScenario::new(0, "bad", coded.base.clone());
+    scenario.coding = Some(coded.gifts());
+    scenario.config.kernel = KernelKind::Coded;
     scenario.shards = Some(4);
     let error = Session::builder()
         .config(config(1))
         .workload(Workload::agent(vec![scenario]))
         .build()
-        .expect_err("the scan kernel cannot shard");
+        .expect_err("the coded kernel cannot shard");
     let message = error.to_string();
     assert!(
         message.contains("turbo"),
         "the error names the kernel constraint: {message}"
     );
     assert!(
-        message.contains("scan reference kernel") && !message.contains("parity"),
-        "the error names the scan kernel, not the deleted parity kernels: {message}"
+        message.contains("coded kernels are not sharded") && !message.contains("parity"),
+        "the error names the coded kernels, not the deleted parity kernels: {message}"
     );
 }
 

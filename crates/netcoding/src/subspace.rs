@@ -155,13 +155,6 @@ impl Subspace {
         self.reduce(v).iter().all(|&c| c == 0)
     }
 
-    /// Returns `true` if the coded piece `v` is *useful* to a peer of this
-    /// type: adding it would increase the dimension.
-    #[must_use]
-    pub fn is_useful(&self, v: &CodingVector) -> bool {
-        v.len() == self.ambient_dim && v.field() == self.field && !self.contains(v)
-    }
-
     /// Inserts a vector, returning `true` if the dimension increased.
     ///
     /// # Errors
@@ -314,13 +307,6 @@ impl Subspace {
         self.basis().iter().all(|b| other.contains(b))
     }
 
-    /// Returns `true` if a peer of type `self` can possibly help a peer of
-    /// type `other`, i.e. `self ⊄ other`.
-    #[must_use]
-    pub fn can_help(&self, other: &Self) -> bool {
-        !self.is_subspace_of(other)
-    }
-
     /// Samples a uniformly random vector of the subspace: the row
     /// [`Subspace::random_combination_into`] writes, from the same draws, as
     /// a [`CodingVector`].
@@ -402,8 +388,7 @@ mod tests {
         assert!(s.insert(&v3).unwrap());
         assert_eq!(s.dimension(), 2);
         assert!(s.contains(&v2));
-        assert!(!s.is_useful(&v2));
-        assert!(s.is_useful(&CodingVector::unit(f, 3, 2)));
+        assert!(!s.contains(&CodingVector::unit(f, 3, 2)));
     }
 
     #[test]
@@ -411,7 +396,7 @@ mod tests {
         let f = gf(4);
         let mut s = Subspace::empty(f, 3);
         let z = CodingVector::zero(f, 3);
-        assert!(!s.is_useful(&z));
+        assert!(s.contains(&z));
         assert!(!s.insert(&z).unwrap());
         assert_eq!(s.dimension(), 0);
     }
@@ -451,9 +436,9 @@ mod tests {
         let sum = a.sum(&b).unwrap();
         assert_eq!(sum.dimension(), 3);
         assert_eq!(a.intersection_dim(&b).unwrap(), 1);
-        assert!(a.can_help(&b));
-        assert!(b.can_help(&a));
-        assert!(!a.can_help(&a.clone()));
+        assert!(!a.is_subspace_of(&b));
+        assert!(!b.is_subspace_of(&a));
+        assert!(a.is_subspace_of(&a.clone()));
     }
 
     #[test]
@@ -507,7 +492,7 @@ mod tests {
         let trials = 20_000;
         let mut useful = 0;
         for _ in 0..trials {
-            if a.is_useful(&b.random_vector(&mut rng)) {
+            if !a.contains(&b.random_vector(&mut rng)) {
                 useful += 1;
             }
         }

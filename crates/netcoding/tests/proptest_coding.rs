@@ -74,7 +74,6 @@ proptest! {
         // every generator is contained
         for v in &vectors {
             prop_assert!(s.contains(v));
-            prop_assert!(!s.is_useful(v));
         }
         // sum with itself is itself; intersection with itself has same dim
         prop_assert_eq!(s.sum(&s).unwrap().dimension(), s.dimension());
@@ -241,11 +240,25 @@ proptest! {
         let p = a.useful_probability_from(&b).unwrap();
         prop_assert!((0.0..=1.0).contains(&p));
         // If b cannot help a, the probability must be zero; if it can, at least 1 - 1/q.
-        if b.can_help(&a) {
+        if !b.is_subspace_of(&a) {
             let q = f64::from(field.order());
             prop_assert!(p >= 1.0 - 1.0 / q - 1e-12, "p = {p}");
         } else {
             prop_assert!(p.abs() < 1e-12);
         }
+        // The coded kernel's upload path meets the formula: b's random
+        // combination, absorbed into a copy of a, raises its dimension with
+        // probability p (within five standard errors of 2,000 uploads).
+        let uploads = 2_000;
+        let mut row = Vec::new();
+        let useful = (0..uploads)
+            .filter(|_| {
+                b.random_combination_into(&mut rng, &mut row);
+                a.clone().absorb(&mut row).unwrap()
+            })
+            .count();
+        let share = useful as f64 / f64::from(uploads);
+        let se = (p * (1.0 - p) / f64::from(uploads)).sqrt();
+        prop_assert!((share - p).abs() <= 5.0 * se, "share {share} vs p = {p}");
     }
 }

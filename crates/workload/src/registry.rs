@@ -226,12 +226,10 @@ pub struct ScenarioSpec {
     pub initial: Vec<InitialGroupSpec>,
     /// Scheduled flash crowds.
     pub flash_crowds: Vec<FlashSpec>,
-    /// The simulation kernel (`"turbo"`, `"legacy-scan"`, `"coded"`, or
-    /// `"coded-turbo"` in files). Turbo is the default; the scan kernel is
-    /// turbo's reference in the distributional differential test (both are
-    /// deterministic per seed, and they agree statistically, not byte for
-    /// byte); the two coded kernels run the network-coded variant and
-    /// require a [`ScenarioSpec::coding`] block, `"coded-turbo"` over
+    /// The simulation kernel (a [`KernelKind::name`]: `"turbo"`,
+    /// `"coded"` or `"coded-turbo"` in files). Turbo, the default, runs the
+    /// uncoded model; the two coded kernels run the network-coded variant
+    /// and require a [`ScenarioSpec::coding`] block, `"coded-turbo"` over
     /// `GF(2)` only.
     pub kernel: KernelKind,
     /// Network-coding block; present if and only if the kernel is
@@ -613,11 +611,7 @@ impl ScenarioSpec {
                 _ => None,
             }
             .ok_or_else(|| {
-                SpecError::Parse(
-                    "`kernel` must be \"turbo\", \"legacy-scan\", \
-                     \"coded\", or \"coded-turbo\""
-                        .into(),
-                )
+                SpecError::Parse(format!("`kernel` must be one of {}", KernelKind::names()))
             })?;
         }
         match doc.get("coding") {
@@ -1318,23 +1312,27 @@ mod tests {
 
     #[test]
     fn kernel_field_is_parsed_and_honoured() {
-        for (name, kind) in [
-            ("legacy-scan", KernelKind::LegacyScan),
-            ("turbo", KernelKind::Turbo),
-        ] {
-            let doc = format!(
+        let doc = r#"{"name":"x","num_pieces":2,"kernel":"turbo",
+            "arrivals":[{"pieces":"empty","rate":1}]}"#;
+        let spec = ScenarioSpec::from_json(doc).unwrap();
+        assert_eq!(spec.kernel, KernelKind::Turbo);
+        let scenario = spec.compile(0).unwrap();
+        assert_eq!(scenario.config.kernel, KernelKind::Turbo);
+        assert_eq!(ScenarioSpec::from_json(&spec.to_json()).unwrap(), spec);
+        // An unknown name, the deleted scan kernel's among them, is a
+        // typed parse error that offers every kernel there is.
+        for name in ["warp", "legacy-scan"] {
+            let bad = format!(
                 r#"{{"name":"x","num_pieces":2,"kernel":"{name}",
                 "arrivals":[{{"pieces":"empty","rate":1}}]}}"#
             );
-            let spec = ScenarioSpec::from_json(&doc).unwrap();
-            assert_eq!(spec.kernel, kind);
-            let scenario = spec.compile(0).unwrap();
-            assert_eq!(scenario.config.kernel, kind);
-            assert_eq!(ScenarioSpec::from_json(&spec.to_json()).unwrap(), spec);
+            let Err(SpecError::Parse(message)) = ScenarioSpec::from_json(&bad) else {
+                panic!("kernel {name:?} must be a parse error");
+            };
+            for kind in KernelKind::ALL {
+                assert!(message.contains(kind.name()), "{message}");
+            }
         }
-        let bad = r#"{"name":"x","num_pieces":2,"kernel":"warp",
-            "arrivals":[{"pieces":"empty","rate":1}]}"#;
-        assert!(ScenarioSpec::from_json(bad).is_err());
     }
 
     #[test]
@@ -1343,8 +1341,9 @@ mod tests {
         let spec = registry.get("retry-speedup").unwrap();
         assert_eq!(spec.kernel, KernelKind::Turbo, "turbo is the default");
         // `--kernel` writes the kernel into the spec the CLI resolved.
-        let mut scan_spec = spec.clone();
-        scan_spec.kernel = KernelKind::LegacyScan;
+        let coded_turbo = registry.get("coded-turbo-gift").unwrap();
+        let mut coded_spec = coded_turbo.clone();
+        coded_spec.kernel = KernelKind::Coded;
         let run_at = |jobs, spec| {
             let options = ScenarioRunOptions {
                 replications: 2,
@@ -1361,17 +1360,18 @@ mod tests {
             run_at(4, spec).outcome,
             "turbo is deterministic"
         );
-        let scan = run_at(1, &scan_spec);
-        let scan_jobs4 = run_at(4, &scan_spec);
-        assert_eq!(scan.outcome, scan_jobs4.outcome, "scan is deterministic");
-        assert_eq!(scan.outcome.votes.total(), 2);
+        let coded = run_at(1, &coded_spec);
+        let coded_jobs4 = run_at(4, &coded_spec);
+        assert_eq!(coded.outcome, coded_jobs4.outcome, "coded is deterministic");
+        assert_eq!(coded.outcome.votes.total(), 2);
         assert_eq!(
-            scan.spec.kernel,
-            KernelKind::LegacyScan,
+            coded.spec.kernel,
+            KernelKind::Coded,
             "the report's spec records the kernel that actually ran"
         );
         assert_ne!(
-            scan.outcome, turbo.outcome,
+            coded.outcome,
+            run_at(1, coded_turbo).outcome,
             "the override changed the kernel"
         );
     }

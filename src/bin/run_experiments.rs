@@ -26,13 +26,11 @@
 //! * `--scenario FILE|NAME` — instead of the E1–E12 reports, execute one
 //!   scenario from the registry: a JSON scenario file (see `EXPERIMENTS.md`
 //!   for the format) or a built-in name,
-//! * `--kernel turbo|scan|coded|coded-turbo` — override the scenario's
-//!   simulation kernel (`turbo` is the default; `scan`, also spelled
-//!   `legacy-scan`, is turbo's reference, deterministic per seed like every
-//!   kernel and matching turbo distributionally; `coded` is the
-//!   network-coded kernel and needs a scenario with a `"coding"` block;
-//!   `coded-turbo` is its bitsliced GF(2) fast path and additionally
-//!   requires `q = 2`),
+//! * `--kernel turbo|coded|coded-turbo` — override the scenario's
+//!   simulation kernel (`turbo`, the default, runs the uncoded model;
+//!   `coded` is the network-coded kernel and needs a scenario with a
+//!   `"coding"` block; `coded-turbo` is its bitsliced GF(2) fast path and
+//!   additionally requires `q = 2`),
 //! * `--shards N` — (with `--scenario`) shard each replication's peer
 //!   population across `N` per-shard clocks (turbo kernel only); for a
 //!   fixed `(seed, shards, sync-window)` the result is byte-identical at
@@ -177,7 +175,7 @@ fn parse_failure_policy(value: &str) -> Result<FailurePolicy, String> {
 
 const USAGE: &str = "usage: run_experiments [quick] [--replications N] [--jobs N] \
 [--seed S] [--horizon T] [--scenario FILE|NAME] \
-[--kernel turbo|scan|coded|coded-turbo] \
+[--kernel turbo|coded|coded-turbo] \
 [--shards N] [--sync-window W] \
 [--progress] [--metrics[=FILE]] [--check-metrics FILE] \
 [--allow-truncated] [--failure-policy failfast|quarantine[:N]|retry[:N[:MS]]] \
@@ -206,6 +204,15 @@ fn parse_u64(value: &str) -> Option<u64> {
     } else {
         value.parse().ok()
     }
+}
+
+fn parse_kernel(name: &str) -> Result<KernelKind, CliError> {
+    KernelKind::from_name(name).ok_or_else(|| {
+        CliError::Invalid(format!(
+            "--kernel: unknown kernel `{name}` (expected one of {})",
+            KernelKind::names()
+        ))
+    })
 }
 
 fn parse_cli() -> Result<Cli, CliError> {
@@ -275,21 +282,7 @@ fn parse_cli() -> Result<Cli, CliError> {
                 explicit_horizon = Some(config.horizon);
             }
             "--scenario" => scenario = Some(value_of("--scenario")?),
-            "--kernel" => {
-                let name = value_of("--kernel")?;
-                // `scan` is the command line's short alias of `legacy-scan`.
-                let lookup = if name == "scan" {
-                    "legacy-scan"
-                } else {
-                    name.as_str()
-                };
-                kernel = Some(KernelKind::from_name(lookup).ok_or_else(|| {
-                    CliError::Invalid(format!(
-                        "--kernel: unknown kernel `{name}` \
-                         (expected turbo, scan, coded, or coded-turbo)"
-                    ))
-                })?);
-            }
+            "--kernel" => kernel = Some(parse_kernel(&value_of("--kernel")?)?),
             "--shards" => {
                 let n: u32 = value_of("--shards")?
                     .parse()
@@ -630,4 +623,25 @@ fn write_artifacts(
     let outcomes = experiments::example1_sweep(config);
     engine::artifact::write_outcomes(dir, "example1_sweep", &outcomes)?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_kernels_are_typed_errors_that_offer_every_kernel() {
+        for kind in KernelKind::ALL {
+            assert!(matches!(parse_kernel(kind.name()), Ok(k) if k == kind));
+        }
+        // The deleted scan kernel's name and alias are unknown now.
+        for name in ["legacy-scan", "scan", "warp"] {
+            let Err(CliError::Invalid(message)) = parse_kernel(name) else {
+                panic!("--kernel {name} must be rejected");
+            };
+            for kind in KernelKind::ALL {
+                assert!(message.contains(kind.name()), "{message}");
+            }
+        }
+    }
 }

@@ -2,9 +2,10 @@
 //! agent-based simulator implement the same stochastic model, so on identical
 //! parameters they must agree on the qualitative behaviour and, for stable
 //! points, on the time-average population. At `K = 1` both are also held to
-//! the exact stationary law of the chain, solved by `markov::stationary`, and
-//! so are the two coded kernels, whose `K = 1` swarm is the same chain with
-//! its upload rates thinned by `1 − 1/q`.
+//! the exact stationary law of the chain, solved by `markov::stationary`
+//! (turbo's mean sojourn through Little's law), and so are the two coded
+//! kernels, whose `K = 1` swarm is the same chain with its upload rates
+//! thinned by `1 − 1/q`.
 
 #![allow(clippy::disallowed_methods, reason = "test code seeds its own StdRng")]
 
@@ -160,13 +161,13 @@ fn peer_seed_population_behaves_like_mm_infinity() {
 }
 
 /// The `K = 1` stable point of the exact-law checks: `U_s = 1`, `µ = 1`,
-/// `γ = 2`, `λ = 1`.
-fn one_piece_params() -> SwarmParams {
+/// `γ = 2`, and `λ = 1` × `arrival_scale`.
+fn one_piece_params(arrival_scale: f64) -> SwarmParams {
     SwarmParams::builder(1)
         .seed_rate(1.0)
         .contact_rate(1.0)
         .seed_departure_rate(2.0)
-        .fresh_arrivals(1.0)
+        .fresh_arrivals(arrival_scale)
         .build()
         .unwrap()
 }
@@ -183,12 +184,12 @@ struct ExactLaw {
     mean_seeds: f64,
 }
 
-/// The exact law of [`one_piece_params`], solved once on the chain
+/// The exact law of [`one_piece_params`] at `λ = 1`, solved once on the chain
 /// truncated at `N ≤ 30` (496 states).
 fn exact_law() -> &'static ExactLaw {
     static LAW: OnceLock<ExactLaw> = OnceLock::new();
     LAW.get_or_init(|| {
-        let params = one_piece_params();
+        let params = one_piece_params(1.0);
         let full = params.full_type();
         let model = SwarmModel::new(params);
         // The solve converges in about 15,000 sweeps at this cap; the
@@ -261,7 +262,7 @@ fn share_at_zero(path: &SamplePath, from: f64, to: f64) -> f64 {
 #[test]
 fn ctmc_matches_the_exact_stationary_law_at_k1() {
     let exact = exact_law();
-    let model = SwarmModel::new(one_piece_params());
+    let model = SwarmModel::new(one_piece_params(1.0));
     let (mut peers, mut empty) = (Vec::new(), Vec::new());
     for r in 0..REPLICATIONS {
         let mut rng = StdRng::seed_from_u64(100 + r);
@@ -276,9 +277,10 @@ fn ctmc_matches_the_exact_stationary_law_at_k1() {
 /// Per-replication averages over `[BURN_IN, HORIZON]`, read on the snapshot
 /// grid, of `REPLICATIONS` runs of `sim` from an empty swarm (run `r` seeded
 /// with `seed + r`): the population, its share of time at zero and the peer
-/// seeds, one vector each.
-fn agent_ensemble(sim: &AgentSwarm, seed: u64) -> [Vec<f64>; 3] {
+/// seeds, one vector each, and the mean sojourn over the whole run.
+fn agent_ensemble(sim: &AgentSwarm, seed: u64) -> [Vec<f64>; 4] {
     let (mut peers, mut empty, mut seeds) = (Vec::new(), Vec::new(), Vec::new());
+    let mut sojourns = Vec::new();
     for r in 0..REPLICATIONS {
         let mut rng = StdRng::seed_from_u64(seed + r);
         let result = sim.run(&[], HORIZON, &mut rng);
@@ -291,29 +293,51 @@ fn agent_ensemble(sim: &AgentSwarm, seed: u64) -> [Vec<f64>; 3] {
         peers.push(tail.iter().map(|s| s.total_peers as f64).sum::<f64>() / n);
         empty.push(tail.iter().filter(|s| s.total_peers == 0).count() as f64 / n);
         seeds.push(tail.iter().map(|s| s.peer_seeds as f64).sum::<f64>() / n);
+        sojourns.push(result.sojourns.mean_sojourn());
     }
-    [peers, empty, seeds]
+    [peers, empty, seeds, sojourns]
 }
 
-#[test]
-fn turbo_matches_the_exact_stationary_law_at_k1() {
-    let exact = exact_law();
+/// Turbo on [`one_piece_params`] at `λ = 1` × `arrival_scale`.
+fn one_piece_turbo(arrival_scale: f64) -> AgentSwarm {
     let config = AgentConfig {
         snapshot_interval: 1.0,
         kernel: KernelKind::Turbo,
         ..Default::default()
     };
-    let sim = AgentSwarm::with_config(one_piece_params(), config, Box::new(policy::RandomUseful))
-        .unwrap();
-    let [peers, empty, seeds] = agent_ensemble(&sim, 200);
+    let params = one_piece_params(arrival_scale);
+    AgentSwarm::with_config(params, config, Box::new(policy::RandomUseful)).unwrap()
+}
+
+#[test]
+fn turbo_matches_the_exact_stationary_law_at_k1() {
+    let exact = exact_law();
+    let [peers, empty, seeds, _] = agent_ensemble(&one_piece_turbo(1.0), 200);
     assert_matches("turbo E[N]", exact.mean_peers, &peers);
     assert_matches("turbo P(N = 0)", exact.p_empty, &empty);
     assert_matches("turbo E[x_F]", exact.mean_seeds, &seeds);
 }
 
+#[test]
+fn turbo_mean_sojourn_meets_littles_law_at_k1() {
+    // Little's law at the solved point: every peer's stay averages
+    // E[N] / λ, with λ = 1.
+    let exact = exact_law().mean_peers;
+    let [.., sojourns] = agent_ensemble(&one_piece_turbo(1.0), 1_000);
+    assert_matches("turbo E[sojourn]", exact, &sojourns);
+    // Teeth: the same seeds at λ × 1.05 sit far off the law.
+    let [.., fast] = agent_ensemble(&one_piece_turbo(1.05), 1_000);
+    let (mean, se, z) = z_score(exact, &fast);
+    assert!(
+        z > 5.0,
+        "λ × 1.05 reads E[sojourn] = {mean:.4} ± {se:.4} (z = {z:.2}), \
+         which the check would accept"
+    );
+}
+
 /// The coded `K = 1` swarm over `GF(q)` on `kernel`: no gifts, `γ = 2`,
 /// `λ = 1`, and `U_s = µ = scale · q/(q − 1)`, which thinning by `1 − 1/q`
-/// turns into `scale` times the rates of [`one_piece_params`].
+/// turns into `scale` times the rates of [`one_piece_params`] at `λ = 1`.
 fn thinned_coded_sim(kernel: KernelKind, q: u64, scale: f64) -> AgentSwarm {
     let rate = scale * q as f64 / (q as f64 - 1.0);
     let params = CodedParams::gift_example(1, q, 1.0, 0.0, rate, rate, 2.0).unwrap();
@@ -342,12 +366,12 @@ fn coded_kernels_match_the_thinned_exact_stationary_law_at_k1() {
     for (i, (kernel, q)) in cases.into_iter().enumerate() {
         let seed = 300 + 100 * i as u64;
         let what = format!("{} at q = {q}", kernel.name());
-        let [peers, empty, decoders] = agent_ensemble(&thinned_coded_sim(kernel, q, 1.0), seed);
+        let [peers, empty, decoders, _] = agent_ensemble(&thinned_coded_sim(kernel, q, 1.0), seed);
         assert_matches(&format!("{what}: E[N]"), exact.mean_peers, &peers);
         assert_matches(&format!("{what}: P(N = 0)"), exact.p_empty, &empty);
         assert_matches(&format!("{what}: E[decoders]"), exact.mean_seeds, &decoders);
         // Teeth: the same runs with U_s and µ 5% low sit far off the law.
-        let [slow, _, _] = agent_ensemble(&thinned_coded_sim(kernel, q, 0.95), seed);
+        let [slow, ..] = agent_ensemble(&thinned_coded_sim(kernel, q, 0.95), seed);
         let (mean, se, z) = z_score(exact.mean_peers, &slow);
         assert!(
             z > 5.0,
