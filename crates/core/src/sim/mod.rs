@@ -11,8 +11,8 @@
 //!
 //! # Kernels
 //!
-//! Three interchangeable kernels implement the bookkeeping behind the shared
-//! event loop (see [`KernelKind`]):
+//! Two kernels implement the bookkeeping behind the shared event loop (see
+//! [`KernelKind`]):
 //!
 //! * **Turbo** (the default) — each peer is one packed 32-byte record that
 //!   holds its piece collection (a one-word [`pieceset::PieceSet`]) beside
@@ -22,22 +22,20 @@
 //!   swap-remove index pools make boosted-vs-normal uploader selection and
 //!   seed departures direct `O(1)` picks instead of rejection loops, and a
 //!   [`SimScratch`] arena reuses every buffer across replications.
-//! * **Coded** — the network-coding kernel (Section VIII-B, Theorem 15):
-//!   peer state is a subspace of `F_q^K` in reduced row-echelon form with
-//!   the dimension cached in a packed per-peer record, uploads are random
-//!   linear combinations, and departures fire at dimension `K`.
-//! * **Coded turbo** — the bitsliced `GF(2)` coded kernel: peer subspaces
-//!   as packed `u64` rows ([`netcoding::BitSubspace`]) in a recycled arena,
-//!   *lazy peers* that carry only a cached dimension (plus an arrival unit
-//!   mask) until a peer-to-peer transfer actually needs a basis, and the
-//!   turbo tricks (alias tables, swap-remove pools, [`SimScratch`] reuse).
-//!   `GF(2)` only.
+//! * **Coded** — the network-coding kernel (Section VIII-B, Theorem 15)
+//!   over any field `GF(q)`: *lazy peers* carry only a cached dimension
+//!   (plus an arrival unit mask) until a peer-to-peer transfer actually
+//!   needs a basis, bases are packed `u64` rows
+//!   ([`netcoding::BitSubspace`]) over `GF(2)` and reduced row-echelon
+//!   [`netcoding::Subspace`]s over larger fields, and the turbo tricks
+//!   (alias tables, swap-remove pools, [`SimScratch`] reuse) carry over.
+//!   [`AgentSwarm::with_coded`] builds it; the coded parameters alone decide
+//!   that it runs.
 //!
-//! [`AgentSwarm::with_coded`] builds either coded kernel.
-//! `tests/simulators_agree.rs` holds both to the exact stationary law of the
-//! `K = 1` chain at upload rates thinned by `1 − 1/q`, and the
-//! distributional battery in `crates/core/tests/coded_distributional.rs`
-//! holds them to each other over `GF(2)`.
+//! The coded kernel is held to an exact subspace-count chain outside this
+//! module (`crates/core/tests/coded_distributional.rs`) at `q ∈ {2, 4, 8}`,
+//! and `tests/simulators_agree.rs` holds it to the exact stationary law of
+//! the `K = 1` chain at upload rates thinned by `1 − 1/q`.
 //!
 //! The turbo kernel is held to an exact chain outside this module
 //! (`crates/core/tests/turbo_distributional.rs`): the paper's type-count
@@ -61,7 +59,6 @@
 //! holding times (see `drive`, and [`TURBO_DRAW_ORDER`]).
 
 mod coded;
-mod coded_turbo;
 mod sharded;
 mod turbo;
 
@@ -73,6 +70,7 @@ use crate::metrics::SimResult;
 use crate::policy::{PiecePolicy, RandomUseful};
 use crate::{SwarmError, SwarmParams};
 use markov::poisson::{sample_binomial, sample_exp, sample_gamma, sample_weighted_index_of};
+use netcoding::{BitSubspace, Subspace};
 use pieceset::{PieceId, PieceSet};
 use rand::Rng;
 use telemetry::{NullRecorder, Recorder};
@@ -85,6 +83,14 @@ use telemetry::{NullRecorder, Recorder};
 /// clock once per state change (the [module docs](self)' stretches).
 pub const TURBO_DRAW_ORDER: &str = "one clock draw per state change";
 
+/// The draw order of the [`KernelKind::Coded`] kernel, named so that a
+/// checkpoint can bind to it: the engine folds it into the digest of every
+/// coded scenario, so a checkpoint written while coded scenarios ran on an
+/// earlier kernel's stream is refused instead of resumed into a mix of two
+/// streams. Change it whenever that order changes. The current order is the
+/// lazy-peer kernel's over every field.
+pub const CODED_DRAW_ORDER: &str = "lazy peers over every field";
+
 /// Which simulation kernel executes the run (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelKind {
@@ -95,52 +101,25 @@ pub enum KernelKind {
     /// (`crates/core/tests/turbo_distributional.rs`).
     #[default]
     Turbo,
-    /// The network-coding kernel (Section VIII-B, Theorem 15): peer state is
-    /// the subspace `V_A ⊆ F_q^K` held in reduced row-echelon form, contacts
-    /// transfer random linear combinations, and peers depart on reaching
-    /// dimension `K`. Requires coded parameters — construct the simulator
-    /// with [`AgentSwarm::with_coded`]. Validated against the exact `K = 1`
-    /// stationary law (`tests/simulators_agree.rs`).
+    /// The network-coding kernel (Section VIII-B, Theorem 15) over any
+    /// field: peer state is the subspace `V_A ⊆ F_q^K`, held lazily until a
+    /// peer-to-peer transfer needs a basis, contacts transfer random linear
+    /// combinations, and peers depart on reaching dimension `K`.
+    /// [`AgentSwarm::with_coded`] selects it. Validated against an exact
+    /// subspace-count chain (`crates/core/tests/coded_distributional.rs`)
+    /// and the exact `K = 1` stationary law (`tests/simulators_agree.rs`).
     Coded,
-    /// The bitsliced `GF(2)` coded kernel: subspaces as packed `u64` rows
-    /// ([`netcoding::BitSubspace`]) in a recycled arena, lazy peers that
-    /// materialize a basis only when a peer-to-peer transfer needs one, and
-    /// the turbo sampling tricks. Requires coded parameters over `GF(2)` —
-    /// construct the simulator with [`AgentSwarm::with_coded`].
-    /// Parity-free; validated against the exact `K = 1` stationary law and
-    /// distributionally against the coded kernel.
-    CodedTurbo,
 }
 
 impl KernelKind {
-    /// Every kernel, in declaration order: the table scenario JSON and the
-    /// `--kernel` flag parse names against.
-    pub const ALL: [KernelKind; 3] = [KernelKind::Turbo, KernelKind::Coded, KernelKind::CodedTurbo];
-
-    /// The kernel's name in scenario JSON and on the command line. The
-    /// match is exhaustive, so a new kernel does not build until it is
-    /// named here; list it in [`KernelKind::ALL`] too.
-    #[must_use]
-    pub const fn name(self) -> &'static str {
-        match self {
-            KernelKind::Turbo => "turbo",
-            KernelKind::Coded => "coded",
-            KernelKind::CodedTurbo => "coded-turbo",
-        }
-    }
-
-    /// The kernel called `name`, if there is one.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|kind| kind.name() == name)
-    }
-
-    /// The names of [`KernelKind::ALL`], comma-separated: the list an
-    /// unknown-kernel error offers.
-    #[must_use]
-    pub fn names() -> String {
-        Self::ALL.map(Self::name).join(", ")
-    }
+    /// The retired name of [`KernelKind::Coded`]. Only the benchmark
+    /// (`perfbench/`) still uses it, and the next change to the benchmark
+    /// deletes it.
+    #[expect(
+        non_upper_case_globals,
+        reason = "keeps the benchmark's spelling of the retired variant compiling"
+    )]
+    pub const CodedTurbo: KernelKind = KernelKind::Coded;
 }
 
 /// Configuration of the agent-based simulator beyond the model parameters.
@@ -160,7 +139,11 @@ pub struct AgentConfig {
     /// Hard cap on the number of simulated events (safety valve). A run that
     /// hits it stops early and reports [`SimResult::truncated`].
     pub max_events: u64,
-    /// The kernel executing the run.
+    /// The kernel executing the run: [`KernelKind::Turbo`] under
+    /// [`AgentSwarm::with_config`], which refuses [`KernelKind::Coded`].
+    /// [`AgentSwarm::with_coded`] sets [`KernelKind::Coded`] whatever this
+    /// field held, since coded parameters alone decide that the coded
+    /// kernel runs.
     pub kernel: KernelKind,
 }
 
@@ -194,9 +177,9 @@ pub struct FlashCrowd {
 }
 
 /// The most peers a run may start with and inject through flash crowds,
-/// together. The turbo and coded-turbo kernels index peers and pool
-/// positions in `u32` and keep `u32::MAX` free as their "not in a pool"
-/// sentinel, so every index of a population this size fits. Every validation path applies the bound
+/// together. The kernels index peers and pool positions in `u32` and keep
+/// `u32::MAX` free as their "not in a pool" sentinel, so every index of a
+/// population this size fits. Every validation path applies the bound
 /// through [`checked_population`] before a peer table is allocated.
 pub const MAX_PEERS: usize = u32::MAX as usize;
 
@@ -246,7 +229,7 @@ pub struct AgentSwarm {
     params: SwarmParams,
     config: AgentConfig,
     policy: Box<dyn PiecePolicy>,
-    /// Coded arrival mix, present exactly when the kernel is a coded one
+    /// Coded arrival mix, present exactly when the coded kernel runs
     /// (established by [`AgentSwarm::with_coded`]).
     coded: Option<CodedGifts>,
 }
@@ -275,9 +258,9 @@ impl AgentSwarm {
         config: AgentConfig,
         policy: Box<dyn PiecePolicy>,
     ) -> Result<Self, SwarmError> {
-        if config.kernel == KernelKind::Coded || config.kernel == KernelKind::CodedTurbo {
+        if config.kernel == KernelKind::Coded {
             return Err(SwarmError::InvalidParameter(
-                "the coded kernels need coded parameters; construct the \
+                "the coded kernel needs coded parameters; construct the \
                  simulator with AgentSwarm::with_coded"
                     .into(),
             ));
@@ -292,12 +275,12 @@ impl AgentSwarm {
     }
 
     /// Creates a simulator for the network-coded swarm of Section VIII-B on
-    /// the coded kernel `config.kernel` names: peers hold subspaces of
-    /// `F_q^K`, arrivals carry `d` uniformly random coded pieces per
-    /// [`CodedParams::gift_dimensions`], and the fixed seed and peer
-    /// contacts upload random linear combinations. [`KernelKind::Coded`]
-    /// runs any field; [`KernelKind::CodedTurbo`] is bitsliced over `GF(2)`
-    /// only.
+    /// the coded kernel, over any field the parameters name: peers hold
+    /// subspaces of `F_q^K`, arrivals carry `d` uniformly random coded
+    /// pieces per [`CodedParams::gift_dimensions`], and the fixed seed and
+    /// peer contacts upload random linear combinations. The simulator's
+    /// [`AgentConfig::kernel`] is [`KernelKind::Coded`] whatever `config`
+    /// held.
     ///
     /// Piece-selection policies do not apply (a coded upload is always a
     /// random combination of everything the uploader holds), and the
@@ -305,38 +288,26 @@ impl AgentSwarm {
     ///
     /// # Errors
     ///
-    /// Returns [`SwarmError::InvalidParameter`] if `config.kernel` is not a
-    /// coded kernel, the coded-turbo kernel is given a field other than
-    /// `GF(2)`, the retry speed-up is not 1, the gift mix fails
-    /// [`CodedGifts::validate_for`], or the configuration is invalid.
+    /// Returns [`SwarmError::InvalidParameter`] if the retry speed-up is
+    /// not 1, the gift mix fails [`CodedGifts::validate_for`], or the
+    /// configuration is invalid.
     pub fn with_coded(params: CodedParams, config: AgentConfig) -> Result<Self, SwarmError> {
-        if !matches!(config.kernel, KernelKind::Coded | KernelKind::CodedTurbo) {
+        if config.retry_speedup != 1.0 {
             return Err(SwarmError::InvalidParameter(
-                "coded parameters run on a coded kernel; set AgentConfig::kernel \
-                 to KernelKind::Coded or KernelKind::CodedTurbo"
+                "the coded kernel does not model the Section VIII-C retry \
+                 speed-up (retry_speedup must be 1)"
                     .into(),
             ));
-        }
-        if config.kernel == KernelKind::CodedTurbo && params.field.order() != 2 {
-            return Err(SwarmError::InvalidParameter(format!(
-                "the coded-turbo kernel is bitsliced over GF(2); GF({}) \
-                 scenarios route to the coded kernel (KernelKind::Coded)",
-                params.field.order()
-            )));
-        }
-        if config.retry_speedup != 1.0 {
-            return Err(SwarmError::InvalidParameter(format!(
-                "the {} kernel does not model the Section VIII-C retry \
-                 speed-up (retry_speedup must be 1)",
-                config.kernel.name()
-            )));
         }
         let gifts = params.gifts();
         gifts.validate_for(&params.base)?;
         Self::validate_config(&params.base, &config)?;
         Ok(AgentSwarm {
             params: params.base,
-            config,
+            config: AgentConfig {
+                kernel: KernelKind::Coded,
+                ..config
+            },
             policy: Box::new(RandomUseful),
             coded: Some(gifts),
         })
@@ -489,14 +460,12 @@ impl AgentSwarm {
     /// Runs like [`AgentSwarm::run_with_schedule`], reusing the buffers of
     /// `scratch` instead of allocating fresh state.
     ///
-    /// With the [`KernelKind::Turbo`] and [`KernelKind::CodedTurbo`] kernels
-    /// the entire peer table — piece rows, per-peer metadata, sampling
-    /// pools, snapshot buffer — lives in the scratch arena, so a replication
-    /// loop that calls this repeatedly (and returns each result via
-    /// [`SimScratch::recycle`]) performs no per-replication allocation once
-    /// the buffers have grown to the workload's high-water mark. The coded
-    /// kernel reuses the recycled snapshot buffer only and rebuilds its peer
-    /// state per run.
+    /// The entire peer table — piece rows or lazy subspaces, per-peer
+    /// metadata, sampling pools, basis arenas, snapshot buffer — lives in
+    /// the scratch arena, so a replication loop that calls this repeatedly
+    /// (and returns each result via [`SimScratch::recycle`]) reuses the
+    /// buffers' capacity once they have grown to the workload's high-water
+    /// mark. One scratch serves every kernel and every field.
     ///
     /// The scratch never influences the trajectory: for a fixed RNG stream
     /// the result is identical whether the scratch is fresh or warm.
@@ -544,41 +513,30 @@ impl AgentSwarm {
         self.validate_run(initial, flash)?;
         let mut schedule: Vec<FlashCrowd> = flash.to_vec();
         schedule.sort_by(|a, b| a.time.total_cmp(&b.time));
-        Ok(match self.config.kernel {
-            KernelKind::Turbo => drive(
+        // The coded kernel's bases are packed bit rows over GF(2) and
+        // reduced row-echelon field rows otherwise.
+        Ok(match &self.coded {
+            None => drive(
                 self,
                 turbo::State::new(self, initial, scratch, recorder),
                 &schedule,
                 horizon,
                 rng,
             ),
-            KernelKind::Coded | KernelKind::CodedTurbo => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "with_coded establishes the gift mix before a coded kernel is selectable"
-                )]
-                let gifts = self
-                    .coded
-                    .as_ref()
-                    .expect("with_coded establishes the gift mix for the coded kernels");
-                if self.config.kernel == KernelKind::Coded {
-                    drive(
-                        self,
-                        coded::State::new(self, gifts, initial, scratch.take_snapshots(), recorder),
-                        &schedule,
-                        horizon,
-                        rng,
-                    )
-                } else {
-                    drive(
-                        self,
-                        coded_turbo::State::new(self, gifts, initial, scratch, recorder),
-                        &schedule,
-                        horizon,
-                        rng,
-                    )
-                }
-            }
+            Some(gifts) if gifts.field.order() == 2 => drive(
+                self,
+                coded::State::<_, BitSubspace>::new(self, gifts, initial, scratch, recorder),
+                &schedule,
+                horizon,
+                rng,
+            ),
+            Some(gifts) => drive(
+                self,
+                coded::State::<_, Subspace>::new(self, gifts, initial, scratch, recorder),
+                &schedule,
+                horizon,
+                rng,
+            ),
         })
     }
 }
@@ -877,15 +835,6 @@ mod tests {
             b = b.seed_departure_rate(gamma);
         }
         b.build().unwrap()
-    }
-
-    #[test]
-    fn kernel_names_round_trip_through_the_table() {
-        for (index, kind) in KernelKind::ALL.into_iter().enumerate() {
-            assert_eq!(kind as usize, index, "ALL is in declaration order");
-            assert_eq!(KernelKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(KernelKind::from_name("warp"), None);
     }
 
     #[test]
@@ -1318,7 +1267,6 @@ mod tests {
     }
 
     fn coded_sim(
-        kernel: KernelKind,
         k: usize,
         q: u64,
         lambda: f64,
@@ -1327,250 +1275,154 @@ mod tests {
         gamma: f64,
     ) -> Result<AgentSwarm, SwarmError> {
         let params = crate::coded::CodedParams::gift_example(k, q, lambda, f, us, 1.0, gamma)?;
-        AgentSwarm::with_coded(
-            params,
-            AgentConfig {
-                kernel,
-                snapshot_interval: 5.0,
-                ..Default::default()
-            },
-        )
+        let config = AgentConfig {
+            snapshot_interval: 5.0,
+            ..Default::default()
+        };
+        AgentSwarm::with_coded(params, config)
     }
 
     #[test]
     fn coded_kernel_requires_with_coded_and_vice_versa() {
+        // Uncoded parameters cannot select the coded kernel...
         let p = params(3, 0.5, 1.0, 2.0, 1.0);
         let config = AgentConfig {
             kernel: KernelKind::Coded,
             ..Default::default()
         };
         assert!(AgentSwarm::with_config(p, config, Box::new(RandomUseful)).is_err());
-        let coded =
-            crate::coded::CodedParams::gift_example(3, 8, 1.0, 0.5, 0.0, 1.0, f64::INFINITY)
-                .unwrap();
-        // Coded parameters on a non-coded kernel are rejected...
-        assert!(AgentSwarm::with_coded(coded.clone(), AgentConfig::default()).is_err());
-        // ...as is the unsupported retry speed-up.
-        let boosted = AgentConfig {
-            kernel: KernelKind::Coded,
-            retry_speedup: 2.0,
-            ..Default::default()
-        };
-        assert!(AgentSwarm::with_coded(coded.clone(), boosted).is_err());
-        let ok = AgentSwarm::with_coded(
-            coded,
-            AgentConfig {
-                kernel: KernelKind::Coded,
+        // ...coded parameters select it over every field, whatever the
+        // configured kernel...
+        for q in [2, 4, 8] {
+            let coded =
+                crate::coded::CodedParams::gift_example(3, q, 1.0, 0.5, 0.0, 1.0, f64::INFINITY)
+                    .unwrap();
+            let sim = AgentSwarm::with_coded(coded.clone(), AgentConfig::default()).unwrap();
+            assert_eq!(sim.config().kernel, KernelKind::Coded, "GF({q})");
+            assert!(sim.coded_gifts().is_some());
+            // ...and the retry speed-up stays unsupported.
+            let boosted = AgentConfig {
+                retry_speedup: 2.0,
                 ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(ok.coded_gifts().is_some());
+            };
+            assert!(AgentSwarm::with_coded(coded, boosted).is_err());
+        }
     }
 
     #[test]
     fn coded_kernel_stable_case_completes_and_departs() {
-        // Generous gifts, K = 3, GF(8): stable per Theorem 15, so peers keep
-        // decoding and leaving and the dimension bookkeeping stays exact.
-        let (_, hi) = crate::coded::theorem15_gift_thresholds(8, 3);
-        let f = (3.0 * hi).min(1.0);
-        let sim = coded_sim(KernelKind::Coded, 3, 8, 1.0, f, 0.0, f64::INFINITY).unwrap();
-        let mut rng = StdRng::seed_from_u64(51);
-        let result = sim.run(&[], 800.0, &mut rng);
-        assert!(result.sojourns.departures > 50, "decoders depart");
-        assert!(result.transfers > 0);
-        let mut prev_decodes = 0;
-        for snap in &result.snapshots {
-            assert_eq!(snap.groups.total(), snap.total_peers, "groups partition");
-            assert_eq!(snap.peer_seeds, 0, "γ = ∞ leaves no decoders behind");
-            assert!(snap.watch_piece_copies <= 3 * snap.total_peers, "dim ≤ K");
-            assert!(snap.watch_piece_downloads >= prev_decodes);
-            prev_decodes = snap.watch_piece_downloads;
+        // Generous gifts, K = 3: peers keep decoding and leaving and the
+        // dimension bookkeeping stays exact, over GF(2) and GF(8).
+        for (q, seed) in [(2, 61), (8, 51)] {
+            let (_, hi) = crate::coded::theorem15_gift_thresholds(q, 3);
+            let f = (3.0 * hi).min(1.0);
+            let sim = coded_sim(3, q, 1.0, f, 0.0, f64::INFINITY).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let result = sim.run(&[], 800.0, &mut rng);
+            assert!(result.sojourns.departures > 50, "GF({q}): decoders depart");
+            assert!(result.transfers > 0);
+            let mut prev_decodes = 0;
+            for snap in &result.snapshots {
+                assert_eq!(snap.groups.total(), snap.total_peers, "groups partition");
+                assert_eq!(snap.peer_seeds, 0, "γ = ∞ leaves no decoders behind");
+                assert!(snap.watch_piece_copies <= 3 * snap.total_peers, "dim ≤ K");
+                assert!(snap.watch_piece_downloads >= prev_decodes);
+                prev_decodes = snap.watch_piece_downloads;
+            }
+            // The final histogram partitions the final population.
+            let hist_total: u64 = result.final_dimensions.iter().sum();
+            assert_eq!(hist_total, result.final_snapshot().total_peers);
+            assert_eq!(result.final_dimensions.len(), 4);
+            let classifier = markov::PathClassifier::new(1.0, 40.0);
+            assert_eq!(
+                classifier.classify(&result.peer_count_path()).class,
+                markov::PathClass::Stable,
+                "GF({q})"
+            );
         }
-        // The final histogram partitions the final population.
-        let hist_total: u64 = result.final_dimensions.iter().sum();
-        assert_eq!(hist_total, result.final_snapshot().total_peers);
-        assert_eq!(result.final_dimensions.len(), 4);
-        let classifier = markov::PathClassifier::new(1.0, 40.0);
-        assert_eq!(
-            classifier.classify(&result.peer_count_path()).class,
-            markov::PathClass::Stable
-        );
     }
 
     #[test]
     fn coded_kernel_starved_case_grows_without_departures() {
         // No gifts, no seed: nothing ever decodes.
-        let sim = coded_sim(KernelKind::Coded, 3, 8, 1.0, 0.0, 0.0, f64::INFINITY).unwrap();
-        let mut rng = StdRng::seed_from_u64(52);
-        let result = sim.run(&[], 500.0, &mut rng);
-        assert_eq!(result.sojourns.departures, 0);
-        assert_eq!(result.transfers, 0, "no knowledge ever enters the swarm");
-        let trend = result.peer_count_path().trend(0.5);
-        assert!(trend.slope > 0.5, "slope {}", trend.slope);
+        for q in [2, 8] {
+            let sim = coded_sim(3, q, 1.0, 0.0, 0.0, f64::INFINITY).unwrap();
+            let mut rng = StdRng::seed_from_u64(52);
+            let result = sim.run(&[], 500.0, &mut rng);
+            assert_eq!(result.sojourns.departures, 0);
+            assert_eq!(result.transfers, 0, "no knowledge ever enters the swarm");
+            let trend = result.peer_count_path().trend(0.5);
+            assert!(trend.slope > 0.5, "GF({q}): slope {}", trend.slope);
+        }
     }
 
     #[test]
     fn coded_kernel_finite_gamma_keeps_decoders_and_flash_crowds_inject() {
-        let sim = coded_sim(KernelKind::Coded, 3, 8, 1.0, 0.5, 0.5, 2.0).unwrap();
-        let crowd = FlashCrowd {
-            time: 60.0,
-            count: 80,
-            pieces: PieceSet::empty(),
-        };
-        let mut rng = StdRng::seed_from_u64(53);
-        let result = sim
-            .run_with_schedule(&[], &[crowd], 300.0, &mut rng)
-            .unwrap();
-        assert!(result.sojourns.departures > 0);
-        assert!(
-            result.snapshots.iter().any(|s| s.peer_seeds > 0),
-            "finite γ lets decoders dwell"
-        );
-        let before = result.snapshots.iter().rfind(|s| s.time < 60.0).unwrap();
-        let after = result.snapshots.iter().find(|s| s.time > 60.0).unwrap();
-        assert!(
-            after.total_peers >= before.total_peers + 50,
-            "crowd visible"
-        );
-        for snap in &result.snapshots {
-            assert_eq!(snap.groups.total(), snap.total_peers);
+        for (q, seed) in [(2, 62), (8, 53)] {
+            let sim = coded_sim(3, q, 1.0, 0.5, 0.5, 2.0).unwrap();
+            let crowd = FlashCrowd {
+                time: 60.0,
+                count: 80,
+                pieces: PieceSet::empty(),
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let result = sim
+                .run_with_schedule(&[], &[crowd], 300.0, &mut rng)
+                .unwrap();
+            assert!(result.sojourns.departures > 0);
+            assert!(
+                result.snapshots.iter().any(|s| s.peer_seeds > 0),
+                "GF({q}): finite γ lets decoders dwell"
+            );
+            let before = result.snapshots.iter().rfind(|s| s.time < 60.0).unwrap();
+            let after = result.snapshots.iter().find(|s| s.time > 60.0).unwrap();
+            assert!(
+                after.total_peers >= before.total_peers + 50,
+                "crowd visible"
+            );
+            for snap in &result.snapshots {
+                assert_eq!(snap.groups.total(), snap.total_peers);
+            }
         }
     }
 
     #[test]
     fn coded_kernel_is_deterministic_per_seed() {
-        let sim = coded_sim(KernelKind::Coded, 4, 4, 1.2, 0.6, 0.3, 3.0).unwrap();
         let initial = vec![PieceSet::singleton(PieceId::new(1)); 15];
-        let mut a = StdRng::seed_from_u64(54);
-        let mut b = StdRng::seed_from_u64(54);
-        let ra = sim.run(&initial, 200.0, &mut a);
-        let rb = sim.run(&initial, 200.0, &mut b);
-        assert_eq!(ra, rb);
-        // Initial piece collections map to unit-vector spans: 15 peers at
-        // dimension 1 at time zero.
-        assert_eq!(ra.snapshots[0].watch_piece_copies, 15);
-        assert_eq!(ra.snapshots[0].total_peers, 15);
-    }
-
-    #[test]
-    fn coded_turbo_kernel_guards_its_constructor_and_gf2() {
-        let p = params(3, 0.5, 1.0, 2.0, 1.0);
-        let config = AgentConfig {
-            kernel: KernelKind::CodedTurbo,
-            ..Default::default()
-        };
-        // Uncoded parameters cannot select the coded-turbo kernel...
-        assert!(AgentSwarm::with_config(p, config, Box::new(RandomUseful)).is_err());
-        let gf2 = crate::coded::CodedParams::gift_example(3, 2, 1.0, 0.5, 0.0, 1.0, f64::INFINITY)
-            .unwrap();
-        // ...coded parameters need the coded-turbo kernel selected...
-        assert!(AgentSwarm::with_coded(gf2.clone(), AgentConfig::default()).is_err());
-        // ...the retry speed-up stays unsupported...
-        let boosted = AgentConfig {
-            kernel: KernelKind::CodedTurbo,
-            retry_speedup: 2.0,
-            ..Default::default()
-        };
-        assert!(AgentSwarm::with_coded(gf2.clone(), boosted).is_err());
-        // ...and GF(q > 2) runs on the RREF kernel, not this one.
-        let gf8 = crate::coded::CodedParams::gift_example(3, 8, 1.0, 0.5, 0.0, 1.0, f64::INFINITY)
-            .unwrap();
-        let turbo_config = AgentConfig {
-            kernel: KernelKind::CodedTurbo,
-            ..Default::default()
-        };
-        let err = match AgentSwarm::with_coded(gf8, turbo_config) {
-            Err(err) => err,
-            Ok(_) => panic!("GF(8) must be rejected by the bitsliced kernel"),
-        };
-        assert!(err.to_string().contains("GF(8)"), "{err}");
-        assert!(AgentSwarm::with_coded(gf2, turbo_config).is_ok());
-    }
-
-    #[test]
-    fn coded_turbo_stable_case_completes_and_departs() {
-        // Generous gifts over GF(2), K = 3: stable per Theorem 15, so peers
-        // keep decoding and leaving with the dimension bookkeeping exact.
-        let (_, hi) = crate::coded::theorem15_gift_thresholds(2, 3);
-        let f = (1.2 * hi).min(1.0);
-        let sim = coded_sim(KernelKind::CodedTurbo, 3, 2, 1.0, f, 0.0, f64::INFINITY).unwrap();
-        let mut rng = StdRng::seed_from_u64(61);
-        let result = sim.run(&[], 800.0, &mut rng);
-        assert!(result.sojourns.departures > 50, "decoders depart");
-        assert!(result.transfers > 0);
-        let mut prev_decodes = 0;
-        for snap in &result.snapshots {
-            assert_eq!(snap.groups.total(), snap.total_peers, "groups partition");
-            assert_eq!(snap.peer_seeds, 0, "γ = ∞ leaves no decoders behind");
-            assert!(snap.watch_piece_copies <= 3 * snap.total_peers, "dim ≤ K");
-            assert!(snap.watch_piece_downloads >= prev_decodes);
-            prev_decodes = snap.watch_piece_downloads;
-        }
-        let hist_total: u64 = result.final_dimensions.iter().sum();
-        assert_eq!(hist_total, result.final_snapshot().total_peers);
-        assert_eq!(result.final_dimensions.len(), 4);
-        let classifier = markov::PathClassifier::new(1.0, 40.0);
-        assert_eq!(
-            classifier.classify(&result.peer_count_path()).class,
-            markov::PathClass::Stable
-        );
-    }
-
-    #[test]
-    fn coded_turbo_finite_gamma_keeps_decoders_and_flash_crowds_inject() {
-        let sim = coded_sim(KernelKind::CodedTurbo, 3, 2, 1.0, 0.5, 0.5, 2.0).unwrap();
-        let crowd = FlashCrowd {
-            time: 60.0,
-            count: 80,
-            pieces: PieceSet::empty(),
-        };
-        let mut rng = StdRng::seed_from_u64(62);
-        let result = sim
-            .run_with_schedule(&[], &[crowd], 300.0, &mut rng)
-            .unwrap();
-        assert!(result.sojourns.departures > 0);
-        assert!(
-            result.snapshots.iter().any(|s| s.peer_seeds > 0),
-            "finite γ lets decoders dwell"
-        );
-        let before = result.snapshots.iter().rfind(|s| s.time < 60.0).unwrap();
-        let after = result.snapshots.iter().find(|s| s.time > 60.0).unwrap();
-        assert!(
-            after.total_peers >= before.total_peers + 50,
-            "crowd visible"
-        );
-        for snap in &result.snapshots {
-            assert_eq!(snap.groups.total(), snap.total_peers);
-        }
-    }
-
-    #[test]
-    fn coded_turbo_is_deterministic_per_seed_and_scratch_neutral() {
-        let sim = coded_sim(KernelKind::CodedTurbo, 4, 2, 1.2, 0.6, 0.3, 3.0).unwrap();
-        let initial = vec![PieceSet::singleton(PieceId::new(1)); 15];
-        let mut a = StdRng::seed_from_u64(63);
-        let mut b = StdRng::seed_from_u64(63);
-        let ra = sim.run(&initial, 200.0, &mut a);
-        let rb = sim.run(&initial, 200.0, &mut b);
-        assert_eq!(ra, rb);
-        // Initial piece collections are pure-unit lazy peers: 15 peers at
-        // dimension 1 at time zero, nothing materialized.
-        assert_eq!(ra.snapshots[0].watch_piece_copies, 15);
-        assert_eq!(ra.snapshots[0].total_peers, 15);
-        // A warm scratch from a previous replication must not change the
-        // trajectory.
+        // A scratch warmed by a GF(4) run, whose bases are field rows.
         let mut scratch = SimScratch::new();
-        let mut warmup = StdRng::seed_from_u64(99);
-        let first = sim
-            .run_with_scratch(&initial, &[], 200.0, &mut warmup, &mut scratch)
+        let warmup = coded_sim(4, 4, 1.2, 0.6, 0.3, 3.0)
+            .unwrap()
+            .run_with_scratch(
+                &initial,
+                &[],
+                200.0,
+                &mut StdRng::seed_from_u64(99),
+                &mut scratch,
+            )
             .unwrap();
-        scratch.recycle(first);
-        let mut c = StdRng::seed_from_u64(63);
-        let rc = sim
-            .run_with_scratch(&initial, &[], 200.0, &mut c, &mut scratch)
-            .unwrap();
-        assert_eq!(ra, rc, "warm scratch is trajectory-neutral");
+        scratch.recycle(warmup);
+        for q in [8, 2] {
+            let sim = coded_sim(4, q, 1.2, 0.6, 0.3, 3.0).unwrap();
+            let mut a = StdRng::seed_from_u64(63);
+            let mut b = StdRng::seed_from_u64(63);
+            let ra = sim.run(&initial, 200.0, &mut a);
+            let rb = sim.run(&initial, 200.0, &mut b);
+            assert_eq!(ra, rb, "GF({q})");
+            // Initial piece collections are pure-unit lazy peers: 15 peers
+            // at dimension 1 at time zero.
+            assert_eq!(ra.snapshots[0].watch_piece_copies, 15);
+            assert_eq!(ra.snapshots[0].total_peers, 15);
+            assert!(ra.transfers > 0);
+            // The warm scratch, already used over another field, must not
+            // change the trajectory.
+            let mut c = StdRng::seed_from_u64(63);
+            let rc = sim
+                .run_with_scratch(&initial, &[], 200.0, &mut c, &mut scratch)
+                .unwrap();
+            assert_eq!(ra, rc, "GF({q}): warm scratch is trajectory-neutral");
+            scratch.recycle(rc);
+        }
     }
 
     #[test]

@@ -177,7 +177,7 @@ impl AgentSwarm {
         if self.config.kernel != KernelKind::Turbo {
             return Err(SwarmError::InvalidParameter(format!(
                 "sharded execution requires the turbo kernel (got {:?}); the \
-                 coded kernels are not sharded yet",
+                 coded kernel is not sharded yet",
                 self.config.kernel
             )));
         }

@@ -127,8 +127,8 @@ pub(super) enum Change {
     NoSeed,
 }
 
-/// Reusable buffers for the turbo kernel: one arena per worker, reused
-/// across replications.
+/// Reusable buffers for the turbo and coded kernels: one arena per worker,
+/// reused across replications.
 ///
 /// A fresh scratch is just empty buffers — the first run grows them to the
 /// workload's high-water mark, and every later run on the same scratch
@@ -155,9 +155,9 @@ pub struct SimScratch {
     arrival_types: Vec<PieceSet>,
     arrival_weights: Vec<f64>,
     arrival_alias: AliasTable,
-    /// The coded turbo kernel's arena (peer table, basis slots, pools);
-    /// untouched by the uncoded kernels. See [`super::coded_turbo`].
-    pub(super) coded: super::coded_turbo::CodedScratch,
+    /// The coded kernel's arena (peer table, basis slots, pools);
+    /// untouched by the uncoded kernel. See [`super::coded`].
+    pub(super) coded: super::coded::CodedScratch,
 }
 
 impl Default for SimScratch {
@@ -179,7 +179,7 @@ impl SimScratch {
             arrival_types: Vec::new(),
             arrival_weights: Vec::new(),
             arrival_alias: AliasTable::default(),
-            coded: super::coded_turbo::CodedScratch::default(),
+            coded: super::coded::CodedScratch::default(),
         }
     }
 
@@ -194,15 +194,6 @@ impl SimScratch {
         if snapshots.capacity() > self.snapshots.capacity() {
             self.snapshots = snapshots;
         }
-    }
-
-    /// Hands the (cleared) snapshot buffer to a non-turbo kernel, which
-    /// owns its peer state but can still reuse the recycled snapshot
-    /// capacity.
-    pub(super) fn take_snapshots(&mut self) -> Vec<SimSnapshot> {
-        let mut snapshots = std::mem::take(&mut self.snapshots);
-        snapshots.clear();
-        snapshots
     }
 
     /// Clears every buffer (keeping capacity) and reconfigures for a run of

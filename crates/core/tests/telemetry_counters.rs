@@ -39,13 +39,14 @@ fn uncoded_sim(kernel: KernelKind) -> AgentSwarm {
     .expect("valid simulator")
 }
 
-fn coded_sim() -> AgentSwarm {
-    let coded = swarm::coded::CodedParams::gift_example(3, 8, 1.2, 0.5, 0.5, 1.0, 2.0)
+/// A gift-heavy coded swarm over `GF(q)`: half the arrivals carry a coded
+/// piece, finite γ, K = 3.
+fn coded_sim(q: u64) -> AgentSwarm {
+    let coded = swarm::coded::CodedParams::gift_example(3, q, 1.2, 0.5, 0.5, 1.0, 2.0)
         .expect("valid coded parameters");
     AgentSwarm::with_coded(
         coded,
         AgentConfig {
-            kernel: KernelKind::Coded,
             snapshot_interval: 5.0,
             ..Default::default()
         },
@@ -191,100 +192,50 @@ fn turbo_kernel_counters_satisfy_their_invariants() {
 
 #[test]
 fn coded_kernel_counters_satisfy_their_invariants() {
-    let sim = coded_sim();
-    let (result, c) = metered_run(&sim, 404, 200.0);
-    assert_invariants(&result, &c, "coded");
-    assert!(
-        c.get(Counter::RrefAbsorbs) >= c.get(Counter::RankIncreases),
-        "an absorb can fail, a rank increase cannot happen without one"
-    );
-    // Regression for the materialization ledger: gift rows and seed uploads
-    // are fresh uniform vectors — no basis is read to build them, so they
-    // are absorbs but NOT materializations. Only the peer-tick uploader
-    // combination reads a basis. The original ledger counted every
-    // constructed row, making basis_materializations == rref_absorbs and
-    // hiding what the fast path saves.
-    assert!(
-        c.get(Counter::BasisMaterializations) < c.get(Counter::RrefAbsorbs),
-        "fresh uniform rows are not basis reads: {c:?}"
-    );
-    assert!(
-        c.get(Counter::BasisMaterializations) > 0,
-        "peer-tick combinations do read a basis: {c:?}"
-    );
-    assert!(
-        c.get(Counter::BasisMaterializations) <= c.get(Counter::Contacts),
-        "at most one combination per contact"
-    );
-    assert!(
-        c.get(Counter::DimFastPathHits) > 0,
-        "dimension-only decisions happen: {c:?}"
-    );
-    assert!(
-        c.get(Counter::DimFastPathHits) <= c.get(Counter::UselessContacts),
-        "in the reference kernel every dim fast-path hit is a useless contact"
-    );
-    // Rank increases from contacts are the useful transfers; arrivals also
-    // absorb gift rows, so the total rank increases dominate.
-    assert!(c.get(Counter::RankIncreases) >= result.transfers);
-    assert_eq!(c.get(Counter::AliasRebuilds), 1, "one gift alias build");
-}
-
-fn coded_turbo_sim() -> AgentSwarm {
-    // The GF(2) twin of `coded_sim`: gift-heavy (half the arrivals carry a
-    // coded piece), finite γ, K = 3.
-    let coded = swarm::coded::CodedParams::gift_example(3, 2, 1.2, 0.5, 0.5, 1.0, 2.0)
-        .expect("valid coded parameters");
-    AgentSwarm::with_coded(
-        coded,
-        AgentConfig {
-            kernel: KernelKind::CodedTurbo,
-            snapshot_interval: 5.0,
-            ..Default::default()
-        },
-    )
-    .expect("valid coded-turbo simulator")
+    for (q, seed) in [(2, 505), (8, 404)] {
+        let what = format!("coded over GF({q})");
+        let (result, c) = metered_run(&coded_sim(q), seed, 200.0);
+        assert_invariants(&result, &c, &what);
+        assert!(
+            c.get(Counter::RrefAbsorbs) >= c.get(Counter::RejectionRetries),
+            "{what}: every rejection retry was a failed absorb"
+        );
+        // Rank increases count every dimension gained by a peer — lazily or
+        // through a basis — so they dominate the contact-driven transfers.
+        assert!(c.get(Counter::RankIncreases) >= result.transfers, "{what}");
+        assert_eq!(
+            c.get(Counter::AliasRebuilds),
+            1,
+            "{what}: one gift alias build"
+        );
+        assert!(
+            c.get(Counter::PoolOps) >= 2 * c.get(Counter::Departures),
+            "{what}: each departing decoder entered and left the seed pool"
+        );
+    }
 }
 
 #[test]
-fn coded_turbo_kernel_counters_satisfy_their_invariants() {
-    let sim = coded_turbo_sim();
-    let (result, c) = metered_run(&sim, 505, 200.0);
-    assert_invariants(&result, &c, "coded-turbo");
-    assert!(
-        c.get(Counter::RrefAbsorbs) >= c.get(Counter::RejectionRetries),
-        "every rejection retry was a failed absorb"
-    );
-    // Rank increases count every dimension gained by a peer — lazily or
-    // through a basis — so they dominate the contact-driven transfers.
-    assert!(c.get(Counter::RankIncreases) >= result.transfers);
-    assert_eq!(c.get(Counter::AliasRebuilds), 1, "one gift alias build");
-    assert!(
-        c.get(Counter::PoolOps) >= 2 * c.get(Counter::Departures),
-        "each departing decoder entered and left the seed pool"
-    );
-}
-
-#[test]
-fn coded_turbo_laziness_shows_in_the_ledger_on_a_gift_heavy_scenario() {
-    // The tentpole claim of the bitsliced kernel, stated as counter algebra:
+fn coded_laziness_shows_in_the_ledger_on_a_gift_heavy_scenario() {
+    // The lazy-peer claim, stated as counter algebra over GF(2) and GF(8):
     // on a gift-heavy scenario most decisions resolve from cached
     // dimensions, bases are materialized rarely, and each materialized
     // basis is then worked more than once on average.
-    let sim = coded_turbo_sim();
-    let (_, c) = metered_run(&sim, 606, 200.0);
-    assert!(
-        c.get(Counter::BasisMaterializations) < c.get(Counter::RrefAbsorbs),
-        "laziness: materialization events are rarer than basis absorbs: {c:?}"
-    );
-    assert!(
-        c.get(Counter::DimFastPathHits) > c.get(Counter::BasisMaterializations),
-        "dimension-only decisions dominate materializations: {c:?}"
-    );
-    assert!(
-        c.get(Counter::BasisMaterializations) > 0,
-        "peer-to-peer transfers do materialize bases: {c:?}"
-    );
+    for q in [2, 8] {
+        let (_, c) = metered_run(&coded_sim(q), 606, 200.0);
+        assert!(
+            c.get(Counter::BasisMaterializations) < c.get(Counter::RrefAbsorbs),
+            "GF({q}) laziness: materialization events are rarer than basis absorbs: {c:?}"
+        );
+        assert!(
+            c.get(Counter::DimFastPathHits) > c.get(Counter::BasisMaterializations),
+            "GF({q}): dimension-only decisions dominate materializations: {c:?}"
+        );
+        assert!(
+            c.get(Counter::BasisMaterializations) > 0,
+            "GF({q}): peer-to-peer transfers do materialize bases: {c:?}"
+        );
+    }
 }
 
 #[test]

@@ -18,9 +18,8 @@
 //!
 //! Session workers replicate through a per-worker [`SimScratch`] arena: the
 //! simulator's peer table, sampling pools, and snapshot buffers are reused
-//! across the replications each worker serves (fully so under the turbo
-//! kernel), so a batch performs no per-replication reallocation once the
-//! buffers reach the workload's high-water mark. The scratch never changes
+//! across the replications each worker serves, so a batch performs no
+//! per-replication reallocation once the buffers reach the workload's high-water mark. The scratch never changes
 //! the numbers — batches stay bit-identical at any worker count.
 
 use crate::config::EngineConfig;
@@ -53,9 +52,8 @@ pub struct AgentScenario {
     /// Scheduled flash crowds.
     pub flash: Vec<FlashCrowd>,
     /// Coded arrival mix of the Section VIII-B network-coded variant. When
-    /// present, the scenario runs on [`swarm::sim::KernelKind::Coded`] or —
-    /// for GF(2) — the bitsliced [`swarm::sim::KernelKind::CodedTurbo`]
-    /// (`config.kernel` picks which), `params` acts as the base parameter
+    /// present, the scenario runs on [`swarm::sim::KernelKind::Coded`]
+    /// whatever `config.kernel` says, `params` acts as the base parameter
     /// set, and the theory verdict comes from Theorem 15 instead of
     /// Theorem 1.
     pub coding: Option<CodedGifts>,
@@ -121,9 +119,6 @@ impl AgentScenario {
                     self.policy
                 )));
             }
-            // `with_coded` rejects a field other than GF(2) on the
-            // bitsliced coded-turbo kernel with a typed error that surfaces
-            // through the session build.
             return AgentSwarm::with_coded(gifts.with_base(self.params.clone()), self.config);
         }
         let policy = policy::by_name(&self.policy).ok_or_else(|| {

@@ -36,11 +36,9 @@ pub struct CodedGridSpec {
     pub contact_rate: f64,
     /// Peer-seed departure rate `γ` (`f64::INFINITY` = immediate departure).
     pub seed_departure_rate: f64,
-    /// Simulator configuration template. `kernel` is forced to
-    /// [`swarm::sim::KernelKind::Coded`] per cell, unless it explicitly
-    /// names [`swarm::sim::KernelKind::CodedTurbo`] — the bitsliced GF(2)
-    /// fast kernel — which is honoured (and rejects cells with `q ≠ 2` at
-    /// session build).
+    /// Simulator configuration template of every cell. Its `kernel` is not
+    /// read: coded cells always run [`swarm::sim::KernelKind::Coded`], over
+    /// each cell's field.
     pub sim: AgentConfig,
 }
 

@@ -89,7 +89,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use swarm::coded::CodedParams;
-use swarm::sim::{AgentConfig, KernelKind, SimScratch, TURBO_DRAW_ORDER};
+use swarm::sim::{SimScratch, CODED_DRAW_ORDER, TURBO_DRAW_ORDER};
 use swarm::{stability, StabilityVerdict, SwarmModel, SwarmParams};
 use telemetry::{Histogram, Span};
 
@@ -374,8 +374,7 @@ impl Workload {
     }
 
     /// A Theorem 15 `(f, q, K)` coded phase-diagram sweep on the coded
-    /// kernel (or the bitsliced coded-turbo kernel when `spec.sim.kernel`
-    /// asks for it). Cells whose parameters fail to construct (an unsupported
+    /// kernel. Cells whose parameters fail to construct (an unsupported
     /// field order, an invalid fraction) are skipped and counted in
     /// [`CodedPhaseDiagram::skipped`]; scenario ids are linear cell
     /// indices.
@@ -385,15 +384,6 @@ impl Workload {
         let mut scenarios = Vec::new();
         let mut skipped = 0usize;
         let mut linear_index = 0u64;
-        // A coded sweep honours an explicit coded-turbo request (the
-        // bitsliced GF(2) kernel); any other configured kernel is overridden
-        // to the reference coded kernel.
-        let kernel = if spec.sim.kernel == KernelKind::CodedTurbo {
-            KernelKind::CodedTurbo
-        } else {
-            KernelKind::Coded
-        };
-        let sim_config = AgentConfig { kernel, ..spec.sim };
         for &k in &spec.pieces {
             for &q in &spec.field_orders {
                 for &f in &spec.gift_fraction.values {
@@ -413,7 +403,7 @@ impl Workload {
                                 params.base.clone(),
                             );
                             scenario.coding = Some(params.gifts());
-                            scenario.config = sim_config;
+                            scenario.config = spec.sim;
                             coords.push((k, q, f));
                             scenarios.push(scenario);
                         }
@@ -735,7 +725,8 @@ impl Session {
     /// now runs with, so checkpoints written by earlier builds resume.
     ///
     /// An agent scenario on the unsharded turbo kernel also folds in
-    /// [`swarm::sim::TURBO_DRAW_ORDER`]: its config and workload are the
+    /// [`swarm::sim::TURBO_DRAW_ORDER`], and a coded scenario
+    /// [`swarm::sim::CODED_DRAW_ORDER`]: their config and workload are the
     /// same under any draw order, and a checkpoint written under another
     /// order would resume into a mix of two streams that matches neither
     /// build's uninterrupted run.
@@ -762,7 +753,9 @@ impl Session {
             WorkloadKind::Agent(scenarios) | WorkloadKind::Coded { scenarios, .. } => {
                 for s in scenarios {
                     desc.push_str(&format!("{s:?}\n"));
-                    if s.config.kernel == KernelKind::Turbo && s.shard_plan(1).is_none() {
+                    if s.coding.is_some() {
+                        desc.push_str(&format!("draw_order={CODED_DRAW_ORDER}\n"));
+                    } else if s.shard_plan(1).is_none() {
                         desc.push_str(&format!("draw_order={TURBO_DRAW_ORDER}\n"));
                     }
                 }

@@ -18,8 +18,9 @@
 //! resume from the surviving checkpoint file, asserting the combined run is
 //! byte-identical to an uninterrupted one. Two of them resume checkpoint
 //! files kept under `tests/fixtures/`, written by an earlier build, so the
-//! checkpoint format and digest hold across commits; a third, written
-//! under an earlier turbo draw order, must be refused.
+//! checkpoint format and digest hold across commits; two more, written
+//! under an earlier turbo draw order and on the retired RREF coded kernel,
+//! must be refused.
 
 #![allow(
     clippy::disallowed_methods,
@@ -33,6 +34,8 @@ use engine::{
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use swarm::coded::CodedParams;
+use swarm::sim::KernelKind;
 use swarm::SwarmParams;
 
 /// Collects everything a stream delivers, for byte-level comparison.
@@ -458,6 +461,46 @@ fn a_turbo_checkpoint_written_under_another_draw_order_is_refused() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures/agent-per-contact-clock.ckpt");
     match agent_session(1).resume(&path) {
+        Err(Error::CheckpointMismatch { .. }) => {}
+        other => panic!("expected CheckpointMismatch, got {other:?}"),
+    }
+}
+
+/// A GF(4) coded scenario with the given stream key, label and gift
+/// fraction.
+fn coded_scenario(id: u64, label: &str, gift_fraction: f64) -> AgentScenario {
+    let coded = CodedParams::gift_example(3, 4, 1.0, gift_fraction, 0.5, 1.0, 2.0)
+        .expect("valid coded parameters");
+    let mut scenario = AgentScenario::new(id, label, coded.base.clone());
+    scenario.coding = Some(coded.gifts());
+    // The kernel the earlier build needed named, so the scenario's text in
+    // the digest matches the fixture's.
+    scenario.config.kernel = KernelKind::Coded;
+    scenario
+}
+
+#[test]
+fn a_coded_checkpoint_written_on_another_kernel_is_refused() {
+    // A `FailFast` session of two GF(4) scenarios, aborted at frontier 5 of
+    // 8 by a build whose coded scenarios ran on the RREF kernel. Its config
+    // and workload match this session's, so only the coded draw-order
+    // token in the digest keeps it from resuming into a mix of two streams.
+    let session = Session::builder()
+        .config(
+            EngineConfig::default()
+                .with_replications(4)
+                .with_horizon(100.0)
+                .with_master_seed(0xC1A05)
+                .with_jobs(1),
+        )
+        .workload(Workload::agent(vec![
+            coded_scenario(0, "gifted", 0.6),
+            coded_scenario(1, "lean", 0.1),
+        ]))
+        .build()
+        .expect("valid session");
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/coded-rref.ckpt");
+    match session.resume(&path) {
         Err(Error::CheckpointMismatch { .. }) => {}
         other => panic!("expected CheckpointMismatch, got {other:?}"),
     }

@@ -11,7 +11,6 @@ use engine::{
 use markov::gillespie::StopRule;
 use markov::PathClass;
 use swarm::mu_infinity::{MuInfinityProcess, MuInfinityState};
-use swarm::sim::KernelKind;
 use swarm::{stability, StabilityVerdict, SwarmModel, SwarmParams};
 use workload::experiments::{self, ExperimentConfig, EXAMPLE1_LOADS};
 use workload::{scenario, Registry, ScenarioRunOptions};
@@ -130,7 +129,7 @@ impl ReplicationSink for Records {
 }
 
 /// `(events, transfers, class)` of each replication of the built-in
-/// scenario `name` after `edit` (the CLI's `--kernel` or `--shards`), run as
+/// scenario `name` after `edit` (the CLI's `--shards`), run as
 /// `run_experiments --scenario NAME --seed 7 --horizon 250 --replications 4`
 /// runs it.
 fn builtin_replications(
@@ -197,9 +196,9 @@ fn golden_master_holds_across_commits() {
     // any random stream fails here. Integers and classes only: a last-ulp
     // libm difference cannot flip them.
     use PathClass::{Growing, Indeterminate, Stable};
-    let turbo = builtin_replications("flash-crowd", |spec| spec.kernel = KernelKind::Turbo);
+    let turbo = builtin_replications("flash-crowd", |_| {});
     let sharded = builtin_replications("flash-crowd", |spec| spec.shards = Some(3));
-    let coded_turbo = builtin_replications("coded-turbo-gift", |_| {});
+    let coded = builtin_replications("coded-gift-super", |_| {});
     let mut ctmc = Records::default();
     Session::builder()
         .config(config(2))
@@ -229,14 +228,14 @@ fn golden_master_holds_across_commits() {
         "turbo sharded three ways"
     );
     assert_eq!(
-        coded_turbo,
+        coded,
         [
             (2984, 1700, Stable),
             (2932, 1626, Stable),
             (3016, 1705, Stable),
             (3430, 1945, Stable),
         ],
-        "coded-turbo kernel"
+        "coded kernel over GF(2)"
     );
     assert_eq!(
         ctmc,
@@ -406,10 +405,11 @@ fn golden_master_holds_across_commits() {
             ],
             "E7 (stable class, transient class, onset) per policy at {threads} threads"
         );
-        // E8 runs on the coded kernel: the one pin of a coded-kernel stream.
+        // E8 runs on the coded kernel over GF(8): the pin of its field-row
+        // stream, as `coded-gift-super` above pins the bit-row one.
         assert_eq!(
             e8,
-            ["33", "61", "131", "143"],
+            ["41", "116", "141", "119"],
             "E8 departures at {threads} threads"
         );
         assert_eq!(

@@ -8,7 +8,6 @@ use engine::{
     SessionOutput, StreamStats, Workload,
 };
 use swarm::coded::CodedParams;
-use swarm::sim::KernelKind;
 use swarm::SwarmParams;
 use telemetry::Counter;
 
@@ -23,15 +22,13 @@ fn example1(lambda0: f64) -> SwarmParams {
 }
 
 fn scenarios() -> Vec<AgentScenario> {
-    let mut turbo = AgentScenario::new(0, "turbo", example1(0.8));
-    turbo.config.kernel = KernelKind::Turbo;
+    let turbo = AgentScenario::new(0, "turbo", example1(0.8));
     // Example 1's rates at λ = 1.5 over GF(2), half the arrivals gifted.
     let coded =
         CodedParams::gift_example(1, 2, 1.5, 0.5, 1.0, 1.0, 2.0).expect("valid coded parameters");
-    let mut coded_turbo = AgentScenario::new(1, "coded-turbo", coded.base.clone());
-    coded_turbo.coding = Some(coded.gifts());
-    coded_turbo.config.kernel = KernelKind::CodedTurbo;
-    vec![turbo, coded_turbo]
+    let mut coded_gf2 = AgentScenario::new(1, "coded", coded.base.clone());
+    coded_gf2.coding = Some(coded.gifts());
+    vec![turbo, coded_gf2]
 }
 
 fn session(jobs: usize, metrics: bool) -> Session {

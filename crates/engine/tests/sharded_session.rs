@@ -165,8 +165,8 @@ fn a_sharded_non_turbo_scenario_is_rejected_at_build_time() {
         "the error names the kernel constraint: {message}"
     );
     assert!(
-        message.contains("coded kernels are not sharded") && !message.contains("parity"),
-        "the error names the coded kernels, not the deleted parity kernels: {message}"
+        message.contains("coded kernel is not sharded") && !message.contains("parity"),
+        "the error names the coded kernel, not the deleted parity kernels: {message}"
     );
 }
 

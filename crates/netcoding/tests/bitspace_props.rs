@@ -1,7 +1,7 @@
 //! Property-based differential tests of the bitsliced GF(2) subspace
 //! against the field-generic RREF `Subspace`.
 //!
-//! `BitSubspace` is the coded-turbo kernel's peer state: packed `u64` rows,
+//! `BitSubspace` is the coded kernel's `GF(2)` peer basis: packed `u64` rows,
 //! XOR reduction, popcount ranks. Any divergence from `Subspace` over
 //! `GF(2)` is a kernel correctness bug, so every test here drives both
 //! representations with the *same* row sequence and demands they agree on
@@ -208,7 +208,7 @@ proptest! {
 #[test]
 fn random_combination_is_uniform_over_the_span() {
     // `random_combination_into` must sample the span uniformly — the
-    // coded-turbo uploader's distribution-exactness depends on it. Build a
+    // coded kernel's GF(2) uploads depend on it for exactness. Build a
     // dim-4 subspace of GF(2)^9, draw 16 × 2^dim × 32 samples, and demand
     // every member's count within ±5 standard deviations of the uniform
     // expectation (and in particular every member reached).

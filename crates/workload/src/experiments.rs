@@ -27,7 +27,7 @@ use swarm::lyapunov::LyapunovFunction;
 use swarm::metrics::SimResult;
 use swarm::mu_infinity::{MuInfinityProcess, MuInfinityState};
 use swarm::policy;
-use swarm::sim::{AgentConfig, AgentSwarm, KernelKind};
+use swarm::sim::{AgentConfig, AgentSwarm};
 use swarm::stability;
 use swarm::{StabilityVerdict, SwarmModel, SwarmParams};
 
@@ -677,7 +677,6 @@ pub fn network_coding(config: &ExperimentConfig) -> ExperimentReport {
         let sim = AgentSwarm::with_coded(
             params.clone(),
             AgentConfig {
-                kernel: KernelKind::Coded,
                 snapshot_interval: config.horizon / 200.0,
                 ..Default::default()
             },
@@ -1059,6 +1058,7 @@ pub fn run_all(config: &ExperimentConfig) -> Vec<ExperimentReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swarm::sim::KernelKind;
 
     fn tiny() -> ExperimentConfig {
         ExperimentConfig {

@@ -157,9 +157,8 @@ pub struct InitialGroupSpec {
 }
 
 /// The `"coding"` block of a scenario file: runs the scenario as the
-/// Section VIII-B network-coded system (Theorem 15) on one of the coded
-/// kernels (`"coded"`, the default with this block, or `"coded-turbo"` for
-/// `q = 2`).
+/// Section VIII-B network-coded system (Theorem 15) on the coded kernel,
+/// over any field `GF(q)`.
 ///
 /// The scenario's `arrivals` must all be empty-handed classes — their
 /// combined rate is the total arrival rate `λ`, of which a fraction
@@ -226,14 +225,8 @@ pub struct ScenarioSpec {
     pub initial: Vec<InitialGroupSpec>,
     /// Scheduled flash crowds.
     pub flash_crowds: Vec<FlashSpec>,
-    /// The simulation kernel (a [`KernelKind::name`]: `"turbo"`,
-    /// `"coded"` or `"coded-turbo"` in files). Turbo, the default, runs the
-    /// uncoded model; the two coded kernels run the network-coded variant
-    /// and require a [`ScenarioSpec::coding`] block, `"coded-turbo"` over
-    /// `GF(2)` only.
-    pub kernel: KernelKind,
-    /// Network-coding block; present if and only if the kernel is
-    /// [`KernelKind::Coded`] or [`KernelKind::CodedTurbo`].
+    /// Network-coding block. With it the scenario runs on the coded kernel
+    /// ([`KernelKind::Coded`]), without it on turbo.
     pub coding: Option<CodingSpec>,
     /// Intra-replication shard count (`"shards"` in files; turbo kernel
     /// only). `None` runs unsharded; a value above 1 splits each
@@ -248,7 +241,7 @@ pub struct ScenarioSpec {
 impl ScenarioSpec {
     /// A spec with the model defaults: `U_s = 0`, `µ = 1`, `γ = ∞`,
     /// random-useful policy, `η = 1`, watch piece 0, horizon 1000,
-    /// snapshots every 10, the standard event cap, the turbo kernel, and no
+    /// snapshots every 10, the standard event cap, no coding block, and no
     /// arrivals yet.
     #[must_use]
     pub fn new(name: impl Into<String>, num_pieces: usize) -> Self {
@@ -268,7 +261,6 @@ impl ScenarioSpec {
             max_events: 50_000_000,
             initial: Vec::new(),
             flash_crowds: Vec::new(),
-            kernel: KernelKind::Turbo,
             coding: None,
             shards: None,
             sync_window: None,
@@ -312,16 +304,6 @@ impl ScenarioSpec {
                 .map_err(|e| SpecError::Invalid(format!("flash_crowds[{i}].count: {e}")))?;
         }
         let watch = PieceId::new(self.watch_piece);
-        match (&self.coding, self.kernel) {
-            (Some(_), KernelKind::Coded | KernelKind::CodedTurbo) | (None, _) => {}
-            (Some(_), _) => {
-                return Err(SpecError::Invalid(
-                    "scenario has a `coding` block: it runs only on the coded kernels \
-                     (kernel overrides cannot switch a coded scenario to an uncoded one)"
-                        .into(),
-                ))
-            }
-        }
         let (params, coding) = if let Some(coding) = &self.coding {
             if !(0.0..=1.0).contains(&coding.gift_fraction) {
                 return Err(SpecError::Invalid(format!(
@@ -365,11 +347,6 @@ impl ScenarioSpec {
             .map_err(|e| SpecError::Invalid(format!("coding: {e}")))?;
             (coded.base.clone(), Some(coded.gifts()))
         } else {
-            if matches!(self.kernel, KernelKind::Coded | KernelKind::CodedTurbo) {
-                return Err(SpecError::Invalid(
-                    "the coded kernels require a `coding` block".into(),
-                ));
-            }
             let mut builder = SwarmParams::builder(self.num_pieces)
                 .seed_rate(self.seed_rate)
                 .contact_rate(self.contact_rate);
@@ -418,7 +395,11 @@ impl ScenarioSpec {
                 retry_speedup: self.retry_speedup,
                 snapshot_interval: self.snapshot_interval,
                 max_events: self.max_events,
-                kernel: self.kernel,
+                kernel: if coding.is_some() {
+                    KernelKind::Coded
+                } else {
+                    KernelKind::Turbo
+                },
             },
             policy: self.policy.clone(),
             initial,
@@ -490,7 +471,6 @@ impl ScenarioSpec {
             ("max_events".into(), Json::Num(self.max_events as f64)),
             ("initial".into(), initial),
             ("flash_crowds".into(), flash),
-            ("kernel".into(), Json::Str(self.kernel.name().into())),
         ];
         if let Some(coding) = &self.coding {
             members.push((
@@ -519,7 +499,7 @@ impl ScenarioSpec {
     /// Returns a [`SpecError::Parse`] naming the offending field or byte
     /// offset.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
-        const KNOWN: [&str; 19] = [
+        const KNOWN: [&str; 18] = [
             "name",
             "description",
             "num_pieces",
@@ -535,7 +515,6 @@ impl ScenarioSpec {
             "max_events",
             "initial",
             "flash_crowds",
-            "kernel",
             "coding",
             "shards",
             "sync_window",
@@ -604,24 +583,8 @@ impl ScenarioSpec {
             }
             spec.sync_window = Some(x);
         }
-        let kernel_named = doc.get("kernel").is_some();
-        if let Some(kernel) = doc.get("kernel") {
-            spec.kernel = match kernel {
-                Json::Str(s) => KernelKind::from_name(s),
-                _ => None,
-            }
-            .ok_or_else(|| {
-                SpecError::Parse(format!("`kernel` must be one of {}", KernelKind::names()))
-            })?;
-        }
         match doc.get("coding") {
-            None => {
-                if matches!(spec.kernel, KernelKind::Coded | KernelKind::CodedTurbo) {
-                    return Err(SpecError::Parse(
-                        "the coded kernels require a `coding` block".into(),
-                    ));
-                }
-            }
+            None => {}
             Some(block @ Json::Obj(_)) => {
                 check_keys(block, &["q", "gift_fraction"], "coding")?;
                 let q = get_count(block, "q")?
@@ -639,16 +602,6 @@ impl ScenarioSpec {
                     field_order: q as u64,
                     gift_fraction: f,
                 });
-                if !kernel_named {
-                    // A coding block implies the coded kernel.
-                    spec.kernel = KernelKind::Coded;
-                } else if !matches!(spec.kernel, KernelKind::Coded | KernelKind::CodedTurbo) {
-                    return Err(SpecError::Parse(
-                        "a `coding` block requires `kernel: \"coded\"` or \
-                         `kernel: \"coded-turbo\"` (or omit the kernel field)"
-                            .into(),
-                    ));
-                }
             }
             Some(_) => return Err(SpecError::Parse("`coding` must be an object".into())),
         }
@@ -885,7 +838,6 @@ impl Registry {
         s.description =
             "Theorem 15 below threshold: GF(2), K = 8, f = 0.1 < q/((q−1)K) = 0.25 — transient"
                 .into();
-        s.kernel = KernelKind::Coded;
         s.coding = Some(CodingSpec {
             field_order: 2,
             gift_fraction: 0.1,
@@ -901,23 +853,6 @@ impl Registry {
         s.description =
             "Theorem 15 above threshold: GF(2), K = 8, f = 0.8 > q²/((q−1)²K) = 0.5 — stable"
                 .into();
-        s.kernel = KernelKind::Coded;
-        s.coding = Some(CodingSpec {
-            field_order: 2,
-            gift_fraction: 0.8,
-        });
-        s.arrivals = vec![ArrivalSpec {
-            pieces: PieceSelector::Empty,
-            rate: 1.0,
-        }];
-        s.horizon = 800.0;
-        specs.push(s);
-
-        let mut s = ScenarioSpec::new("coded-turbo-gift", 8);
-        s.description =
-            "The coded-gift-super swarm on the bitsliced GF(2) coded-turbo kernel — lazy peers, packed bases"
-                .into();
-        s.kernel = KernelKind::CodedTurbo;
         s.coding = Some(CodingSpec {
             field_order: 2,
             gift_fraction: 0.8,
@@ -1311,69 +1246,28 @@ mod tests {
     }
 
     #[test]
-    fn kernel_field_is_parsed_and_honoured() {
-        let doc = r#"{"name":"x","num_pieces":2,"kernel":"turbo",
-            "arrivals":[{"pieces":"empty","rate":1}]}"#;
-        let spec = ScenarioSpec::from_json(doc).unwrap();
-        assert_eq!(spec.kernel, KernelKind::Turbo);
-        let scenario = spec.compile(0).unwrap();
-        assert_eq!(scenario.config.kernel, KernelKind::Turbo);
-        assert_eq!(ScenarioSpec::from_json(&spec.to_json()).unwrap(), spec);
-        // An unknown name, the deleted scan kernel's among them, is a
-        // typed parse error that offers every kernel there is.
-        for name in ["warp", "legacy-scan"] {
-            let bad = format!(
+    fn the_retired_kernel_key_is_an_unknown_field() {
+        // A coding block alone decides the kernel, so files name none: the
+        // key kernels were once chosen by is rejected like any typo.
+        for name in ["turbo", "coded"] {
+            let doc = format!(
                 r#"{{"name":"x","num_pieces":2,"kernel":"{name}",
                 "arrivals":[{{"pieces":"empty","rate":1}}]}}"#
             );
-            let Err(SpecError::Parse(message)) = ScenarioSpec::from_json(&bad) else {
+            let Err(SpecError::Parse(message)) = ScenarioSpec::from_json(&doc) else {
                 panic!("kernel {name:?} must be a parse error");
             };
-            for kind in KernelKind::ALL {
-                assert!(message.contains(kind.name()), "{message}");
-            }
+            assert_eq!(message, "unknown scenario field `kernel`");
         }
-    }
-
-    #[test]
-    fn kernel_override_wins_over_the_spec_and_turbo_runs_are_deterministic() {
         let registry = Registry::builtin();
-        let spec = registry.get("retry-speedup").unwrap();
-        assert_eq!(spec.kernel, KernelKind::Turbo, "turbo is the default");
-        // `--kernel` writes the kernel into the spec the CLI resolved.
-        let coded_turbo = registry.get("coded-turbo-gift").unwrap();
-        let mut coded_spec = coded_turbo.clone();
-        coded_spec.kernel = KernelKind::Coded;
-        let run_at = |jobs, spec| {
-            let options = ScenarioRunOptions {
-                replications: 2,
-                jobs,
-                seed: 77,
-                horizon_override: Some(80.0),
-                ..Default::default()
-            };
-            run(spec, &options).unwrap()
-        };
-        let turbo = run_at(1, spec);
-        assert_eq!(
-            turbo.outcome,
-            run_at(4, spec).outcome,
-            "turbo is deterministic"
-        );
-        let coded = run_at(1, &coded_spec);
-        let coded_jobs4 = run_at(4, &coded_spec);
-        assert_eq!(coded.outcome, coded_jobs4.outcome, "coded is deterministic");
-        assert_eq!(coded.outcome.votes.total(), 2);
-        assert_eq!(
-            coded.spec.kernel,
-            KernelKind::Coded,
-            "the report's spec records the kernel that actually ran"
-        );
-        assert_ne!(
-            coded.outcome,
-            run_at(1, coded_turbo).outcome,
-            "the override changed the kernel"
-        );
+        for (name, kernel) in [
+            ("retry-speedup", KernelKind::Turbo),
+            ("coded-gift-super", KernelKind::Coded),
+        ] {
+            let spec = registry.get(name).unwrap();
+            assert!(!spec.to_json().contains("\"kernel\""), "{name}");
+            assert_eq!(spec.compile(0).unwrap().config.kernel, kernel, "{name}");
+        }
     }
 
     #[test]
@@ -1392,7 +1286,7 @@ mod tests {
 
     #[test]
     fn shard_fields_parse_round_trip_and_compile_through() {
-        let doc = r#"{"name":"x","num_pieces":2,"kernel":"turbo",
+        let doc = r#"{"name":"x","num_pieces":2,
             "shards":4,"sync_window":0.5,
             "arrivals":[{"pieces":"empty","rate":1}]}"#;
         let spec = ScenarioSpec::from_json(doc).unwrap();
@@ -1425,7 +1319,6 @@ mod tests {
     #[test]
     fn shard_overrides_win_over_the_spec_and_jobs_never_change_the_numbers() {
         let mut spec = ScenarioSpec::new("sharded", 2);
-        spec.kernel = KernelKind::Turbo;
         spec.seed_rate = 1.5;
         spec.seed_departure_rate = 2.0;
         spec.arrivals = vec![ArrivalSpec {
@@ -1456,19 +1349,26 @@ mod tests {
 
     #[test]
     fn run_is_deterministic() {
+        // Turbo and the coded kernel, each at one and four workers.
         let registry = Registry::builtin();
-        let spec = registry.get("flash-crowd").unwrap();
-        let options = ScenarioRunOptions {
-            replications: 2,
-            jobs: 1,
-            seed: 42,
-            horizon_override: Some(120.0),
-            ..Default::default()
-        };
-        let a = run(spec, &options).unwrap();
-        let b = run(spec, &ScenarioRunOptions { jobs: 4, ..options }).unwrap();
-        assert_eq!(a.outcome, b.outcome, "jobs never change the numbers");
-        assert_eq!(a.render(), b.render());
+        for name in ["flash-crowd", "coded-gift-super"] {
+            let spec = registry.get(name).unwrap();
+            let options = ScenarioRunOptions {
+                replications: 2,
+                jobs: 1,
+                seed: 42,
+                horizon_override: Some(120.0),
+                ..Default::default()
+            };
+            let a = run(spec, &options).unwrap();
+            let b = run(spec, &ScenarioRunOptions { jobs: 4, ..options }).unwrap();
+            assert_eq!(
+                a.outcome, b.outcome,
+                "{name}: jobs never change the numbers"
+            );
+            assert_eq!(a.outcome.votes.total(), 2);
+            assert_eq!(a.render(), b.render());
+        }
     }
 
     #[test]

@@ -2,8 +2,13 @@
 //! must come back as typed [`SpecError`] values whose rendered messages
 //! name the offending field — never as panics — from the parser
 //! (`ScenarioSpec::from_json`), the compiler (`ScenarioSpec::compile`) and
-//! the run (`registry::run`).
+//! the run (`registry::run`). A property test feeds the parser and the
+//! compiler arbitrary bytes and single-byte mutations of every built-in
+//! scenario file.
 
+use proptest::collection::vec;
+use proptest::prelude::*;
+use swarm::sim::KernelKind;
 use workload::ndjson;
 use workload::registry::{self, Registry, ScenarioRunOptions, ScenarioSpec};
 use workload::SpecError;
@@ -28,28 +33,23 @@ fn parse_err(doc: &str, needle: &str) {
 
 #[test]
 fn unknown_kernel_names_are_structured_errors() {
-    parse_err(
-        r#"{"name":"x","num_pieces":2,"kernel":"warp",
-            "arrivals":[{"pieces":"empty","rate":1}]}"#,
-        "kernel",
-    );
-    parse_err(
-        r#"{"name":"x","num_pieces":2,"kernel":7,
-            "arrivals":[{"pieces":"empty","rate":1}]}"#,
-        "kernel",
-    );
-    // The deleted event-driven kernel is no longer a kernel name.
-    parse_err(
-        r#"{"name":"x","num_pieces":2,"kernel":"event-driven",
-            "arrivals":[{"pieces":"empty","rate":1}]}"#,
-        "kernel",
-    );
-    // `coded` is a valid kernel name, but only with a coding block.
-    parse_err(
-        r#"{"name":"x","num_pieces":2,"kernel":"coded",
-            "arrivals":[{"pieces":"empty","rate":1}]}"#,
-        "coding",
-    );
+    // A coding block alone picks the kernel, so a file names none: every
+    // `kernel` member, once valid or never, is an unknown field.
+    for kernel in [
+        r#""warp""#,
+        "7",
+        r#""event-driven""#,
+        r#""turbo""#,
+        r#""coded""#,
+    ] {
+        parse_err(
+            &format!(
+                r#"{{"name":"x","num_pieces":2,"kernel":{kernel},
+                    "arrivals":[{{"pieces":"empty","rate":1}}]}}"#
+            ),
+            "unknown scenario field `kernel`",
+        );
+    }
 }
 
 /// Parses `doc` and asserts that compiling it fails with a
@@ -168,12 +168,12 @@ fn malformed_coding_blocks_are_structured_errors() {
             "arrivals":[{"pieces":"empty","rate":1}]}"#,
         "`q`",
     );
-    // A coding block cannot ride on an uncoded kernel.
+    // Nor can a file pair a coding block with a kernel of its choosing.
     parse_err(
         r#"{"name":"x","num_pieces":2,"kernel":"turbo",
             "coding":{"q":2,"gift_fraction":0.5},
             "arrivals":[{"pieces":"empty","rate":1}]}"#,
-        "coded",
+        "unknown scenario field `kernel`",
     );
 }
 
@@ -197,11 +197,12 @@ fn coding_block_implies_the_coded_kernel() {
         r#"{"name":"x","num_pieces":4,"coding":{"q":8,"gift_fraction":0.5},
             "arrivals":[{"pieces":"empty","rate":1}]}"#,
     )
-    .expect("kernel defaults to coded when a coding block is present");
-    assert_eq!(spec.kernel, swarm::sim::KernelKind::Coded);
+    .expect("a coding block parses");
     let scenario = spec.compile(0).expect("compiles");
     assert!(scenario.coding.is_some());
-    scenario.build_sim().expect("valid coded simulator");
+    assert_eq!(scenario.config.kernel, KernelKind::Coded);
+    let sim = scenario.build_sim().expect("valid coded simulator");
+    assert_eq!(sim.config().kernel, KernelKind::Coded);
     // And the spec round-trips through its own file format.
     assert_eq!(ScenarioSpec::from_json(&spec.to_json()).unwrap(), spec);
 }
@@ -235,10 +236,10 @@ fn builtin_coded_scenarios_are_wellformed() {
         let spec = registry
             .get(name)
             .unwrap_or_else(|| panic!("{name} exists"));
-        assert_eq!(spec.kernel, swarm::sim::KernelKind::Coded);
         let json = spec.to_json();
         assert!(json.contains("\"coding\""), "{json}");
         let scenario = spec.compile(1).expect("compiles");
+        assert_eq!(scenario.config.kernel, KernelKind::Coded);
         scenario.build_sim().expect("valid simulator");
     }
 }
@@ -269,4 +270,48 @@ fn megabyte_strings_parse_in_linear_time() {
     let spec = ScenarioSpec::from_json(&doc(r#","num_pieces":2"#)).expect("parses");
     assert_eq!(spec.name, decoded.repeat(copies));
     parse_err(&doc(""), "num_pieces");
+}
+
+/// Parses `text` and, when it parses, compiles the spec: both must return,
+/// with a typed error or a value, for any input.
+fn parse_and_compile(text: &str) -> Result<(), SpecError> {
+    let spec = ScenarioSpec::from_json(text)?;
+    spec.compile(0).map(drop)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1_500))]
+
+    #[test]
+    fn the_parser_and_compiler_never_panic(
+        bytes in vec(any::<u8>(), 0..160),
+        builtin in any::<usize>(),
+        edit in (0u8..3, any::<usize>(), any::<u8>()),
+    ) {
+        // Arbitrary bytes, read as lossy UTF-8.
+        let _ = parse_and_compile(&String::from_utf8_lossy(&bytes));
+        // One edit of a built-in scenario file: a byte replaced, a byte
+        // deleted, or the file cut short.
+        let registry = Registry::builtin();
+        let names = registry.names();
+        let name = names[builtin % names.len()];
+        let mut file = registry.get(name).expect("a listed name").to_json().into_bytes();
+        let (kind, at, byte) = edit;
+        let at = at % file.len();
+        match kind {
+            0 => file[at] = byte,
+            1 => {
+                file.remove(at);
+            }
+            _ => file.truncate(at),
+        }
+        let _ = parse_and_compile(&String::from_utf8_lossy(&file));
+        // The file with the retired `kernel` member is refused by name.
+        let text = registry.get(name).expect("a listed name").to_json();
+        let with_kernel = text.replacen('{', r#"{"kernel":"turbo","#, 1);
+        prop_assert_eq!(
+            ScenarioSpec::from_json(&with_kernel).map(drop),
+            Err(SpecError::Parse("unknown scenario field `kernel`".into()))
+        );
+    }
 }

@@ -26,11 +26,6 @@
 //! * `--scenario FILE|NAME` — instead of the E1–E12 reports, execute one
 //!   scenario from the registry: a JSON scenario file (see `EXPERIMENTS.md`
 //!   for the format) or a built-in name,
-//! * `--kernel turbo|coded|coded-turbo` — override the scenario's
-//!   simulation kernel (`turbo`, the default, runs the uncoded model;
-//!   `coded` is the network-coded kernel and needs a scenario with a
-//!   `"coding"` block; `coded-turbo` is its bitsliced GF(2) fast path and
-//!   additionally requires `q = 2`),
 //! * `--shards N` — (with `--scenario`) shard each replication's peer
 //!   population across `N` per-shard clocks (turbo kernel only); for a
 //!   fixed `(seed, shards, sync-window)` the result is byte-identical at
@@ -88,7 +83,6 @@
 use p2p_stability::engine::{
     self, Axis, CheckpointSpec, FailurePolicy, FaultPlan, MetricsSink, NullSink, ReplicationFailure,
 };
-use p2p_stability::swarm::sim::KernelKind;
 use p2p_stability::workload::experiments::{self, ExperimentConfig};
 use p2p_stability::workload::ndjson;
 use p2p_stability::workload::registry::{self, Registry, ScenarioRunOptions};
@@ -104,9 +98,6 @@ struct Cli {
     /// Set only when `--horizon` was given explicitly (a scenario's own
     /// horizon must win otherwise).
     explicit_horizon: Option<f64>,
-    /// Set only when `--kernel` was given explicitly (a scenario's own
-    /// kernel must win otherwise).
-    kernel: Option<KernelKind>,
     /// Shard count override (`--shards N`).
     shards: Option<u32>,
     /// Synchronization-window override (`--sync-window W`).
@@ -175,7 +166,6 @@ fn parse_failure_policy(value: &str) -> Result<FailurePolicy, String> {
 
 const USAGE: &str = "usage: run_experiments [quick] [--replications N] [--jobs N] \
 [--seed S] [--horizon T] [--scenario FILE|NAME] \
-[--kernel turbo|coded|coded-turbo] \
 [--shards N] [--sync-window W] \
 [--progress] [--metrics[=FILE]] [--check-metrics FILE] \
 [--allow-truncated] [--failure-policy failfast|quarantine[:N]|retry[:N[:MS]]] \
@@ -206,21 +196,17 @@ fn parse_u64(value: &str) -> Option<u64> {
     }
 }
 
-fn parse_kernel(name: &str) -> Result<KernelKind, CliError> {
-    KernelKind::from_name(name).ok_or_else(|| {
-        CliError::Invalid(format!(
-            "--kernel: unknown kernel `{name}` (expected one of {})",
-            KernelKind::names()
-        ))
-    })
-}
-
 fn parse_cli() -> Result<Cli, CliError> {
     #[expect(
         clippy::disallowed_methods,
         reason = "the CLI edge: the command line is the run's configuration"
     )]
     let raw: Vec<String> = std::env::args().skip(1).collect();
+    parse_args(raw)
+}
+
+/// Parses the command-line arguments after the program name.
+fn parse_args(raw: Vec<String>) -> Result<Cli, CliError> {
     // Apply the `quick` preset before flag parsing so explicit flags win
     // regardless of argument order (`--horizon 5000 quick` must not
     // clobber the horizon).
@@ -234,7 +220,6 @@ fn parse_cli() -> Result<Cli, CliError> {
     let mut scenario = None;
     let mut list_scenarios = false;
     let mut explicit_horizon = None;
-    let mut kernel = None;
     let mut shards = None;
     let mut sync_window = None;
     let mut metrics = None;
@@ -282,7 +267,6 @@ fn parse_cli() -> Result<Cli, CliError> {
                 explicit_horizon = Some(config.horizon);
             }
             "--scenario" => scenario = Some(value_of("--scenario")?),
-            "--kernel" => kernel = Some(parse_kernel(&value_of("--kernel")?)?),
             "--shards" => {
                 let n: u32 = value_of("--shards")?
                     .parse()
@@ -341,11 +325,6 @@ fn parse_cli() -> Result<Cli, CliError> {
             }
         }
     }
-    if kernel.is_some() && scenario.is_none() && !list_scenarios {
-        return Err(CliError::Invalid(
-            "--kernel applies to scenario runs only; combine it with --scenario".into(),
-        ));
-    }
     if metrics.is_some() && scenario.is_none() && !list_scenarios && check_metrics.is_none() {
         return Err(CliError::Invalid(
             "--metrics applies to scenario runs only; combine it with --scenario".into(),
@@ -383,7 +362,6 @@ fn parse_cli() -> Result<Cli, CliError> {
         scenario,
         list_scenarios,
         explicit_horizon,
-        kernel,
         shards,
         sync_window,
         metrics,
@@ -516,9 +494,6 @@ fn run_scenario(which: &str, cli: &Cli) -> ExitCode {
     };
     // The flags win over the scenario's own settings; written into the
     // spec, they are also what the report records as run.
-    if let Some(kernel) = cli.kernel {
-        spec.kernel = kernel;
-    }
     if let Some(shards) = cli.shards {
         spec.shards = Some(shards);
     }
@@ -630,18 +605,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unknown_kernels_are_typed_errors_that_offer_every_kernel() {
-        for kind in KernelKind::ALL {
-            assert!(matches!(parse_kernel(kind.name()), Ok(k) if k == kind));
-        }
-        // The deleted scan kernel's name and alias are unknown now.
-        for name in ["legacy-scan", "scan", "warp"] {
-            let Err(CliError::Invalid(message)) = parse_kernel(name) else {
-                panic!("--kernel {name} must be rejected");
+    fn the_retired_kernel_flag_is_an_unknown_argument() {
+        // A scenario's coding block alone picks its kernel, so there is no
+        // flag to choose one.
+        for kernel in ["turbo", "coded"] {
+            let args = ["--scenario", "coded-gift-super", "--kernel", kernel];
+            let Err(CliError::Invalid(message)) = parse_args(args.map(String::from).to_vec())
+            else {
+                panic!("--kernel {kernel} must be rejected");
             };
-            for kind in KernelKind::ALL {
-                assert!(message.contains(kind.name()), "{message}");
-            }
+            assert_eq!(message, "unknown argument `--kernel` (try --help)");
         }
+        assert!(!USAGE.contains("--kernel"), "{USAGE}");
+        assert!(parse_args(vec!["--scenario".into(), "coded-gift-super".into()]).is_ok());
     }
 }

@@ -3,9 +3,9 @@
 //! parameters they must agree on the qualitative behaviour and, for stable
 //! points, on the time-average population. At `K = 1` both are also held to
 //! the exact stationary law of the chain, solved by `markov::stationary`
-//! (turbo's mean sojourn through Little's law), and so are the two coded
-//! kernels, whose `K = 1` swarm is the same chain with its upload rates
-//! thinned by `1 − 1/q`.
+//! (turbo's mean sojourn through Little's law), and so is the coded kernel,
+//! whose `K = 1` swarm is the same chain with its upload rates thinned by
+//! `1 − 1/q`.
 
 #![allow(clippy::disallowed_methods, reason = "test code seeds its own StdRng")]
 
@@ -13,7 +13,7 @@ use p2p_stability::markov::stationary::{stationary_distribution, StationaryOptio
 use p2p_stability::markov::{PathClass, PathClassifier, SamplePath};
 use p2p_stability::pieceset::PieceSet;
 use p2p_stability::swarm::coded::CodedParams;
-use p2p_stability::swarm::sim::{AgentConfig, AgentSwarm, KernelKind};
+use p2p_stability::swarm::sim::{AgentConfig, AgentSwarm};
 use p2p_stability::swarm::{policy, SwarmModel, SwarmParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -275,13 +275,13 @@ fn ctmc_matches_the_exact_stationary_law_at_k1() {
 }
 
 /// Per-replication averages over `[BURN_IN, HORIZON]`, read on the snapshot
-/// grid, of `REPLICATIONS` runs of `sim` from an empty swarm (run `r` seeded
-/// with `seed + r`): the population, its share of time at zero and the peer
-/// seeds, one vector each, and the mean sojourn over the whole run.
-fn agent_ensemble(sim: &AgentSwarm, seed: u64) -> [Vec<f64>; 4] {
+/// grid, of `replications` runs of `sim` from an empty swarm (run `r`
+/// seeded with `seed + r`): the population, its share of time at zero and
+/// the peer seeds, one vector each, and the mean sojourn over the whole run.
+fn agent_ensemble(sim: &AgentSwarm, seed: u64, replications: u64) -> [Vec<f64>; 4] {
     let (mut peers, mut empty, mut seeds) = (Vec::new(), Vec::new(), Vec::new());
     let mut sojourns = Vec::new();
-    for r in 0..REPLICATIONS {
+    for r in 0..replications {
         let mut rng = StdRng::seed_from_u64(seed + r);
         let result = sim.run(&[], HORIZON, &mut rng);
         let tail: Vec<_> = result
@@ -302,7 +302,6 @@ fn agent_ensemble(sim: &AgentSwarm, seed: u64) -> [Vec<f64>; 4] {
 fn one_piece_turbo(arrival_scale: f64) -> AgentSwarm {
     let config = AgentConfig {
         snapshot_interval: 1.0,
-        kernel: KernelKind::Turbo,
         ..Default::default()
     };
     let params = one_piece_params(arrival_scale);
@@ -312,7 +311,7 @@ fn one_piece_turbo(arrival_scale: f64) -> AgentSwarm {
 #[test]
 fn turbo_matches_the_exact_stationary_law_at_k1() {
     let exact = exact_law();
-    let [peers, empty, seeds, _] = agent_ensemble(&one_piece_turbo(1.0), 200);
+    let [peers, empty, seeds, _] = agent_ensemble(&one_piece_turbo(1.0), 200, REPLICATIONS);
     assert_matches("turbo E[N]", exact.mean_peers, &peers);
     assert_matches("turbo P(N = 0)", exact.p_empty, &empty);
     assert_matches("turbo E[x_F]", exact.mean_seeds, &seeds);
@@ -323,10 +322,12 @@ fn turbo_mean_sojourn_meets_littles_law_at_k1() {
     // Little's law at the solved point: every peer's stay averages
     // E[N] / λ, with λ = 1.
     let exact = exact_law().mean_peers;
-    let [.., sojourns] = agent_ensemble(&one_piece_turbo(1.0), 1_000);
+    let [.., sojourns] = agent_ensemble(&one_piece_turbo(1.0), 1_000, REPLICATIONS);
     assert_matches("turbo E[sojourn]", exact, &sojourns);
-    // Teeth: the same seeds at λ × 1.05 sit far off the law.
-    let [.., fast] = agent_ensemble(&one_piece_turbo(1.05), 1_000);
+    // Teeth: at λ × 1.05 the law sits far off. Four times the nominal
+    // ensemble keeps the skew's z-score well above the threshold whatever
+    // turbo's draws.
+    let [.., fast] = agent_ensemble(&one_piece_turbo(1.05), 1_000, 4 * REPLICATIONS);
     let (mean, se, z) = z_score(exact, &fast);
     assert!(
         z > 5.0,
@@ -335,15 +336,14 @@ fn turbo_mean_sojourn_meets_littles_law_at_k1() {
     );
 }
 
-/// The coded `K = 1` swarm over `GF(q)` on `kernel`: no gifts, `γ = 2`,
-/// `λ = 1`, and `U_s = µ = scale · q/(q − 1)`, which thinning by `1 − 1/q`
-/// turns into `scale` times the rates of [`one_piece_params`] at `λ = 1`.
-fn thinned_coded_sim(kernel: KernelKind, q: u64, scale: f64) -> AgentSwarm {
+/// The coded `K = 1` swarm over `GF(q)`: no gifts, `γ = 2`, `λ = 1`, and
+/// `U_s = µ = scale · q/(q − 1)`, which thinning by `1 − 1/q` turns into
+/// `scale` times the rates of [`one_piece_params`] at `λ = 1`.
+fn thinned_coded_sim(q: u64, scale: f64) -> AgentSwarm {
     let rate = scale * q as f64 / (q as f64 - 1.0);
     let params = CodedParams::gift_example(1, q, 1.0, 0.0, rate, rate, 2.0).unwrap();
     let config = AgentConfig {
         snapshot_interval: 1.0,
-        kernel,
         ..Default::default()
     };
     AgentSwarm::with_coded(params, config).unwrap()
@@ -354,24 +354,19 @@ fn coded_kernels_match_the_thinned_exact_stationary_law_at_k1() {
     // At K = 1 a coded upload is a uniform element of GF(q) (Ho et al.,
     // IEEE Trans. IT 2006): zero, and so useless, with probability 1/q, and
     // otherwise it completes a target that holds nothing. At U_s = µ =
-    // q/(q − 1) each coded kernel therefore runs the chain of
+    // q/(q − 1) the coded kernel therefore runs the chain of
     // `one_piece_params`, with decoders in the role of peer seeds.
     let exact = exact_law();
-    let cases = [
-        (KernelKind::Coded, 2),
-        (KernelKind::Coded, 4),
-        (KernelKind::Coded, 8),
-        (KernelKind::CodedTurbo, 2),
-    ];
-    for (i, (kernel, q)) in cases.into_iter().enumerate() {
+    for (i, q) in [2, 4, 8].into_iter().enumerate() {
         let seed = 300 + 100 * i as u64;
-        let what = format!("{} at q = {q}", kernel.name());
-        let [peers, empty, decoders, _] = agent_ensemble(&thinned_coded_sim(kernel, q, 1.0), seed);
+        let what = format!("coded at q = {q}");
+        let sim = thinned_coded_sim(q, 1.0);
+        let [peers, empty, decoders, _] = agent_ensemble(&sim, seed, REPLICATIONS);
         assert_matches(&format!("{what}: E[N]"), exact.mean_peers, &peers);
         assert_matches(&format!("{what}: P(N = 0)"), exact.p_empty, &empty);
         assert_matches(&format!("{what}: E[decoders]"), exact.mean_seeds, &decoders);
         // Teeth: the same runs with U_s and µ 5% low sit far off the law.
-        let [slow, ..] = agent_ensemble(&thinned_coded_sim(kernel, q, 0.95), seed);
+        let [slow, ..] = agent_ensemble(&thinned_coded_sim(q, 0.95), seed, REPLICATIONS);
         let (mean, se, z) = z_score(exact.mean_peers, &slow);
         assert!(
             z > 5.0,

@@ -5,7 +5,7 @@
 #
 #   1. build instrumented (`-Cprofile-generate`) with `-Ctarget-cpu=native`,
 #   2. run a training workload that exercises the hot kernels (turbo,
-#      sharded turbo, coded-turbo) through the real CLI,
+#      sharded turbo, coded) through the real CLI,
 #   3. merge the raw profiles and rebuild with `-Cprofile-use`.
 #
 # `llvm-profdata` must come from the same LLVM major version as rustc's
@@ -72,14 +72,14 @@ find_profdata() {
 train() {
     local bin=target/release/run_experiments
     echo "== training: turbo benchmark regime =="
-    "$bin" --scenario big-swarm-k32 --kernel turbo \
+    "$bin" --scenario big-swarm-k32 \
         --replications 2 --jobs 1 --seed 7 >/dev/null
     echo "== training: sharded turbo =="
-    "$bin" --scenario big-swarm-k32 --kernel turbo \
+    "$bin" --scenario big-swarm-k32 \
         --shards 8 --sync-window 0.25 \
         --replications 2 --jobs 0 --seed 7 >/dev/null
-    echo "== training: coded-turbo =="
-    "$bin" --scenario coded-turbo-gift \
+    echo "== training: coded =="
+    "$bin" --scenario coded-gift-super \
         --replications 2 --jobs 1 --seed 7 --horizon 200 >/dev/null
 }
 
